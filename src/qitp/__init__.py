@@ -13,7 +13,6 @@ from .dilation import (
     classical_itp,
     filter_profile,
     itp_filter,
-    normalizer_profile,
 )
 from .hamiltonians import (
     GaussianBasis,
@@ -29,7 +28,7 @@ from .hamiltonians import (
     save_hamiltonian,
     two_neutron_sd,
 )
-from .linalg import HermitianOperator, eigh, kron, matrix_function
+from .linalg import HermitianOperator, eigh, matrix_function
 from .simulate import (
     ExperimentRecord,
     NoiseParams,
@@ -88,10 +87,8 @@ __all__ = [
     "itp_filter",
     "kak_coefficients",
     "kak_decompose",
-    "kron",
     "load_hamiltonian",
     "matrix_function",
-    "normalizer_profile",
     "orthonormalize",
     "parse_circuit_text",
     "postselect_ancilla0",

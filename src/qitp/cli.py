@@ -37,14 +37,9 @@ from .hamiltonians import (
 )
 from .simulate import (
     NoiseParams,
-    apply_step,
-    basis_labels,
-    energy_expectation,
-    extend_with_ancilla,
     normalized_state,
-    postselect_ancilla0,
     run_itp,
-    state_fidelity,
+    spectral_run,
 )
 from .transpile import (
     circuit_unitary,
@@ -169,48 +164,19 @@ def _load_builder_config(path: str) -> dict:
 
 
 def cmd_ham(args) -> int:
-    if args.config:
-        doc = _load_builder_config(args.config)
-        if args.builder == "hydrogen-sto2g":
-            basis = GaussianBasis.from_dict(doc)
-            op, _, _ = hydrogen_sto2g(basis, orthogonalization=args.orthogonalization)
-            provenance = {
-                "builder": "hydrogen-sto2g",
-                "exponents": list(basis.exponents),
-                "coefficients": list(basis.coefficients),
-                "slater_zeta": basis.slater_zeta,
-                "orthogonalization": args.orthogonalization,
-            }
-        else:
-            couplings = SpinCouplings.from_dict(doc)
-            op = two_neutron_sd(couplings)
-            provenance = {
-                "builder": "two-neutron",
-                "a1": couplings.a1,
-                "a2": [[float(v) for v in row] for row in couplings.a2],
-            }
-        out_doc = hamiltonian_to_dict(op, provenance)
-        _write_text(args.out, json.dumps(out_doc, indent=2) + "\n")
-        return EXIT_OK
+    config = _load_builder_config(args.config) if args.config else None
     if args.builder == "hydrogen-sto2g":
-        if args.exponents or args.coefficients:
+        if config is None:
             default = default_hydrogen_basis()
-            exps = (
-                tuple(_parse_floats(args.exponents, 2))
-                if args.exponents
-                else default.exponents
-            )
-            coeffs = (
+            basis = GaussianBasis(
+                tuple(_parse_floats(args.exponents, 2)) if args.exponents else default.exponents,
                 tuple(_parse_floats(args.coefficients, 2))
                 if args.coefficients
-                else default.coefficients
+                else default.coefficients,
+                args.zeta,
             )
-            basis = GaussianBasis(exps, coeffs, args.zeta)
-        elif args.zeta != 1.0:
-            default = default_hydrogen_basis()
-            basis = GaussianBasis(default.exponents, default.coefficients, args.zeta)
         else:
-            basis = default_hydrogen_basis()
+            basis = GaussianBasis.from_dict(config)
         op, _, _ = hydrogen_sto2g(basis, orthogonalization=args.orthogonalization)
         provenance = {
             "builder": "hydrogen-sto2g",
@@ -220,12 +186,15 @@ def cmd_ham(args) -> int:
             "orthogonalization": args.orthogonalization,
         }
     else:
-        a2 = _parse_a2(args.a2)
-        op = two_neutron_sd(SpinCouplings(a1=args.a1, a2=a2))
+        if config is None:
+            couplings = SpinCouplings(a1=args.a1, a2=_parse_a2(args.a2))
+        else:
+            couplings = SpinCouplings.from_dict(config)
+        op = two_neutron_sd(couplings)
         provenance = {
             "builder": "two-neutron",
-            "a1": args.a1,
-            "a2": [[float(v) for v in row] for row in a2],
+            "a1": couplings.a1,
+            "a2": [[float(v) for v in row] for row in couplings.a2],
         }
     doc = hamiltonian_to_dict(op, provenance)
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
@@ -313,30 +282,18 @@ def cmd_sweep_et(args) -> int:
     if any(f <= 0 for f in fractions):
         raise ConfigError("fractions must be positive")
     psi0 = _parse_initial_state(args.init, op.dim)
-    ground = op.ground_state
     lines = ["tau,et_fraction,et_value,p0,energy,fidelity_to_ground,failed"]
     for tau in taus:
         for fraction in fractions:
             params = ItpParams(
                 tau=tau, trial_mode="fraction_of_ground", fraction=fraction
             )
-            et_value = params.resolve_trial_energy(op)
-            u = build_dilation(op, params)
+            head = f"{_fmt(tau)},{_fmt(fraction)},{_fmt(params.resolve_trial_energy(op))}"
             try:
-                system, p0 = postselect_ancilla0(
-                    apply_step(extend_with_ancilla(psi0), u)
-                )
-                energy = energy_expectation(system, op)
-                fidelity = state_fidelity(system, ground)
-                lines.append(
-                    f"{_fmt(tau)},{_fmt(fraction)},{_fmt(et_value)},{_fmt(p0)},"
-                    f"{_fmt(energy)},{_fmt(fidelity)},0"
-                )
+                _, p0, energy, ground_weight = spectral_run(op, params, psi0, 1)
+                lines.append(f"{head},{_fmt(p0)},{_fmt(energy)},{_fmt(ground_weight)},0")
             except PostselectionImpossible as exc:
-                lines.append(
-                    f"{_fmt(tau)},{_fmt(fraction)},{_fmt(et_value)},"
-                    f"{_fmt(exc.probability)},,,1"
-                )
+                lines.append(f"{head},{_fmt(exc.probability)},,,1")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -7,7 +7,8 @@ With the spectral filter
     h(E) = 1 / sqrt(1 + exp(2 (E - E_T) tau))
 
 the dilation is the block matrix ``[[Q, R], [R, -Q]]`` where ``Q`` applies
-``h`` to the spectrum and ``R`` applies ``r = sqrt(1 - h^2)``. The ancilla
+``h`` to the spectrum and ``R`` applies ``r = sqrt(1 - h^2)``, which is the
+same profile mirrored about E_T: ``r(E) = h(2 E_T - E)``. The ancilla
 is the leading tensor factor: extended index = ancilla * N + system.
 
 ``h`` is evaluated in an overflow-safe piecewise form; the textbook form
@@ -68,6 +69,8 @@ def filter_profile(energies, tau: float, trial_energy: float) -> np.ndarray:
     """Scalar filter h(E) = 1/sqrt(1 + exp(2 (E - E_T) tau)), overflow-safe.
 
     Strictly decreasing in E, with values in (0, 1); h(E_T) = 2**-0.5.
+    The complementary profile r = sqrt(1 - h^2) of the dilation's R block
+    is ``filter_profile(-E, tau, -E_T)``.
     """
     x = 2.0 * (np.asarray(energies, dtype=float) - trial_energy) * tau
     out = np.empty_like(x)
@@ -77,22 +80,6 @@ def filter_profile(energies, tau: float, trial_energy: float) -> np.ndarray:
     out[hi] = np.exp(-x[hi] / 2.0)
     out[lo] = 1.0
     out[mid] = 1.0 / np.sqrt(1.0 + np.exp(x[mid]))
-    return out
-
-
-def normalizer_profile(energies, tau: float, trial_energy: float) -> np.ndarray:
-    """Complementary profile r(E) = 1/sqrt(1 + exp(-2 (E - E_T) tau)).
-
-    Satisfies h(E)^2 + r(E)^2 = 1 for every E.
-    """
-    x = 2.0 * (np.asarray(energies, dtype=float) - trial_energy) * tau
-    out = np.empty_like(x)
-    hi = x > _EXP_CAP
-    lo = x < -_EXP_CAP
-    mid = ~(hi | lo)
-    out[hi] = 1.0
-    out[lo] = np.exp(x[lo] / 2.0)
-    out[mid] = 1.0 / np.sqrt(1.0 + np.exp(-x[mid]))
     return out
 
 
@@ -136,7 +123,7 @@ def build_dilation(op: HermitianOperator, params: ItpParams) -> DilationUnitary:
     et = params.resolve_trial_energy(op)
     v = op.eigenvectors
     hw = filter_profile(op.eigenvalues, params.tau, et)
-    rw = normalizer_profile(op.eigenvalues, params.tau, et)
+    rw = filter_profile(-op.eigenvalues, params.tau, -et)
     q = (v * hw) @ v.conj().T
     r = (v * rw) @ v.conj().T
     u = np.block([[q, r], [r, -q]])

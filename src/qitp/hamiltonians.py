@@ -45,7 +45,6 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     eigh,
-    kron,
     max_abs,
 )
 
@@ -236,11 +235,11 @@ def two_neutron_sd(couplings: SpinCouplings) -> HermitianOperator:
     """
     v = np.zeros((4, 4), dtype=complex)
     for k in range(3):
-        v += couplings.a1 * kron(PAULI_VECTOR[k], PAULI_VECTOR[k])
+        v += couplings.a1 * np.kron(PAULI_VECTOR[k], PAULI_VECTOR[k])
     for j in range(3):
         for k in range(3):
             if couplings.a2[j, k] != 0.0:
-                v += couplings.a2[j, k] * kron(PAULI_VECTOR[j], PAULI_VECTOR[k])
+                v += couplings.a2[j, k] * np.kron(PAULI_VECTOR[j], PAULI_VECTOR[k])
     return HermitianOperator.from_matrix(v, units="mev")
 
 
@@ -268,7 +267,8 @@ def save_hamiltonian(
 def load_hamiltonian(source) -> HermitianOperator:
     """Load a Hamiltonian from a JSON file path, JSON text, or a dict.
 
-    Validates the schema, the dimension range (1..64), and Hermiticity.
+    Validates the schema, the dimension range (1..64), finite entries, and
+    Hermiticity.
     """
     if isinstance(source, dict):
         doc = source
@@ -293,7 +293,7 @@ def load_hamiltonian(source) -> HermitianOperator:
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1 or dim > MAX_DIM:
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
         raise DimensionError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
     units = doc["units"]
     if units not in HermitianOperator.VALID_UNITS:
@@ -306,6 +306,8 @@ def load_hamiltonian(source) -> HermitianOperator:
         )
     except (TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
+    if not np.all(np.isfinite(m)):
+        raise ParseError("matrix entries must be finite")
     if m.shape != (dim, dim):
         raise DimensionError(f"matrix shape {m.shape} does not match dim {dim}")
     if max_abs(m - m.conj().T) > 1e-10:

@@ -42,11 +42,6 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices (dims multiply)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def _as_square_complex(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -78,14 +73,15 @@ def _fix_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def _degenerate_clusters(eigenvalues: np.ndarray, tol: float):
-    """Split ascending eigenvalues into clusters of near-equal values."""
-    clusters, start = [], 0
-    for i in range(1, len(eigenvalues) + 1):
-        scale = max(1.0, abs(eigenvalues[i - 1]))
-        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] >= tol * scale:
-            clusters.append((start, i))
-            start = i
-    return clusters
+    """Split ascending eigenvalues into clusters of near-equal values.
+
+    A cluster ends where the next gap reaches ``tol * max(1, |E|)`` of the
+    value below it. Returns ``(start, stop)`` index pairs.
+    """
+    w = np.asarray(eigenvalues)
+    gaps = np.diff(w) >= tol * np.maximum(1.0, np.abs(w[:-1]))
+    edges = [0, *(np.flatnonzero(gaps) + 1).tolist(), w.size]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def eigh(

@@ -1,7 +1,9 @@
 """State preparation, dilation steps, post-selection, shots, and noise.
 
 Pure-state path: extend with the reservoir qubit, apply the dilation,
-condition on the reservoir reading 0, repeat. Post-selection is exact
+condition on the reservoir reading 0, repeat. Both dilation blocks are
+functions of H, so this loop runs in the eigenbasis of H
+(:func:`spectral_run`) without forming the dilation. Post-selection is exact
 probability bookkeeping, not rejection sampling; shot histograms are drawn
 from the final extended distribution so both the extended and the
 normalized occupancies stay recoverable.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import DilationUnitary, ItpParams, build_dilation
+from .dilation import DilationUnitary, ItpParams, build_dilation, filter_profile
 from .errors import (
     DimensionMismatch,
     InvalidDistribution,
@@ -31,7 +33,7 @@ from .errors import (
     NonRealExpectation,
     PostselectionImpossible,
 )
-from .linalg import HermitianOperator, PAULI_Z
+from .linalg import DEGENERACY_TOL, HermitianOperator, PAULI_Z, _degenerate_clusters
 
 POSTSELECT_FLOOR = 1e-14
 
@@ -249,30 +251,51 @@ def basis_labels(system_dim: int) -> list[str]:
     return [str(i) for i in range(2 * system_dim)]
 
 
-def _run_pure(op, u, psi0, repetitions):
+def spectral_run(op: HermitianOperator, params: ItpParams, psi0, repetitions: int):
+    """The noiseless repetition loop in the eigenbasis of H.
+
+    One repetition multiplies each eigencoefficient c_n by h(E_n) and
+    renormalizes by the reservoir-0 probability p0 = sum |h c|^2; raises
+    PostselectionImpossible with the 1-based repetition index when p0 falls
+    below the floor. Returns ``(extended_probs, p0, energy, ground_weight)``
+    for the final repetition: the ancilla-major probabilities
+    ``[|V h c'|^2, |V r c'|^2]`` (c' the coefficients entering it), its p0,
+    <H> of the post-selected state, and that state's weight in the ground
+    eigenspace (degenerate levels clustered as in :func:`eigh`).
+    """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     state = normalized_state(psi0)
-    extended_probs = None
-    p0 = None
+    if state.size != op.dim:
+        raise DimensionMismatch(f"state dim {state.size} != operator dim {op.dim}")
+    et = params.resolve_trial_energy(op)
+    w, v = op.eigenvalues, op.eigenvectors
+    h = filter_profile(w, params.tau, et)
+    c = v.conj().T @ state
     for rep in range(1, repetitions + 1):
-        ext = apply_step(extend_with_ancilla(state), u)
-        if rep == repetitions:
-            extended_probs = np.abs(ext) ** 2
-        try:
-            state, p0 = postselect_ancilla0(ext)
-        except PostselectionImpossible as exc:
+        entering, c = c, h * c
+        p0 = float(np.real(c.conj() @ c))
+        if p0 < POSTSELECT_FLOOR:
             raise PostselectionImpossible(
-                f"repetition {rep}: {exc}", probability=exc.probability, repetition=rep
-            ) from None
-    energy = energy_expectation(state, op)
-    return extended_probs, p0, energy
+                f"repetition {rep}: reservoir-0 probability {p0:.3e} "
+                f"below {POSTSELECT_FLOOR:g}",
+                probability=p0,
+                repetition=rep,
+            )
+        c = c / np.sqrt(p0)
+    r = filter_profile(-w, params.tau, -et)
+    extended = np.abs(np.concatenate([v @ (h * entering), v @ (r * entering)])) ** 2
+    weights = np.abs(c) ** 2
+    _, ground_end = _degenerate_clusters(w, DEGENERACY_TOL)[0]
+    return extended, p0, float(weights @ w), float(weights[:ground_end].sum())
 
 
-def _run_density(op, u, psi0, repetitions, noise):
+def _run_density(op, params, psi0, repetitions, noise):
     n = op.dim
+    u = build_dilation(op, params)
     state = normalized_state(psi0)
     rho = np.outer(state, state.conj())
     extended_probs = None
-    p0 = None
     for rep in range(1, repetitions + 1):
         ext = np.zeros((2 * n, 2 * n), dtype=complex)
         ext[:n, :n] = rho
@@ -290,7 +313,7 @@ def _run_density(op, u, psi0, repetitions, noise):
             )
         rho = block / p0
     energy = float(np.real(np.trace(rho @ op.matrix)))
-    return extended_probs, p0, energy, rho
+    return extended_probs, energy
 
 
 def run_itp(
@@ -305,7 +328,8 @@ def run_itp(
     """Run the full imaginary-time loop and collect an ExperimentRecord.
 
     Each repetition extends the system with a fresh reservoir |0>, applies
-    the dilation, and conditions on reservoir 0 before the next round. The
+    the dilation, and conditions on reservoir 0 before the next round
+    (without noise this is :func:`spectral_run`). The
     recorded probabilities come from the final repetition; shot counts
     (shots = 0 skips sampling) are drawn from that distribution. Passing a
     NoiseParams (even all-zero) switches to the density-matrix path.
@@ -314,14 +338,12 @@ def run_itp(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    u = build_dilation(op, params)
     if noise is None:
-        extended, p0, energy = _run_pure(op, u, psi0, repetitions)
+        extended, _, energy, _ = spectral_run(op, params, psi0, repetitions)
     else:
-        extended, p0, energy, _ = _run_density(op, u, psi0, repetitions, noise)
+        extended, energy = _run_density(op, params, psi0, repetitions, noise)
         if noise.readout_flip > 0.0:
             extended = readout_confusion(extended, noise.readout_flip)
-            p0 = float(extended[: op.dim].sum())
     total = extended.sum()
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"extended probabilities sum to {total!r}")

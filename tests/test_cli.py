@@ -69,6 +69,17 @@ class TestHamCommand:
         op = load_hamiltonian(out)
         assert np.allclose(op.eigenvalues, [-3.0, 1.0, 1.0, 1.0])
 
+        spin_config.write_text(
+            json.dumps({"a1": 0.5, "a2": [[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.4]]})
+        )
+        from_config = tmp_path / "c.json"
+        from_flags = tmp_path / "d.json"
+        assert run_cli("ham", "two-neutron", "--config", spin_config, "--out", from_config) == 0
+        assert run_cli(
+            "ham", "two-neutron", "--a1", 0.5, "--a2", "0.1,0.1,0.4", "--out", from_flags
+        ) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")
         assert run_cli("ham", "hydrogen-sto2g", "--config", bad, "--out", out) == 2
@@ -203,6 +214,21 @@ class TestSweepCommand:
             assert float(cells[3]) < 1e-8  # p0 collapses
             assert cells[6] == "1"  # failure flag
             assert cells[4] == "" and cells[5] == ""
+
+    def test_degenerate_ground_space_weight(self, tmp_path):
+        # a1 = -1 gives the spectrum [-1, -1, -1, 3]; |du> is half triplet
+        # (ground) and half singlet, so filtering leaves it in the ground space
+        ham = tmp_path / "v.json"
+        assert run_cli("ham", "two-neutron", "--a1=-1", "--out", ham) == 0
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep-et", "--ham", ham, "--init", "basis:1", "--out", out) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 21
+        for row in rows:
+            cells = row.split(",")
+            assert cells[6] == "0"
+            assert abs(float(cells[4]) + 1.0) < 1e-12
+            assert abs(float(cells[5]) - 1.0) < 1e-12
 
     def test_empty_fraction_list_gives_header_only(self, tmp_path):
         out = tmp_path / "sweep.csv"

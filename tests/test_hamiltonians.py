@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qitp.hamiltonians import (
     save_hamiltonian,
     two_neutron_sd,
 )
-from qitp.linalg import PAULI_X, PAULI_Z, kron, max_abs
+from qitp.linalg import PAULI_X, PAULI_Z, max_abs
 
 from helpers import random_hermitian
 
@@ -208,7 +209,7 @@ class TestTwoNeutron:
     def test_zz_tensor_component(self):
         c = 0.7
         op = two_neutron_sd(SpinCouplings(a1=0.0, a2=np.diag([0.0, 0.0, c])))
-        want = c * kron(PAULI_Z, PAULI_Z)
+        want = c * np.kron(PAULI_Z, PAULI_Z)
         assert max_abs(op.matrix - want) < 1e-14
         assert np.allclose(np.linalg.eigvalsh(op.matrix), [-c, -c, c, c])
 
@@ -216,7 +217,7 @@ class TestTwoNeutron:
         # the physical tensor coupling is axially symmetric (a, a, c); that
         # form conserves total spin-z (a generic diagonal does not)
         rng = np.random.default_rng(24)
-        sz_total = kron(PAULI_Z, np.eye(2)) + kron(np.eye(2), PAULI_Z)
+        sz_total = np.kron(PAULI_Z, np.eye(2)) + np.kron(np.eye(2), PAULI_Z)
         for _ in range(5):
             a, c_val = rng.standard_normal(2)
             op = two_neutron_sd(
@@ -271,10 +272,23 @@ class TestSerialization:
         missing = tmp_path / "missing.json"
         with pytest.raises(ParseError):
             load_hamiltonian(missing)
+        # json.loads accepts these literals; they must fail before the
+        # Hermiticity check (which would warn on NaN arithmetic).
+        for bad in ("NaN", "Infinity", "-Infinity"):
+            text = (
+                '{"dim": 2, "units": "mev", "matrix": '
+                f'[[[{bad}, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}}'
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParseError):
+                    load_hamiltonian(text)
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):
             load_hamiltonian({"dim": 0, "units": "mev", "matrix": []})
+        with pytest.raises(DimensionError):
+            load_hamiltonian({"dim": True, "units": "mev", "matrix": [[[1.0, 0.0]]]})
         with pytest.raises(DimensionError):
             load_hamiltonian(
                 {"dim": 3, "units": "mev", "matrix": [[[1.0, 0.0]]]}

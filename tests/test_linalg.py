@@ -7,7 +7,6 @@ from qitp.linalg import (
     PAULI_X,
     PAULI_Z,
     eigh,
-    kron,
     matrix_function,
     max_abs,
 )
@@ -125,14 +124,3 @@ class TestMatrixFunction:
         with pytest.raises(NonFiniteFunctionValue):
             matrix_function(op, lambda e: 1.0 / e if e != 0 else np.inf)
 
-
-class TestKron:
-    def test_identity_product(self):
-        assert max_abs(kron(np.eye(2), np.eye(2)) - np.eye(4)) < 1e-15
-
-    def test_pauli_z_with_identity(self):
-        assert np.allclose(np.diag(kron(PAULI_Z, np.eye(2))), [1, 1, -1, -1])
-
-    def test_xx_involution(self):
-        xx = kron(PAULI_X, PAULI_X)
-        assert max_abs(xx @ xx - np.eye(4)) < 1e-15

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qitp.dilation import ItpParams, build_dilation
+from qitp.dilation import TRIAL_MODES, ItpParams, build_dilation
 from qitp.errors import (
     DimensionMismatch,
     InvalidDistribution,
@@ -11,6 +12,7 @@ from qitp.errors import (
 from qitp.hamiltonians import hydrogen_sto2g
 from qitp.linalg import HermitianOperator, PAULI_Z, max_abs
 from qitp.simulate import (
+    POSTSELECT_FLOOR,
     NoiseParams,
     apply_channel,
     apply_step,
@@ -21,6 +23,7 @@ from qitp.simulate import (
     readout_confusion,
     run_itp,
     sample_shots,
+    spectral_run,
     splitmix64_uniforms,
     state_fidelity,
 )
@@ -306,6 +309,87 @@ class TestRunItp:
                 state, _ = postselect_ancilla0(apply_step(extend_with_ancilla(state), u))
                 fids.append(state_fidelity(state, op.ground_state))
             assert all(b >= a - 1e-10 for a, b in zip(fids, fids[1:]))
+
+
+def dense_loop(op, params, psi, repetitions):
+    """The repetition loop on the 2N x 2N dilation, the oracle for run_itp.
+
+    Returns ``(failed_repetition, p0s, extended, energy)``; after a failure
+    only the first two are set.
+    """
+    u = build_dilation(op, params)
+    state, p0s = psi, []
+    for rep in range(1, repetitions + 1):
+        ext = apply_step(extend_with_ancilla(state), u)
+        p0s.append(float(np.sum(np.abs(ext[: op.dim]) ** 2)))
+        try:
+            state, _ = postselect_ancilla0(ext)
+        except PostselectionImpossible:
+            return rep, p0s, None, None
+    return None, p0s, np.abs(ext) ** 2, energy_expectation(state, op)
+
+
+@st.composite
+def itp_cases(draw):
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op = op_from(random_hermitian(dim, rng))
+    mode = draw(st.sampled_from(TRIAL_MODES))
+    extra = {}
+    if mode == "absolute":
+        # the spectrum of a dim-8 draw stays well inside [-10, 10]
+        extra["trial_energy"] = draw(st.floats(-10.0, 10.0))
+    elif mode == "fraction_of_ground":
+        # a fraction above 1 puts E_T below a negative ground energy
+        extra["fraction"] = draw(st.floats(0.05, 3.0))
+    params = ItpParams(tau=draw(st.floats(0.0, 1e3)), trial_mode=mode, **extra)
+    repetitions = draw(st.integers(1, 4))
+    return op, params, random_state(dim, rng), repetitions
+
+
+class TestSpectralCoreMatchesDenseLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(itp_cases())
+    def test_run_itp_equals_dilation_loop(self, case):
+        op, params, psi, repetitions = case
+        failed, p0s, extended, energy = dense_loop(op, params, psi, repetitions)
+        # a probability on the floor itself may round to either side of it
+        assume(all(abs(p / POSTSELECT_FLOOR - 1.0) > 1e-6 for p in p0s))
+        if failed is not None:
+            with pytest.raises(PostselectionImpossible) as err:
+                run_itp(op, params, psi, repetitions=repetitions)
+            assert err.value.repetition == failed
+            return
+        rec = run_itp(op, params, psi, repetitions=repetitions)
+        assert max_abs(rec.extended_probs - extended) < 1e-10
+        assert abs(rec.postselect_prob - p0s[-1]) < 1e-10
+        scale = 1.0 + max_abs(op.eigenvalues)
+        assert abs(rec.energy - energy) < 1e-10 * scale
+
+    def test_ground_weight_is_ground_eigenspace_projection(self):
+        # spectrum [-1, -1 + 1e-12, 2, 3]: the first two levels are one
+        # degenerate cluster, as eigh groups them
+        rng = np.random.default_rng(14)
+        basis = np.linalg.qr(random_hermitian(4, rng))[0]
+        op = op_from((basis * [-1.0, -1.0 + 1e-12, 2.0, 3.0]) @ basis.conj().T)
+        psi = random_state(4, rng)
+        params = ItpParams(tau=0.7, trial_mode="ground_state_exact")
+        _, _, _, ground_weight = spectral_run(op, params, psi, 2)
+        u = build_dilation(op, params)
+        state = psi
+        for _ in range(2):
+            state, _ = postselect_ancilla0(apply_step(extend_with_ancilla(state), u))
+        projected = basis[:, :2].conj().T @ state
+        assert abs(ground_weight - np.sum(np.abs(projected) ** 2)) < 1e-12
+        assert ground_weight > state_fidelity(state, op.ground_state) + 1e-3
+
+    def test_rejects_bad_repetitions_and_dimension(self):
+        op = op_from(np.diag([0.0, 1.0]))
+        params = ItpParams(tau=1.0)
+        with pytest.raises(ValueError):
+            spectral_run(op, params, np.array([1.0, 0.0]), 0)
+        with pytest.raises(DimensionMismatch):
+            spectral_run(op, params, np.ones(3), 1)
 
 
 class TestEnergyMonotonicity:

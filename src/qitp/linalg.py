@@ -42,6 +42,16 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def _apply_1q(m: np.ndarray, t: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply the 2x2 matrix ``m`` to bit ``qubit`` of the first index of ``t``.
+
+    Qubit 0 is the most significant bit; ``t`` has ``2**k`` rows for some
+    ``k > qubit`` and any trailing shape. Equals ``kron(I, m, I) @ t``
+    without forming the Kronecker product.
+    """
+    return (m @ t.reshape(2**qubit, 2, -1)).reshape(t.shape)
+
+
 def _as_square_complex(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -11,12 +11,14 @@ normalized occupancies stay recoverable.
 Noisy path: same loop on a density matrix, with single-qubit amplitude
 damping and dephasing applied once after each (noiseless) unitary step and
 an optional classical readout-flip confusion applied to the reported
-distribution. This is a qualitative stand-in for hardware relaxation, not a
-device model.
+distribution. Both act qubit by qubit, each 2x2 map applied to one bit of
+the register index, never as a Kronecker product with identities. This is a
+qualitative stand-in for hardware relaxation, not a device model.
 
 Shot sampling uses an inverse-CDF multinomial draw over a splitmix64
 counter stream, so counts are bit-reproducible across platforms for a given
-seed.
+seed. Draws are taken in fixed chunks of that stream, so memory is
+O(chunk + N) at any shot count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     NonRealExpectation,
     PostselectionImpossible,
 )
-from .linalg import DEGENERACY_TOL, HermitianOperator, PAULI_Z, _degenerate_clusters
+from .linalg import DEGENERACY_TOL, HermitianOperator, PAULI_Z, _apply_1q, _degenerate_clusters
 
 POSTSELECT_FLOOR = 1e-14
 
@@ -41,6 +43,9 @@ _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _SM64_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
+
+# Shots drawn per pass of sample_shots, bounding its memory at any count.
+_SHOT_CHUNK = 1 << 16
 
 
 def normalized_state(psi) -> np.ndarray:
@@ -115,7 +120,10 @@ def splitmix64_uniforms(count: int, seed: int) -> np.ndarray:
 def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
     """Multinomial histogram over ``probs`` via inverse-CDF sampling.
 
-    Deterministic for a given seed; counts sum to ``shots``.
+    Deterministic for a given seed; counts sum to ``shots``. Draws are taken
+    in chunks of the counter stream (chunk ``start`` begins at counter
+    ``start``), so memory is O(chunk + N) and the counts do not depend on
+    the chunk size.
     """
     p = np.asarray(probs, dtype=float).ravel()
     if shots < 0:
@@ -127,8 +135,12 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
         raise InvalidDistribution(f"probabilities sum to {total!r}, expected 1")
     cdf = np.cumsum(np.clip(p, 0.0, None))
     cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, splitmix64_uniforms(shots, seed), side="right")
-    return np.bincount(draws, minlength=p.size).astype(np.int64)
+    counts = np.zeros(p.size, dtype=np.int64)
+    for start in range(0, shots, _SHOT_CHUNK):
+        count = min(_SHOT_CHUNK, shots - start)
+        u = splitmix64_uniforms(count, seed + start * int(_SM64_GOLDEN))
+        counts += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=p.size)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -188,10 +200,7 @@ def apply_channel(rho, noise: NoiseParams, qubit_count: int | None = None) -> np
         r = padded
     kraus = _single_qubit_kraus(noise)
     for q in range(k):
-        left = np.eye(2**q, dtype=complex)
-        right = np.eye(2 ** (k - q - 1), dtype=complex)
-        ops = [np.kron(np.kron(left, kq), right) for kq in kraus]
-        r = sum(op @ r @ op.conj().T for op in ops)
+        r = sum(_apply_1q(kq, _apply_1q(kq, r, q).conj().T, q).conj().T for kq in kraus)
     return r[:dim, :dim]
 
 
@@ -208,13 +217,11 @@ def readout_confusion(probs, flip: float, qubit_count: int | None = None) -> np.
     dim = p.size
     k = _qubit_count_for(dim, qubit_count)
     full = 2**k
-    work = np.zeros(full)
-    work[:dim] = p
+    out = np.zeros(full)
+    out[:dim] = p
     m = np.array([[1 - flip, flip], [flip, 1 - flip]])
-    conf = np.ones((1, 1))
-    for _ in range(k):
-        conf = np.kron(conf, m)
-    out = conf @ work
+    for q in range(k):
+        out = _apply_1q(m, out, q)
     out = out[:dim]
     return out / out.sum()
 
@@ -292,14 +299,13 @@ def spectral_run(op: HermitianOperator, params: ItpParams, psi0, repetitions: in
 
 def _run_density(op, params, psi0, repetitions, noise):
     n = op.dim
-    u = build_dilation(op, params)
+    # The reservoir enters in |0>, so only the first N columns of U act.
+    b = build_dilation(op, params).matrix[:, :n]
     state = normalized_state(psi0)
     rho = np.outer(state, state.conj())
     extended_probs = None
     for rep in range(1, repetitions + 1):
-        ext = np.zeros((2 * n, 2 * n), dtype=complex)
-        ext[:n, :n] = rho
-        ext = u.matrix @ ext @ u.matrix.conj().T
+        ext = b @ rho @ b.conj().T
         ext = apply_channel(ext, noise)
         if rep == repetitions:
             extended_probs = np.real(np.diag(ext)).clip(min=0.0)

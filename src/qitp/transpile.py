@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FidelityShortfall, NotUnitary, ParseError
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, max_abs
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _apply_1q, max_abs
 
 GATE_KINDS = ("rx", "rz", "cz")
 
@@ -133,30 +133,20 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind == "cz")
 
 
-def _gate_full_matrix(gate: Gate, n: int) -> np.ndarray:
-    dim = 2**n
-    if gate.kind == "cz":
-        i, j = gate.qubits
-        diag = np.ones(dim, dtype=complex)
-        for idx in range(dim):
-            if (idx >> (n - 1 - i)) & 1 and (idx >> (n - 1 - j)) & 1:
-                diag[idx] = -1.0
-        return np.diag(diag)
-    (q,) = gate.qubits
-    m = gate.matrix()
-    left = np.eye(2**q, dtype=complex)
-    right = np.eye(2 ** (n - 1 - q), dtype=complex)
-    return np.kron(np.kron(left, m), right)
-
-
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """The circuit's full matrix including its global phase (n <= 10)."""
     n = circuit.qubit_count
     if n > 10:
         raise DimensionError("circuit_unitary supports at most 10 qubits")
     u = np.eye(2**n, dtype=complex)
+    idx = np.arange(2**n)
     for gate in circuit.gates:
-        u = _gate_full_matrix(gate, n) @ u
+        if gate.kind == "cz":
+            i, j = gate.qubits
+            rows = ((idx >> (n - 1 - i)) & (idx >> (n - 1 - j)) & 1).astype(bool)
+            u[rows] = -u[rows]
+        else:
+            u = _apply_1q(gate.matrix(), u, gate.qubits[0])
     return u * np.exp(1j * circuit.global_phase)
 
 
@@ -213,19 +203,10 @@ def decompose_1q(u, atol: float = 1e-10) -> Circuit:
     gates = [g for g in gates if abs(g.angle) > 1e-14]
     circuit = Circuit(1, gates, 0.0)
     built = circuit_unitary(circuit)
-    circuit.global_phase = _phase_for(m, built)
-    if process_fidelity(m, circuit_unitary(circuit)) < 1.0 - 1e-10:
+    if process_fidelity(m, built) < 1.0 - 1e-10:
         raise FidelityShortfall("single-qubit Euler decomposition missed its target")
+    circuit.global_phase = _phase_for(m, built)
     return circuit
-
-
-def _canonical_exp(x: float, y: float, z: float) -> np.ndarray:
-    """exp(i (x XX + y YY + z ZZ)) via the commuting closed forms."""
-    out = np.eye(4, dtype=complex)
-    for coeff, pauli in ((x, PAULI_X), (y, PAULI_Y), (z, PAULI_Z)):
-        pp = np.kron(pauli, pauli)
-        out = out @ (math.cos(coeff) * np.eye(4) + 1j * math.sin(coeff) * pp)
-    return out
 
 
 def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
@@ -451,46 +432,34 @@ def _append_xx_yy(seq: _BlockSeq, x: float, y: float):
     seq.local(rx_matrix(-math.pi / 2), _H)
 
 
-_SIGN_PATTERNS = (
-    (1, 1, 1),
-    (1, -1, 1),
-    (-1, 1, 1),
-    (1, 1, -1),
-    (-1, -1, 1),
-    (-1, 1, -1),
-    (1, -1, -1),
-    (-1, -1, -1),
-)
-
-
 def _three_cz_interior(x: float, y: float, z: float, atol: float):
     """A three-CZ circuit whose canonical class is exactly (x, y, z).
 
     The skeleton CZ (Rz(d) (x) Ry(b)) CZ (I (x) Ry(a)) CZ [with Hadamard
     dressing converting the outer CZs into opposite-direction CNOTs] has
-    class coordinates {pi/4 - |d|/2, pi/4 - |a|/2, pi/4 - |b|/2} with the
-    sign of the smallest fixed by the product of the angle signs, so the
-    magnitudes invert in closed form; the first sign pattern whose class
-    lands on (x, y, z) wins. Returns the block sequence together with the
-    interior's own KAK locals, which the caller cancels against the
-    target's (same canonical core, so the cosets match).
+    class coordinates {pi/4 - |d|/2, pi/4 - |a|/2, pi/4 - |b|/2}, and the
+    smallest takes the sign opposite to the product of the angle signs. So
+    the magnitudes invert in closed form, with d, a >= 0 and b of the sign
+    opposite to z; the class is checked against (x, y, z). Returns the
+    block sequence together with the interior's own KAK locals, which the
+    caller cancels against the target's (same canonical core, so the cosets
+    match).
     """
-    d0 = 2.0 * (math.pi / 4 - x)
-    a0 = 2.0 * (math.pi / 4 - y)
-    b0 = 2.0 * (math.pi / 4 - abs(z))
-    for sd, sb, sa in _SIGN_PATTERNS:
-        seq = _BlockSeq()
-        seq.local(_H, None)
-        seq.cz()
-        seq.local(rz_matrix(sd * d0) @ _H, _H @ ry_matrix(sb * b0))
-        seq.cz()
-        seq.local(_H, ry_matrix(sa * a0) @ _H)
-        seq.cz()
-        seq.local(_H, None)
-        _, av, coeffs, bv = kak_coefficients(seq.matrix(), atol)
-        if max(abs(coeffs[0] - x), abs(coeffs[1] - y), abs(coeffs[2] - z)) < 1e-9:
-            return seq, av, bv
-    raise FidelityShortfall(f"no three-CZ interior found for class {(x, y, z)}")
+    d = 2.0 * (math.pi / 4 - x)
+    a = 2.0 * (math.pi / 4 - y)
+    b = -math.copysign(2.0 * (math.pi / 4 - abs(z)), z)
+    seq = _BlockSeq()
+    seq.local(_H, None)
+    seq.cz()
+    seq.local(rz_matrix(d) @ _H, _H @ ry_matrix(b))
+    seq.cz()
+    seq.local(_H, ry_matrix(a) @ _H)
+    seq.cz()
+    seq.local(_H, None)
+    _, av, coeffs, bv = kak_coefficients(seq.matrix(), atol)
+    if max(abs(coeffs[0] - x), abs(coeffs[1] - y), abs(coeffs[2] - z)) >= 1e-9:
+        raise FidelityShortfall(f"no three-CZ interior found for class {(x, y, z)}")
+    return seq, av, bv
 
 
 def _is_quarter_or_zero(angle: float, atol: float) -> bool:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qitp import simulate
 from qitp.dilation import TRIAL_MODES, ItpParams, build_dilation
 from qitp.errors import (
     DimensionMismatch,
@@ -173,6 +174,22 @@ class TestSampling:
         b = sample_shots([0.1, 0.2, 0.3, 0.4], 5000, seed=9)
         assert np.array_equal(a, b)
 
+    def test_chunked_counts_equal_unchunked(self, monkeypatch):
+        p = np.array([0.1, 0.25, 0.05, 0.6])
+        cdf = np.cumsum(p)
+        cdf[-1] = 1.0
+
+        def unchunked(shots, seed):
+            u = splitmix64_uniforms(shots, seed)
+            return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=p.size)
+
+        shots = 2 * simulate._SHOT_CHUNK + 3  # three chunks at the module's size
+        assert np.array_equal(sample_shots(p, shots, 5), unchunked(shots, 5))
+        for chunk in (1, 7):
+            monkeypatch.setattr(simulate, "_SHOT_CHUNK", chunk)
+            for shots, seed in ((0, 3), (1, 3), (7, 3), (50, 11), (503, 2**64 - 5)):
+                assert np.array_equal(sample_shots(p, shots, seed), unchunked(shots, seed))
+
     def test_invalid_distribution(self):
         with pytest.raises(InvalidDistribution):
             sample_shots([0.5, 0.6], 10, seed=0)
@@ -225,6 +242,39 @@ class TestChannels:
         p = readout_confusion([1.0, 0.0, 0.0, 0.0], 0.1)
         want = [0.81, 0.09, 0.09, 0.01]
         assert np.allclose(p, want, atol=1e-12)
+
+    def test_channel_matches_kronecker_oracle(self):
+        from qitp.simulate import _single_qubit_kraus
+
+        rng = np.random.default_rng(20)
+        for dim in range(1, 9):  # 1, 3, 5, 6 and 7 are padded into the register
+            k = max(1, int(np.ceil(np.log2(dim))))
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+            noise = NoiseParams(rng.uniform(0, 1), rng.uniform(0, 1), 0.0)
+            want = np.zeros((2**k, 2**k), dtype=complex)
+            want[:dim, :dim] = rho
+            for q in range(k):
+                left, right = np.eye(2**q), np.eye(2 ** (k - q - 1))
+                ops = [np.kron(np.kron(left, kq), right) for kq in _single_qubit_kraus(noise)]
+                want = sum(op @ want @ op.conj().T for op in ops)
+            assert max_abs(apply_channel(rho, noise) - want[:dim, :dim]) < 1e-14
+
+    def test_readout_confusion_matches_kronecker_oracle(self):
+        rng = np.random.default_rng(21)
+        for dim in range(1, 9):
+            k = max(1, int(np.ceil(np.log2(dim))))
+            p = rng.uniform(size=dim)
+            p /= p.sum()
+            flip = rng.uniform(0, 0.5)
+            m = np.array([[1 - flip, flip], [flip, 1 - flip]])
+            conf = np.ones((1, 1))
+            for _ in range(k):
+                conf = np.kron(conf, m)
+            work = np.zeros(2**k)
+            work[:dim] = p
+            want = (conf @ work)[:dim]
+            assert max_abs(readout_confusion(p, flip) - want / want.sum()) < 1e-14
 
 
 class TestRunItp:
@@ -416,13 +466,14 @@ class TestEnergyMonotonicity:
 class TestNoisePath:
     def test_noiseless_density_matches_pure(self):
         rng = np.random.default_rng(15)
-        op = op_from(random_hermitian(4, rng))
-        psi = random_state(4, rng)
         params = ItpParams(tau=1.1, trial_mode="ground_state_exact")
-        pure = run_itp(op, params, psi, repetitions=2)
-        dm = run_itp(op, params, psi, repetitions=2, noise=NoiseParams(0.0, 0.0, 0.0))
-        assert max_abs(pure.extended_probs - dm.extended_probs) < 1e-10
-        assert abs(pure.energy - dm.energy) < 1e-10
+        for dim in (4, 3, 5, 6):
+            op = op_from(random_hermitian(dim, rng))
+            psi = random_state(dim, rng)
+            pure = run_itp(op, params, psi, repetitions=2)
+            dm = run_itp(op, params, psi, repetitions=2, noise=NoiseParams(0.0, 0.0, 0.0))
+            assert max_abs(pure.extended_probs - dm.extended_probs) < 1e-10
+            assert abs(pure.energy - dm.energy) < 1e-10
 
     def test_relaxation_inflates_ground_reservoir_bin(self):
         op, params, psi0 = hydrogen_setup()

@@ -65,6 +65,45 @@ class TestGateAndCircuit:
         c = Circuit(1, [], global_phase=math.pi / 3)
         assert max_abs(circuit_unitary(c) - np.exp(1j * math.pi / 3) * np.eye(2)) < 1e-14
 
+    def test_matches_kronecker_oracle(self):
+        def gate_matrix(gate, n):
+            if gate.kind == "cz":
+                i, j = gate.qubits
+                diag = np.ones(2**n)
+                for idx in range(2**n):
+                    if (idx >> (n - 1 - i)) & 1 and (idx >> (n - 1 - j)) & 1:
+                        diag[idx] = -1.0
+                return np.diag(diag)
+            (q,) = gate.qubits
+            return np.kron(np.kron(np.eye(2**q), gate.matrix()), np.eye(2 ** (n - 1 - q)))
+
+        rng = np.random.default_rng(23)
+        circuits = [
+            Circuit(2, [Gate("rx", (0,), 0.3), Gate("rx", (1,), 1.2), Gate("cz", (1, 0))]),
+            Circuit(3, [
+                Gate("rx", (0,), 0.7), Gate("rx", (1,), -1.3), Gate("rx", (2,), 2.1),
+                Gate("cz", (0, 2)), Gate("rz", (2,), 0.4), Gate("cz", (2, 1)),
+                Gate("rx", (1,), 0.9), Gate("cz", (1, 0)),
+            ], global_phase=0.25),
+        ]
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            gates = []
+            for _ in range(int(rng.integers(0, 10))):
+                if n > 1 and rng.uniform() < 0.3:
+                    i, j = rng.choice(n, 2, replace=False)
+                    gates.append(Gate("cz", (int(i), int(j))))
+                else:
+                    kind = "rx" if rng.uniform() < 0.5 else "rz"
+                    gates.append(Gate(kind, (int(rng.integers(n)),), rng.uniform(-7, 7)))
+            circuits.append(Circuit(n, gates, rng.uniform(-math.pi, math.pi)))
+        for c in circuits:
+            want = np.eye(2**c.qubit_count, dtype=complex)
+            for gate in c.gates:
+                want = gate_matrix(gate, c.qubit_count) @ want
+            want *= np.exp(1j * c.global_phase)
+            assert max_abs(circuit_unitary(c) - want) < 1e-14
+
 
 class TestDecompose1q:
     def test_identity(self):

@@ -126,6 +126,8 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
     the chunk size.
     """
     p = np.asarray(probs, dtype=float).ravel()
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise InvalidDistribution(f"shots must be an integer, got {shots!r}")
     if shots < 0:
         raise InvalidDistribution("shots must be >= 0")
     if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < -1e-12):

@@ -391,15 +391,6 @@ class _BlockSeq:
         self.items.append("cz")
         self.items.append((_I2.copy(), _I2.copy()))
 
-    def matrix(self) -> np.ndarray:
-        u = np.eye(4, dtype=complex)
-        for item in self.items:
-            if item == "cz":
-                u = np.diag([1, 1, 1, -1]) @ u
-            else:
-                u = np.kron(item[0], item[1]) @ u
-        return u
-
 
 def _append_quarter_turn(seq: _BlockSeq, axis: int):
     """One full CZ realizing exp(i pi/4 PP) for P = X, Y, or Z, up to phase."""
@@ -432,34 +423,19 @@ def _append_xx_yy(seq: _BlockSeq, x: float, y: float):
     seq.local(rx_matrix(-math.pi / 2), _H)
 
 
-def _three_cz_interior(x: float, y: float, z: float, atol: float):
-    """A three-CZ circuit whose canonical class is exactly (x, y, z).
+def _append_xyz(seq: _BlockSeq, x: float, y: float, z: float):
+    """exp(i (x XX + y YY + z ZZ)) with three CZs, up to phase.
 
-    The skeleton CZ (Rz(d) (x) Ry(b)) CZ (I (x) Ry(a)) CZ [with Hadamard
-    dressing converting the outer CZs into opposite-direction CNOTs] has
-    class coordinates {pi/4 - |d|/2, pi/4 - |a|/2, pi/4 - |b|/2}, and the
-    smallest takes the sign opposite to the product of the angle signs. So
-    the magnitudes invert in closed form, with d, a >= 0 and b of the sign
-    opposite to z; the class is checked against (x, y, z). Returns the
-    block sequence together with the interior's own KAK locals, which the
-    caller cancels against the target's (same canonical core, so the cosets
-    match).
+    The three-CNOT circuit of Vatan & Williams, PRA 69, 032315 (2004),
+    Fig. 6, with each CNOT written as a Hadamard-dressed CZ.
     """
-    d = 2.0 * (math.pi / 4 - x)
-    a = 2.0 * (math.pi / 4 - y)
-    b = -math.copysign(2.0 * (math.pi / 4 - abs(z)), z)
-    seq = _BlockSeq()
-    seq.local(_H, None)
+    seq.local(_H, rz_matrix(-math.pi / 2))
     seq.cz()
-    seq.local(rz_matrix(d) @ _H, _H @ ry_matrix(b))
+    seq.local(rz_matrix(math.pi / 2 - 2.0 * z) @ _H, _H @ ry_matrix(2.0 * x - math.pi / 2))
     seq.cz()
-    seq.local(_H, ry_matrix(a) @ _H)
+    seq.local(_H, ry_matrix(math.pi / 2 - 2.0 * y) @ _H)
     seq.cz()
-    seq.local(_H, None)
-    _, av, coeffs, bv = kak_coefficients(seq.matrix(), atol)
-    if max(abs(coeffs[0] - x), abs(coeffs[1] - y), abs(coeffs[2] - z)) >= 1e-9:
-        raise FidelityShortfall(f"no three-CZ interior found for class {(x, y, z)}")
-    return seq, av, bv
+    seq.local(rz_matrix(math.pi / 2) @ _H, None)
 
 
 def _is_quarter_or_zero(angle: float, atol: float) -> bool:
@@ -503,23 +479,17 @@ def kak_decompose(u, atol: float = 1e-9) -> Circuit:
     """
     m = _check_unitary(u, 4)
     _, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(m, atol)
-    if x < atol:
-        seq = _BlockSeq()
-    elif all(_is_quarter_or_zero(c, atol) for c in (x, y, z)):
-        seq = _BlockSeq()
+    seq = _BlockSeq()
+    if all(_is_quarter_or_zero(c, atol) for c in (x, y, z)):  # all zero: local, no CZ
         for axis, coeff in enumerate((x, y, abs(z))):
             if coeff >= atol:
                 _append_quarter_turn(seq, axis)
     elif abs(z) < atol and y < atol:
-        seq = _BlockSeq()
         _append_xx(seq, x)
     elif abs(z) < atol:
-        seq = _BlockSeq()
         _append_xx_yy(seq, x, y)
     else:
-        seq, (av0, av1), (bv0, bv1) = _three_cz_interior(x, y, z, atol)
-        a0, a1 = a0 @ av0.conj().T, a1 @ av1.conj().T
-        b0, b1 = bv0.conj().T @ b0, bv1.conj().T @ b1
+        _append_xyz(seq, x, y, z)
     first0, first1 = seq.items[0]
     seq.items[0] = (first0 @ b0, first1 @ b1)
     last0, last1 = seq.items[-1]
@@ -586,6 +556,8 @@ def parse_circuit_text(text: str) -> Circuit:
             phase = float(m.group(1))
         except ValueError as exc:
             raise ParseError(f"bad global phase: {lines[pos]!r}") from exc
+        if not math.isfinite(phase):
+            raise ParseError(f"non-finite global phase: {lines[pos]!r}")
         pos += 1
     if pos >= len(lines):
         raise ParseError("missing qreg declaration")
@@ -601,12 +573,14 @@ def parse_circuit_text(text: str) -> Circuit:
         m = _GATE_RE.match(line)
         if not m:
             raise ParseError(f"unsupported statement: {line!r}")
-        if m.group(4) == "cz":
-            gates.append(Gate("cz", (int(m.group(5)), int(m.group(6)))))
-        else:
-            try:
-                angle = float(m.group(2))
-            except ValueError as exc:
-                raise ParseError(f"bad angle in {line!r}") from exc
-            gates.append(Gate(m.group(1), (int(m.group(3)),), angle))
-    return Circuit(qubit_count, gates, phase)
+        try:
+            if m.group(4) == "cz":
+                gates.append(Gate("cz", (int(m.group(5)), int(m.group(6)))))
+            else:
+                gates.append(Gate(m.group(1), (int(m.group(3)),), float(m.group(2))))
+        except ValueError as exc:
+            raise ParseError(f"bad gate {line!r}: {exc}") from exc
+    try:
+        return Circuit(qubit_count, gates, phase)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc

@@ -197,6 +197,11 @@ class TestSampling:
             sample_shots([1.5, -0.5], 10, seed=0)
         with pytest.raises(InvalidDistribution):
             sample_shots([0.5, 0.5], -1, seed=0)
+        for shots in (2.5, 3.0, True, "3"):
+            with pytest.raises(InvalidDistribution):
+                sample_shots([0.5, 0.5], shots, seed=0)
+        for shots in (3, np.int64(3), np.uint8(3)):
+            assert sample_shots([0.5, 0.5], shots, seed=0).sum() == 3
 
 
 class TestChannels:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from qitp import transpile
 from qitp.dilation import ItpParams, build_dilation
 from qitp.errors import NotUnitary, ParseError
 from qitp.hamiltonians import hydrogen_sto2g
-from qitp.linalg import max_abs
+from qitp.linalg import PAULI_X, PAULI_Y, PAULI_Z, max_abs
 from qitp.transpile import (
     Circuit,
     Gate,
@@ -29,6 +31,33 @@ HYDROGEN_EXTENDED = np.array([0.00357, 0.17678, 0.53561, 0.28403])
 def hydrogen_dilation():
     op, _, _ = hydrogen_sto2g()
     return build_dilation(op, ItpParams(tau=60.0, trial_mode="ground_state_exact"))
+
+
+def interaction(x, y, z):
+    """exp(i(x XX + y YY + z ZZ)) by the matrix exponential."""
+    xx, yy, zz = (np.kron(p, p) for p in (PAULI_X, PAULI_Y, PAULI_Z))
+    return expm(1j * (x * xx + y * yy + z * zz))
+
+
+def chamber_points(rng, count):
+    """Weyl-chamber points with either sign of z. Every fifth is random; the
+    others lie 1e-8 to 1e-2 from a face: x = pi/4, x = y, y = |z| or z = 0."""
+    points = []
+    for i in range(count):
+        x, y, z = np.sort(rng.uniform(0.0, math.pi / 4, 3))[::-1]
+        z *= rng.choice([-1.0, 1.0])
+        eps = 10.0 ** rng.uniform(-8, -2)
+        face = i % 5
+        if face == 1:
+            x = math.pi / 4 - eps
+        elif face == 2:
+            y = x - eps
+        elif face == 3:
+            z = math.copysign(y - eps, z)
+        elif face == 4:
+            z = math.copysign(eps, z)
+        points.append((float(x), float(y), float(z)))
+    return points
 
 
 class TestGateAndCircuit:
@@ -220,6 +249,60 @@ class TestKakDecompose:
         with pytest.raises(NotUnitary):
             kak_decompose(np.eye(4) * 1.1)
 
+    def test_three_cz_circuit_matches_expm(self):
+        def block_matrix(seq):
+            u = np.eye(4, dtype=complex)
+            for item in seq.items:
+                if item == "cz":
+                    u = np.diag([1, 1, 1, -1]) @ u
+                else:
+                    u = np.kron(item[0], item[1]) @ u
+            return u
+
+        rng = np.random.default_rng(36)
+        for x, y, z in chamber_points(rng, 300):
+            seq = transpile._BlockSeq()
+            transpile._append_xyz(seq, x, y, z)
+            assert sum(item == "cz" for item in seq.items) == 3
+            assert process_fidelity(interaction(x, y, z), block_matrix(seq)) > 1 - 1e-12
+
+    def test_face_near_three_cz_classes(self):
+        rng = np.random.default_rng(37)
+        for x, y, z in chamber_points(rng, 100):
+            before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+            after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+            u = after @ interaction(x, y, z) @ before
+            c = kak_decompose(u)
+            built = circuit_unitary(c)
+            assert c.cz_count() == 3
+            assert process_fidelity(u, built) >= 1 - 1e-8
+            assert max_abs(built - u) < 1e-7
+
+    def test_degenerate_first_mixing_angle_falls_back(self):
+        # Two eigenphases of the magic-basis Gram matrix summing to 2 * t0
+        # make the first mix cos(t0) Re + sin(t0) Im degenerate.
+        t0 = 0.785398163
+        rng = np.random.default_rng(38)
+
+        def special_orthogonal():
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            return q if np.linalg.det(q) > 0 else q * np.array([-1.0, 1.0, 1.0, 1.0])
+
+        for _ in range(20):
+            a, b = rng.uniform(-0.5, 0.5, 2)
+            delta = np.array([t0 / 2 + a, t0 / 2 - a, b, -t0 - b])
+            mb = special_orthogonal() @ np.diag(np.exp(1j * delta)) @ special_orthogonal()
+            u = transpile._MAGIC @ mb @ transpile._MAGIC_DAG
+            g = mb @ mb.T
+            _, p = np.linalg.eigh(math.cos(t0) * g.real + math.sin(t0) * g.imag)
+            d = p.T @ g @ p
+            assert max_abs(d - np.diag(np.diag(d))) > 1e-11
+            c = kak_decompose(u)
+            built = circuit_unitary(c)
+            assert c.cz_count() == 3
+            assert process_fidelity(u, built) >= 1 - 1e-8
+            assert max_abs(built - u) < 1e-7
+
 
 class TestQasmRoundTrip:
     def test_empty_circuit_header_only(self):
@@ -256,6 +339,18 @@ class TestQasmRoundTrip:
             parse_circuit_text(
                 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\n'
             )
+        for body in (
+            "qreg q[0];\n",
+            "qreg q[2];\nrx(0.5) q[2];\n",
+            "qreg q[2];\ncz q[0],q[2];\n",
+            "qreg q[2];\ncz q[0],q[0];\n",
+            "qreg q[1];\nrx(nan) q[0];\n",
+            "qreg q[1];\nrz(inf) q[0];\n",
+            "// global_phase: nan\nqreg q[1];\n",
+            "// global_phase: inf\nqreg q[1];\n",
+        ):
+            with pytest.raises(ParseError):
+                parse_circuit_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)
 
     def test_parse_accepts_phaseless_header(self):
         c = parse_circuit_text(

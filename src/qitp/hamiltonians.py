@@ -301,10 +301,10 @@ def load_hamiltonian(source) -> HermitianOperator:
     rows = doc["matrix"]
     try:
         m = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
+            [[complex(re, im) for re, im in row] for row in rows],
             dtype=complex,
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
     if not np.all(np.isfinite(m)):
         raise ParseError("matrix entries must be finite")

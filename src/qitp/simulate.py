@@ -11,9 +11,10 @@ normalized occupancies stay recoverable.
 Noisy path: same loop on a density matrix, with single-qubit amplitude
 damping and dephasing applied once after each (noiseless) unitary step and
 an optional classical readout-flip confusion applied to the reported
-distribution. Both act qubit by qubit, each 2x2 map applied to one bit of
-the register index, never as a Kronecker product with identities. This is a
-qualitative stand-in for hardware relaxation, not a device model.
+distribution. Both act qubit by qubit, never as a Kronecker product with
+identities: the channel updates each qubit's 2x2 density blocks in closed
+form, and the flips apply a 2x2 map to one bit of the register index
+(``_apply_1q``). This is a qualitative stand-in for hardware relaxation.
 
 Shot sampling uses an inverse-CDF multinomial draw over a splitmix64
 counter stream, so counts are bit-reproducible across platforms for a given
@@ -35,7 +36,7 @@ from .errors import (
     NonRealExpectation,
     PostselectionImpossible,
 )
-from .linalg import DEGENERACY_TOL, HermitianOperator, PAULI_Z, _apply_1q, _degenerate_clusters
+from .linalg import DEGENERACY_TOL, HermitianOperator, _apply_1q, _degenerate_clusters
 
 POSTSELECT_FLOOR = 1e-14
 
@@ -172,19 +173,13 @@ def _qubit_count_for(dim: int, qubit_count: int | None) -> int:
     return qubit_count
 
 
-def _single_qubit_kraus(noise: NoiseParams) -> list[np.ndarray]:
-    """Amplitude damping followed by dephasing, composed per qubit."""
-    g, lam = noise.amplitude_damping, noise.dephasing
-    damp = [
-        np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex),
-        np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex),
-    ]
-    deph = [np.sqrt(1 - lam) * np.eye(2, dtype=complex), np.sqrt(lam) * PAULI_Z]
-    return [d @ k for d in deph for k in damp]
-
-
 def apply_channel(rho, noise: NoiseParams, qubit_count: int | None = None) -> np.ndarray:
-    """Apply per-qubit damping + dephasing Kraus maps to a density matrix.
+    """Apply per-qubit amplitude damping, then dephasing, to a density matrix.
+
+    Each qubit's 2x2 blocks are updated in closed form, with g the damping
+    and lam the dephasing strength: ``rho00 += g * rho11``,
+    ``rho11 *= 1 - g``, and both coherences ``rho01, rho10`` are scaled by
+    ``sqrt(1 - g) * (1 - 2 * lam)``. The input is not modified.
 
     Dimensions that are not a power of two are padded into the smallest
     qubit register; both channels only move weight toward lower indices, so
@@ -195,15 +190,18 @@ def apply_channel(rho, noise: NoiseParams, qubit_count: int | None = None) -> np
         raise InvalidFactorization(f"density matrix must be square, got {r.shape}")
     dim = r.shape[0]
     k = _qubit_count_for(dim, qubit_count)
-    full = 2**k
-    if full != dim:
-        padded = np.zeros((full, full), dtype=complex)
-        padded[:dim, :dim] = r
-        r = padded
-    kraus = _single_qubit_kraus(noise)
+    out = np.zeros((2**k, 2**k), dtype=complex)
+    out[:dim, :dim] = r
+    g, lam = noise.amplitude_damping, noise.dephasing
+    c = np.sqrt(1 - g) * (1 - 2 * lam)
     for q in range(k):
-        r = sum(_apply_1q(kq, _apply_1q(kq, r, q).conj().T, q).conj().T for kq in kraus)
-    return r[:dim, :dim]
+        # View axes: (row hi, row q, row lo + column hi, column q, column lo).
+        t = out.reshape(2**q, 2, 2 ** (k - 1), 2, 2 ** (k - q - 1))
+        t[:, 0, :, 0] += g * t[:, 1, :, 1]
+        t[:, 1, :, 1] *= 1 - g
+        t[:, 0, :, 1] *= c
+        t[:, 1, :, 0] *= c
+    return out[:dim, :dim]
 
 
 def readout_confusion(probs, flip: float, qubit_count: int | None = None) -> np.ndarray:

@@ -265,6 +265,11 @@ class TestSerialization:
             load_hamiltonian("{not json")
         with pytest.raises(ParseError):
             load_hamiltonian({"dim": 2, "matrix": [[[1, 0]]]})
+        # An entry must be exactly one [re, im] pair; extra or missing
+        # elements are not silently dropped.
+        for entry in ([1, 0, 5], [1]):
+            with pytest.raises(ParseError):
+                load_hamiltonian({"dim": 1, "units": "mev", "matrix": [[entry]]})
         with pytest.raises(ParseError):
             load_hamiltonian(
                 {"dim": 1, "units": "eV", "matrix": [[[1.0, 0.0]]]}

@@ -42,6 +42,30 @@ def op_from(m, units="dimensionless"):
     return HermitianOperator.from_matrix(m, units)
 
 
+def kraus_oracle(noise):
+    """Amplitude damping followed by dephasing: the four composed Kraus terms."""
+    g, lam = noise.amplitude_damping, noise.dephasing
+    damp = [
+        np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex),
+        np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex),
+    ]
+    deph = [np.sqrt(1 - lam) * np.eye(2, dtype=complex), np.sqrt(lam) * PAULI_Z]
+    return [d @ k for d in deph for k in damp]
+
+
+def channel_oracle(rho, noise):
+    """The channel as a sum of kron(I, K, I) sandwiches on the padded register."""
+    dim = rho.shape[0]
+    k = max(1, int(np.ceil(np.log2(dim))))
+    want = np.zeros((2**k, 2**k), dtype=complex)
+    want[:dim, :dim] = rho
+    for q in range(k):
+        left, right = np.eye(2**q), np.eye(2 ** (k - q - 1))
+        ops = [np.kron(np.kron(left, kq), right) for kq in kraus_oracle(noise)]
+        want = sum(op @ want @ op.conj().T for op in ops)
+    return want[:dim, :dim]
+
+
 def hydrogen_setup():
     op, _, _ = hydrogen_sto2g()
     params = ItpParams(tau=60.0, trial_mode="ground_state_exact")
@@ -234,12 +258,10 @@ class TestChannels:
             assert evals.min() > -1e-10
 
     def test_kraus_completeness(self):
-        from qitp.simulate import _single_qubit_kraus
-
         rng = np.random.default_rng(9)
         for _ in range(10):
             noise = NoiseParams(rng.uniform(0, 1), rng.uniform(0, 1), 0.0)
-            ks = _single_qubit_kraus(noise)
+            ks = kraus_oracle(noise)
             total = sum(k.conj().T @ k for k in ks)
             assert max_abs(total - np.eye(2)) < 1e-12
 
@@ -249,21 +271,36 @@ class TestChannels:
         assert np.allclose(p, want, atol=1e-12)
 
     def test_channel_matches_kronecker_oracle(self):
-        from qitp.simulate import _single_qubit_kraus
-
         rng = np.random.default_rng(20)
         for dim in range(1, 9):  # 1, 3, 5, 6 and 7 are padded into the register
-            k = max(1, int(np.ceil(np.log2(dim))))
             a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             rho = a @ a.conj().T / np.trace(a @ a.conj().T)
             noise = NoiseParams(rng.uniform(0, 1), rng.uniform(0, 1), 0.0)
-            want = np.zeros((2**k, 2**k), dtype=complex)
-            want[:dim, :dim] = rho
-            for q in range(k):
-                left, right = np.eye(2**q), np.eye(2 ** (k - q - 1))
-                ops = [np.kron(np.kron(left, kq), right) for kq in _single_qubit_kraus(noise)]
-                want = sum(op @ want @ op.conj().T for op in ops)
-            assert max_abs(apply_channel(rho, noise) - want[:dim, :dim]) < 1e-14
+            assert max_abs(apply_channel(rho, noise) - channel_oracle(rho, noise)) < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.one_of(st.integers(1, 16), st.sampled_from([48, 64])),
+        seed=st.integers(0, 2**32 - 1),
+        g=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        data=st.data(),
+    )
+    def test_channel_properties(self, dim, seed, g, lam, data):
+        rng = np.random.default_rng(seed)
+        rank = data.draw(st.integers(1, dim))  # low ranks put eigenvalues at 0
+        a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+        noise = NoiseParams(g, lam, 0.0)
+        before = rho.copy()
+        out = apply_channel(rho, noise)
+        assert np.array_equal(rho, before)
+        rho.setflags(write=False)
+        assert np.array_equal(apply_channel(rho, noise), out)
+        assert max_abs(out - channel_oracle(rho, noise)) < 1e-14
+        assert abs(np.trace(out) - 1.0) < 1e-12
+        assert max_abs(out - out.conj().T) < 1e-12
+        assert np.linalg.eigvalsh(out).min() > -1e-10
 
     def test_readout_confusion_matches_kronecker_oracle(self):
         rng = np.random.default_rng(21)

@@ -26,11 +26,9 @@ from .errors import (
 MAX_DIM = 64
 
 HERMITICITY_TOL = 1e-10
-UNITARITY_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

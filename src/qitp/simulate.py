@@ -16,10 +16,10 @@ identities: the channel updates each qubit's 2x2 density blocks in closed
 form, and the flips apply a 2x2 map to one bit of the register index
 (``_apply_1q``). This is a qualitative stand-in for hardware relaxation.
 
-Shot sampling uses an inverse-CDF multinomial draw over a splitmix64
-counter stream, so counts are bit-reproducible across platforms for a given
-seed. Draws are taken in fixed chunks of that stream, so memory is
-O(chunk + N) at any shot count.
+Shots are counted against integer CDF thresholds on a splitmix64 counter
+stream (an exact inverse-CDF multinomial draw), so counts are bit-reproducible
+across platforms for a given seed. The stream is drawn in fixed chunks, so
+memory is O(chunk + N) at any shot count.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .linalg import DEGENERACY_TOL, HermitianOperator, _apply_1q, _degenerate_cl
 
 POSTSELECT_FLOOR = 1e-14
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _SM64_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
@@ -106,29 +105,22 @@ def energy_expectation(psi, op: HermitianOperator) -> float:
     return val.real
 
 
-def splitmix64_uniforms(count: int, seed: int) -> np.ndarray:
-    """``count`` doubles in [0, 1) from the splitmix64 counter stream."""
-    if count == 0:
-        return np.zeros(0)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _SM64_GOLDEN) & _MASK64
-    z = ((z ^ (z >> np.uint64(30))) * _SM64_MIX1) & _MASK64
-    z = ((z ^ (z >> np.uint64(27))) * _SM64_MIX2) & _MASK64
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
-    """Multinomial histogram over ``probs`` via inverse-CDF sampling.
+    """Multinomial histogram over ``probs`` by exact integer CDF thresholds.
 
-    Deterministic for a given seed; counts sum to ``shots``. Draws are taken
-    in chunks of the counter stream (chunk ``start`` begins at counter
-    ``start``), so memory is O(chunk + N) and the counts do not depend on
-    the chunk size.
+    Draw i is ``k_i = z_i >> 11`` for the splitmix64 output z_i of counter
+    ``seed + i * 0x9E3779B97F4A7C15`` (mod 2**64). Scaling by 2**-53 is exact,
+    so ``k_i * 2**-53 >= c`` holds exactly when ``k_i >= ceil(c * 2**53)``, and
+    counting draws against these thresholds gives bit for bit the counts of the
+    inverse-CDF draw ``searchsorted(cdf, k * 2**-53, side="right")``. Counts sum
+    to ``shots``; chunk ``start`` of the stream begins at counter ``start``, so
+    memory is O(chunk + N) and the counts do not depend on the chunk size.
     """
     p = np.asarray(probs, dtype=float).ravel()
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise InvalidDistribution(f"shots must be an integer, got {shots!r}")
+    for name, value in (("shots", shots), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidDistribution(f"{name} must be an integer, got {value!r}")
+    shots, seed = int(shots), int(seed)
     if shots < 0:
         raise InvalidDistribution("shots must be >= 0")
     if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < -1e-12):
@@ -136,14 +128,24 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"probabilities sum to {total!r}, expected 1")
+    # A threshold past 2**53 - 1 (a CDF sum above 1) is never reached.
     cdf = np.cumsum(np.clip(p, 0.0, None))
-    cdf[-1] = 1.0
-    counts = np.zeros(p.size, dtype=np.int64)
+    thresholds = np.ceil(cdf[:-1] * 2.0**53).astype(np.uint64)
+    reached = np.zeros(thresholds.size, dtype=np.int64)
+    z, t = np.empty((2, min(_SHOT_CHUNK, shots)), dtype=np.uint64)
+    steps = np.arange(1, z.size + 1, dtype=np.uint64) * _SM64_GOLDEN
     for start in range(0, shots, _SHOT_CHUNK):
-        count = min(_SHOT_CHUNK, shots - start)
-        u = splitmix64_uniforms(count, seed + start * int(_SM64_GOLDEN))
-        counts += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=p.size)
-    return counts
+        zc, tc = z[: shots - start], t[: shots - start]
+        base = (seed + start * int(_SM64_GOLDEN)) & 0xFFFFFFFFFFFFFFFF
+        np.add(steps[: zc.size], np.uint64(base), out=zc)
+        for shift, mix in ((30, _SM64_MIX1), (27, _SM64_MIX2)):
+            zc ^= np.right_shift(zc, shift, out=tc)
+            zc *= mix
+        zc ^= np.right_shift(zc, 31, out=tc)
+        zc >>= 11
+        for j, threshold in enumerate(thresholds):
+            reached[j] += np.count_nonzero(zc >= threshold)
+    return -np.diff(np.concatenate([[shots], reached, [0]]))
 
 
 @dataclass(frozen=True)

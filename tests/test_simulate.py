@@ -25,7 +25,6 @@ from qitp.simulate import (
     run_itp,
     sample_shots,
     spectral_run,
-    splitmix64_uniforms,
     state_fidelity,
 )
 
@@ -64,6 +63,27 @@ def channel_oracle(rho, noise):
         ops = [np.kron(np.kron(left, kq), right) for kq in kraus_oracle(noise)]
         want = sum(op @ want @ op.conj().T for op in ops)
     return want[:dim, :dim]
+
+
+def splitmix64_uniforms(count, seed):
+    """``count`` doubles in [0, 1) from the splitmix64 counter stream."""
+    if count == 0:
+        return np.zeros(0)
+    mask = np.uint64(0xFFFFFFFFFFFFFFFF)
+    idx = np.arange(1, count + 1, dtype=np.uint64)
+    z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * np.uint64(0x9E3779B97F4A7C15)) & mask
+    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & mask
+    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & mask
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def inverse_cdf_oracle(probs, shots, seed):
+    """Float inverse-CDF counts on one unchunked stream: the sampler's reference."""
+    cdf = np.cumsum(np.clip(np.asarray(probs, dtype=float), 0.0, None))
+    cdf[-1] = 1.0
+    u = splitmix64_uniforms(shots, seed)
+    return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=cdf.size)
 
 
 def hydrogen_setup():
@@ -200,19 +220,52 @@ class TestSampling:
 
     def test_chunked_counts_equal_unchunked(self, monkeypatch):
         p = np.array([0.1, 0.25, 0.05, 0.6])
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-
-        def unchunked(shots, seed):
-            u = splitmix64_uniforms(shots, seed)
-            return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=p.size)
-
         shots = 2 * simulate._SHOT_CHUNK + 3  # three chunks at the module's size
-        assert np.array_equal(sample_shots(p, shots, 5), unchunked(shots, 5))
+        assert np.array_equal(sample_shots(p, shots, 5), inverse_cdf_oracle(p, shots, 5))
         for chunk in (1, 7):
             monkeypatch.setattr(simulate, "_SHOT_CHUNK", chunk)
             for shots, seed in ((0, 3), (1, 3), (7, 3), (50, 11), (503, 2**64 - 5)):
-                assert np.array_equal(sample_shots(p, shots, seed), unchunked(shots, seed))
+                want = inverse_cdf_oracle(p, shots, seed)
+                assert np.array_equal(sample_shots(p, shots, seed), want)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_counts_match_inverse_cdf_oracle(self, data):
+        chunk = data.draw(st.sampled_from([1, 7, simulate._SHOT_CHUNK]))
+        shots = data.draw(st.integers(0, 3 * chunk))
+        seed = data.draw(st.integers(-(2**66), 2**66))
+        k = data.draw(st.integers(1, 128))
+        w = data.draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=k, max_size=k))
+        w = np.array(w)
+        if k > 1 and data.draw(st.booleans()):
+            w[-1] = 0.0
+        assume(w.sum() > 0.0)
+        p = w / w.sum() * (1.0 + data.draw(st.floats(-1e-9, 1e-9)))
+        if shots and k > 1 and data.draw(st.booleans()):
+            # Pin the first CDF point on a draw u, or half a 2**-53 step above
+            # it: a rounded-down or strict threshold bins that draw wrongly.
+            u = splitmix64_uniforms(shots, seed)[data.draw(st.integers(0, shots - 1))]
+            c = u + 2.0**-54 if u < 0.5 and data.draw(st.booleans()) else u
+            rest = p[1:].sum()
+            assume(rest > 0.0 and c <= p.sum())
+            p = np.concatenate([[c], p[1:] * ((p.sum() - c) / rest)])
+        assume(abs(p.sum() - 1.0) <= 1e-9)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_SHOT_CHUNK", chunk)
+            counts = sample_shots(p, shots, seed)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, inverse_cdf_oracle(p, shots, seed))
+
+    def test_numpy_integer_seeds(self):
+        p = [0.1, 0.25, 0.05, 0.6]
+        shots = 70_000
+        assert shots > simulate._SHOT_CHUNK
+        for seed, typed in ((5, np.int64(5)), (5, np.uint64(5)), (-5, np.int64(-5))):
+            assert np.array_equal(sample_shots(p, shots, typed), sample_shots(p, shots, seed))
+        op, params, psi0 = hydrogen_setup()
+        rec = run_itp(op, params, psi0, shots=10, seed=np.int64(5))
+        want = run_itp(op, params, psi0, shots=10, seed=5).shot_counts
+        assert np.array_equal(rec.shot_counts, want)
 
     def test_invalid_distribution(self):
         with pytest.raises(InvalidDistribution):
@@ -226,6 +279,9 @@ class TestSampling:
                 sample_shots([0.5, 0.5], shots, seed=0)
         for shots in (3, np.int64(3), np.uint8(3)):
             assert sample_shots([0.5, 0.5], shots, seed=0).sum() == 3
+        for seed in (True, 2.0, "3"):
+            with pytest.raises(InvalidDistribution):
+                sample_shots([0.5, 0.5], 10, seed=seed)
 
 
 class TestChannels:

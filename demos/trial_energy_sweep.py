@@ -7,39 +7,29 @@ the kept branch exponentially: the reservoir-0 probability tends to zero
 and post-selection eventually becomes impossible.
 """
 
+import itertools
+
 import numpy as np
 
-from qitp import ItpParams, build_dilation, hydrogen_sto2g
-from qitp.errors import PostselectionImpossible
-from qitp.simulate import (
-    apply_step,
-    energy_expectation,
-    extend_with_ancilla,
-    postselect_ancilla0,
-    state_fidelity,
-)
+from qitp import hydrogen_sto2g
+from qitp.simulate import spectral_run
 
 op, _, _ = hydrogen_sto2g()
 e0 = op.ground_energy
 psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+taus = (5.0, 10.0, 20.0, 450.0)
+fractions = (0.5, 0.8, 0.9, 1.0, 1.1, 1.2, 1.5)
+trial_energies = [fraction * e0 for fraction in fractions]
 print(f"hydrogen ground energy E0 = {e0:.6f} Hartree")
 print()
 print("fraction  E_T        tau    p0          energy       fidelity")
-for tau in (5.0, 10.0, 20.0, 450.0):
-    for fraction in (0.5, 0.8, 0.9, 1.0, 1.1, 1.2, 1.5):
-        params = ItpParams(tau=tau, trial_mode="fraction_of_ground", fraction=fraction)
-        et = params.resolve_trial_energy(op)
-        u = build_dilation(op, params)
-        try:
-            system, p0 = postselect_ancilla0(apply_step(extend_with_ancilla(psi0), u))
-            energy = energy_expectation(system, op)
-            fid = state_fidelity(system, op.ground_state)
-            print(
-                f"  {fraction:4.2f}   {et:9.6f}  {tau:5.0f}  {p0:.4e}  {energy:11.6f}  {fid:.6f}"
-            )
-        except PostselectionImpossible as exc:
-            print(
-                f"  {fraction:4.2f}   {et:9.6f}  {tau:5.0f}  {exc.probability:.4e}  "
-                f"(post-selection impossible)"
-            )
-    print()
+# One call filters the whole (tau, E_T) grid; its rows run tau-major.
+rows = spectral_run(op, np.reshape(taus, (-1, 1)), trial_energies, psi0, 1)
+grid = itertools.product(taus, zip(fractions, trial_energies))
+for (tau, (fraction, et)), p0, energy, fid, failed in zip(grid, *rows[:4]):
+    if failed:
+        print(f"  {fraction:4.2f}   {et:9.6f}  {tau:5.0f}  {p0:.4e}  (post-selection impossible)")
+    else:
+        print(f"  {fraction:4.2f}   {et:9.6f}  {tau:5.0f}  {p0:.4e}  {energy:11.6f}  {fid:.6f}")
+    if fraction == fractions[-1]:
+        print()

@@ -17,6 +17,7 @@ error, 3 post-selection impossible (trial energy below the ground energy),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -279,21 +280,16 @@ def cmd_sweep_et(args) -> int:
     op = _resolve_hamiltonian(args)
     fractions = _parse_floats(args.fractions) if args.fractions else []
     taus = _parse_floats(args.taus) if args.taus else []
-    if any(f <= 0 for f in fractions):
+    if not all(f > 0 for f in fractions):
         raise ConfigError("fractions must be positive")
     psi0 = _parse_initial_state(args.init, op.dim)
+    ets = [f * op.ground_energy for f in fractions]
+    rows = spectral_run(op, np.reshape(taus, (-1, 1)), ets, psi0, 1)
+    heads = [f"{_fmt(t)},{_fmt(f)},{_fmt(et)}" for t in taus for f, et in zip(fractions, ets)]
     lines = ["tau,et_fraction,et_value,p0,energy,fidelity_to_ground,failed"]
-    for tau in taus:
-        for fraction in fractions:
-            params = ItpParams(
-                tau=tau, trial_mode="fraction_of_ground", fraction=fraction
-            )
-            head = f"{_fmt(tau)},{_fmt(fraction)},{_fmt(params.resolve_trial_energy(op))}"
-            try:
-                _, p0, energy, ground_weight = spectral_run(op, params, psi0, 1)
-                lines.append(f"{head},{_fmt(p0)},{_fmt(energy)},{_fmt(ground_weight)},0")
-            except PostselectionImpossible as exc:
-                lines.append(f"{head},{_fmt(exc.probability)},,,1")
+    for head, p0, energy, weight, failed in zip(heads, *rows[:4]):
+        tail = ",,,1" if failed else f",{_fmt(energy)},{_fmt(weight)},0"
+        lines.append(f"{head},{_fmt(p0)}{tail}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -390,9 +386,12 @@ _COMMANDS = {
 }
 
 
+# The argument tree, built on first use and shared by every main call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except PostselectionImpossible as exc:

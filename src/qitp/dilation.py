@@ -121,11 +121,8 @@ def build_dilation(op: HermitianOperator, params: ItpParams) -> DilationUnitary:
     unitarity by more than 1e-10 in max-entry norm (numerical breakdown).
     """
     et = params.resolve_trial_energy(op)
-    v = op.eigenvectors
-    hw = filter_profile(op.eigenvalues, params.tau, et)
-    rw = filter_profile(-op.eigenvalues, params.tau, -et)
-    q = (v * hw) @ v.conj().T
-    r = (v * rw) @ v.conj().T
+    q = matrix_function(op, lambda e: filter_profile(e, params.tau, et))
+    r = matrix_function(op, lambda e: filter_profile(-e, params.tau, -et))
     u = np.block([[q, r], [r, -q]])
     defect = max_abs(u.conj().T @ u - np.eye(2 * op.dim))
     if defect >= 1e-10:

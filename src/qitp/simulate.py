@@ -2,8 +2,8 @@
 
 Pure-state path: extend with the reservoir qubit, apply the dilation,
 condition on the reservoir reading 0, repeat. Both dilation blocks are
-functions of H, so this loop runs in the eigenbasis of H
-(:func:`spectral_run`) without forming the dilation. Post-selection is exact
+functions of H, so :func:`spectral_run` runs this loop in the eigenbasis of H
+for a whole (tau, E_T) grid at once. Post-selection is exact
 probability bookkeeping, not rejection sampling; shot histograms are drawn
 from the final extended distribution so both the extended and the
 normalized occupancies stay recoverable.
@@ -24,6 +24,7 @@ memory is O(chunk + N) at any shot count.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,43 +261,59 @@ def basis_labels(system_dim: int) -> list[str]:
     return [str(i) for i in range(2 * system_dim)]
 
 
-def spectral_run(op: HermitianOperator, params: ItpParams, psi0, repetitions: int):
-    """The noiseless repetition loop in the eigenbasis of H.
+SpectralRows = namedtuple("SpectralRows", "p0 energy ground_weight failed extended")
 
-    One repetition multiplies each eigencoefficient c_n by h(E_n) and
-    renormalizes by the reservoir-0 probability p0 = sum |h c|^2; raises
-    PostselectionImpossible with the 1-based repetition index when p0 falls
-    below the floor. Returns ``(extended_probs, p0, energy, ground_weight)``
-    for the final repetition: the ancilla-major probabilities
-    ``[|V h c'|^2, |V r c'|^2]`` (c' the coefficients entering it), its p0,
-    <H> of the post-selected state, and that state's weight in the ground
-    eigenspace (degenerate levels clustered as in :func:`eigh`).
+
+def spectral_run(
+    op: HermitianOperator, taus, trial_energies, psi0, repetitions: int, *, extended: bool = False
+) -> SpectralRows:
+    """The noiseless repetition loop in the eigenbasis of H, over a grid of rows.
+
+    ``taus`` and the resolved ``trial_energies`` broadcast together and
+    flatten into G (tau, E_T) rows that share one ``c = V^dag psi``. A
+    repetition multiplies each row's c_n by h(E_n) and renormalizes by its
+    reservoir-0 probability p0 = sum |h c|^2; a row whose p0 falls below the
+    floor stops there and is never divided by. Returns arrays over the rows:
+    ``failed``, the 1-based repetition that fell below the floor (0 if none);
+    ``p0`` of that repetition, else of the final one; ``energy``, <H> of the
+    post-selected state; ``ground_weight``, its weight in the ground
+    eigenspace (degenerate levels clustered as in :func:`eigh`); and, only
+    when asked for, ``extended``, shape (G, 2N), the final repetition's
+    ancilla-major ``[|V h c'|^2, |V r c'|^2]`` (c' the coefficients entering
+    it). Failed rows read NaN in energy, ground_weight and extended.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    taus, ets = np.broadcast_arrays(np.asarray(taus, float), np.asarray(trial_energies, float))
+    taus, ets = taus.reshape(-1, 1), ets.reshape(-1, 1)
+    bad = ~(np.isfinite(taus) & (taus >= 0))
+    if bad.any():
+        raise ValueError(f"tau must be finite and >= 0, got {taus[bad][0]}")
+    if not np.all(np.isfinite(ets)):
+        raise ValueError("trial_energy must be finite")
     state = normalized_state(psi0)
     if state.size != op.dim:
         raise DimensionMismatch(f"state dim {state.size} != operator dim {op.dim}")
-    et = params.resolve_trial_energy(op)
     w, v = op.eigenvalues, op.eigenvectors
-    h = filter_profile(w, params.tau, et)
-    c = v.conj().T @ state
+    h = filter_profile(w, taus, ets)
+    c = np.broadcast_to(v.conj().T @ state, h.shape)
+    p0, failed = np.zeros(len(h)), np.zeros(len(h), dtype=np.int64)
     for rep in range(1, repetitions + 1):
         entering, c = c, h * c
-        p0 = float(np.real(c.conj() @ c))
-        if p0 < POSTSELECT_FLOOR:
-            raise PostselectionImpossible(
-                f"repetition {rep}: reservoir-0 probability {p0:.3e} "
-                f"below {POSTSELECT_FLOOR:g}",
-                probability=p0,
-                repetition=rep,
-            )
-        c = c / np.sqrt(p0)
-    r = filter_profile(-w, params.tau, -et)
-    extended = np.abs(np.concatenate([v @ (h * entering), v @ (r * entering)])) ** 2
-    weights = np.abs(c) ** 2
+        p = np.sum(np.abs(c) ** 2, axis=1)
+        p0 = np.where(failed == 0, p, p0)
+        failed[(failed == 0) & (p < POSTSELECT_FLOOR)] = rep
+        ok = failed == 0
+        c[ok] /= np.sqrt(p[ok])[:, None]
+    done = (failed == 0)[:, None]
+    weights = np.where(done, np.abs(c) ** 2, np.nan)
     _, ground_end = _degenerate_clusters(w, DEGENERACY_TOL)[0]
-    return extended, p0, float(weights @ w), float(weights[:ground_end].sum())
+    ext = None
+    if extended:
+        r = filter_profile(-w, taus, -ets)
+        ext = np.concatenate([(h * entering) @ v.T, (r * entering) @ v.T], axis=1)
+        ext = np.where(done, np.abs(ext) ** 2, np.nan)
+    return SpectralRows(p0, weights @ w, weights[:, :ground_end].sum(axis=1), failed, ext)
 
 
 def _run_density(op, params, psi0, repetitions, noise):
@@ -347,7 +364,13 @@ def run_itp(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if noise is None:
-        extended, _, energy, _ = spectral_run(op, params, psi0, repetitions)
+        et = params.resolve_trial_energy(op)
+        rows = spectral_run(op, params.tau, et, psi0, repetitions, extended=True)
+        if rows.failed[0]:
+            rep, p0 = int(rows.failed[0]), float(rows.p0[0])
+            msg = f"repetition {rep}: reservoir-0 probability {p0:.3e} below {POSTSELECT_FLOOR:g}"
+            raise PostselectionImpossible(msg, probability=p0, repetition=rep)
+        extended, energy = rows.extended[0], float(rows.energy[0])
     else:
         extended, energy = _run_density(op, params, psi0, repetitions, noise)
         if noise.readout_flip > 0.0:

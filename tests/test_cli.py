@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qitp import cli
 from qitp.cli import main
 from qitp.hamiltonians import load_hamiltonian, two_neutron_sd, SpinCouplings
 from qitp.transpile import circuit_unitary, parse_circuit_text
@@ -230,6 +235,27 @@ class TestSweepCommand:
             assert abs(float(cells[4]) + 1.0) < 1e-12
             assert abs(float(cells[5]) - 1.0) < 1e-12
 
+    def test_every_row_underflows_to_zero(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        rc = run_cli(
+            "sweep-et", "--ham", "hydrogen", "--fractions", "3,4", "--taus", "450,1000",
+            "--out", out,
+        )
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            assert row.split(",")[3:] == ["0.0", "", "", "1"]
+
+    def test_bad_grid_values_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        for taus, fractions in (("5,-1", "1"), ("nan", "1"), ("5", "1,0"), ("5", "nan"),
+                                ("5", "inf")):
+            rc = run_cli("sweep-et", "--ham", "hydrogen", "--taus", taus,
+                         "--fractions", fractions, "--out", out)
+            assert rc == 2
+        assert not out.exists()
+
     def test_empty_fraction_list_gives_header_only(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = run_cli("sweep-et", "--ham", "hydrogen", "--fractions", "", "--taus", "5", "--out", out)
@@ -300,3 +326,47 @@ class TestTranspileCommand:
         for target in (a, b):
             assert run_cli("transpile", "--ham", "hydrogen", "--tau", 60, "--out", target) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParserReuse:
+    # (command line, files it writes)
+    COMMANDS = (
+        (("run", "--ham", "hydrogen", "--tau", "60", "--shots", "100", "--out", "run_a.json"),
+         ["run_a.json"]),
+        (("run", "--ham", "hydrogen", "--tau", "1", "--et", "bogus", "--out", "bad.json"), []),
+        (("sweep-et", "--ham", "hydrogen", "--out", "sweep.csv"), ["sweep.csv"]),
+        (("transpile", "--ham", "hydrogen", "--tau", "60", "--out", "c.qasm"),
+         ["c.qasm", "c.qasm.report.json"]),
+        (("run", "--ham", "hydrogen", "--tau", "60", "--shots", "100", "--out", "run_b.json"),
+         ["run_b.json"]),
+    )
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_one_process_matches_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        shared.mkdir()
+        monkeypatch.chdir(shared)
+        in_process = []
+        for argv, _ in self.COMMANDS:
+            rc = main(list(argv))
+            in_process.append((rc, capsys.readouterr().err))
+        assert [rc for rc, _ in in_process] == [0, 2, 0, 0, 0]
+        for (argv, outputs), (rc, err) in zip(self.COMMANDS, in_process):
+            workdir = fresh / argv[-1]
+            workdir.mkdir(parents=True)
+            result = subprocess.run(
+                [sys.executable, "-m", "qitp.cli", *argv], cwd=workdir, env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert (result.returncode, result.stderr) == (rc, err)
+            assert sorted(path.name for path in workdir.iterdir()) == outputs
+            for name in outputs:
+                assert (workdir / name).read_bytes() == (shared / name).read_bytes()
+        assert (shared / "run_a.json").read_bytes() == (shared / "run_b.json").read_bytes()

@@ -22,7 +22,8 @@ def test_demo_runs(demo, tmp_path):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        # the same warning filter pyproject.toml sets for in-process tests
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

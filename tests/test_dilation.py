@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qitp.dilation import (
     DilationUnitary,
@@ -134,6 +135,36 @@ class TestBuildDilation:
             op = op_from(random_hermitian(dim, rng))
             u = build_dilation(op, ItpParams(tau=2.0, trial_mode="ground_state_exact"))
             assert max_abs(u.q_block @ u.q_block + u.r_block @ u.r_block - np.eye(dim)) < 1e-12
+
+
+@st.composite
+def extreme_cases(draw):
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op = op_from(random_hermitian(dim, rng))
+    tau = draw(st.one_of(st.sampled_from([0.0, 1e6]), st.floats(0.0, 1e6)))
+    # E_T anywhere up to 1e6 beyond either end of the spectrum
+    offset = draw(st.one_of(st.sampled_from([0.0, 1e6]), st.floats(0.0, 1e6)))
+    et = draw(st.sampled_from([
+        op.eigenvalues[0] - offset,
+        op.eigenvalues[-1] + offset,
+        draw(st.floats(-1e6, 1e6)),
+    ]))
+    return op, tau, et
+
+
+class TestExtremeTauAndTrialEnergy:
+    @settings(max_examples=200, deadline=None)
+    @given(extreme_cases())
+    def test_dilation_stays_exact(self, case):
+        op, tau, et = case
+        u = build_dilation(op, ItpParams(tau=tau, trial_energy=et))  # its unitarity check
+        q, r = u.q_block, u.r_block
+        assert max_abs(q @ q + r @ r - np.eye(op.dim)) < 1e-12
+        assert max_abs(q @ r - r @ q) < 1e-12
+        w = op.eigenvalues
+        total = filter_profile(w, tau, et) ** 2 + filter_profile(-w, tau, -et) ** 2
+        assert np.max(np.abs(total - 1.0)) < 1e-15
 
 
 class TestLimits:

@@ -252,6 +252,20 @@ class TestSerialization:
         with pytest.raises(NonHermitianInput):
             load_hamiltonian(doc)
 
+    def test_hermiticity_tolerance(self):
+        # the eigensolver's 1e-10 check is the only one on this path
+        for defect, ok in ((5e-11, True), (2e-10, False)):
+            doc = {
+                "dim": 2,
+                "units": "dimensionless",
+                "matrix": [[[0.0, 0.0], [1.0 + defect, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            }
+            if ok:
+                assert np.allclose(load_hamiltonian(doc).eigenvalues, [-1.0, 1.0])
+            else:
+                with pytest.raises(NonHermitianInput):
+                    load_hamiltonian(doc)
+
     def test_round_trip_is_bitwise_exact(self, tmp_path):
         op, _, _ = hydrogen_sto2g()
         path = tmp_path / "h.json"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qitp import simulate
-from qitp.dilation import TRIAL_MODES, ItpParams, build_dilation
+from qitp.dilation import TRIAL_MODES, ItpParams, build_dilation, filter_profile
 from qitp.errors import (
     DimensionMismatch,
     InvalidDistribution,
@@ -11,7 +11,7 @@ from qitp.errors import (
     PostselectionImpossible,
 )
 from qitp.hamiltonians import hydrogen_sto2g
-from qitp.linalg import HermitianOperator, PAULI_Z, max_abs
+from qitp.linalg import DEGENERACY_TOL, HermitianOperator, PAULI_Z, _degenerate_clusters, max_abs
 from qitp.simulate import (
     POSTSELECT_FLOOR,
     NoiseParams,
@@ -522,7 +522,8 @@ class TestSpectralCoreMatchesDenseLoop:
         op = op_from((basis * [-1.0, -1.0 + 1e-12, 2.0, 3.0]) @ basis.conj().T)
         psi = random_state(4, rng)
         params = ItpParams(tau=0.7, trial_mode="ground_state_exact")
-        _, _, _, ground_weight = spectral_run(op, params, psi, 2)
+        rows = spectral_run(op, params.tau, params.resolve_trial_energy(op), psi, 2)
+        ground_weight = rows.ground_weight[0]
         u = build_dilation(op, params)
         state = psi
         for _ in range(2):
@@ -533,11 +534,90 @@ class TestSpectralCoreMatchesDenseLoop:
 
     def test_rejects_bad_repetitions_and_dimension(self):
         op = op_from(np.diag([0.0, 1.0]))
-        params = ItpParams(tau=1.0)
         with pytest.raises(ValueError):
-            spectral_run(op, params, np.array([1.0, 0.0]), 0)
+            spectral_run(op, 1.0, 0.0, np.array([1.0, 0.0]), 0)
         with pytest.raises(DimensionMismatch):
-            spectral_run(op, params, np.ones(3), 1)
+            spectral_run(op, 1.0, 0.0, np.ones(3), 1)
+        for tau in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+                spectral_run(op, [1.0, tau], 0.0, np.array([1.0, 0.0]), 1)
+        with pytest.raises(ValueError, match="trial_energy must be finite"):
+            spectral_run(op, 1.0, [0.0, -np.inf], np.array([1.0, 0.0]), 1)
+
+
+@st.composite
+def grid_cases(draw):
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # repeated integer levels give a degenerate spectrum
+        levels = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        basis = np.linalg.qr(random_hermitian(dim, rng))[0]
+        op = op_from((basis * np.array(levels, dtype=float)) @ basis.conj().T)
+    else:
+        op = op_from(random_hermitian(dim, rng))
+    psi = random_state(dim, rng)
+    if draw(st.booleans()):
+        # no weight in the ground eigenspace
+        _, stop = _degenerate_clusters(op.eigenvalues, DEGENERACY_TOL)[0]
+        ground = op.eigenvectors[:, :stop]
+        psi = psi - ground @ (ground.conj().T @ psi)
+        assume(np.linalg.norm(psi) > 1e-6)
+        psi = psi / np.linalg.norm(psi)
+    tau = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    points = draw(st.lists(st.tuples(tau, st.floats(0.05, 3.0)), max_size=12))
+    return op, psi, points, draw(st.integers(1, 4))
+
+
+class TestSpectralGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_cases())
+    def test_rows_equal_single_point_calls(self, case):
+        # each row against a G = 1 call, the path run_itp takes and the one
+        # TestSpectralCoreMatchesDenseLoop pins to the dilation loop
+        op, psi, points, repetitions = case
+        taus = np.array([tau for tau, _ in points])
+        ets = np.array([fraction * op.ground_energy for _, fraction in points])
+        singles = [
+            [spectral_run(op, tau, et, psi, reps, extended=True)
+             for reps in range(1, repetitions + 1)]
+            for tau, et in zip(taus, ets)
+        ]
+        # a probability on the floor itself may round to either side of it
+        p0s = [run.p0[0] for runs in singles for run in runs]
+        assume(all(abs(p / POSTSELECT_FLOOR - 1.0) > 1e-6 for p in p0s))
+        rows = spectral_run(op, taus, ets, psi, repetitions, extended=True)
+        assert rows.failed.shape == rows.p0.shape == (len(points),)
+        assert rows.extended.shape == (len(points), 2 * op.dim)
+        scale = 1.0 + max_abs(op.eigenvalues)
+        for g, runs in enumerate(singles):
+            one = runs[-1]
+            assert rows.failed[g] == one.failed[0]
+            assert abs(rows.p0[g] - one.p0[0]) <= 1e-12 * one.p0[0]
+            if one.failed[0]:
+                assert one.p0[0] == runs[one.failed[0] - 1].p0[0]
+                assert np.isnan(rows.energy[g]) and np.isnan(rows.ground_weight[g])
+                assert np.all(np.isnan(rows.extended[g]))
+                continue
+            assert abs(rows.energy[g] - one.energy[0]) <= 1e-12 * scale
+            assert abs(rows.ground_weight[g] - one.ground_weight[0]) <= 1e-12
+            assert max_abs(rows.extended[g] - one.extended[0]) <= 1e-12
+
+    def test_extended_only_on_request(self):
+        op, params, psi0 = hydrogen_setup()
+        rows = spectral_run(op, [5.0, 60.0], op.ground_energy, psi0, 2)
+        assert rows.extended is None
+        assert np.array_equal(rows.failed, [0, 0])
+
+    def test_failed_row_keeps_its_repetition_and_p0(self):
+        # E_T below the spectrum: p0 ~ 5e-21 at tau = 23, exactly 0 at tau = 400
+        op = op_from(np.diag([0.0, 1.0]))
+        rows = spectral_run(op, [1.0, 23.0, 400.0], [0.5, -1.0, -1.0], np.ones(2), 3)
+        assert np.array_equal(rows.failed, [0, 1, 1])
+        want = 0.5 * np.sum(filter_profile(op.eigenvalues, 23.0, -1.0) ** 2)
+        assert abs(rows.p0[1] - want) <= 1e-12 * want
+        assert rows.p0[2] == 0.0
+        assert not np.isnan(rows.energy[0]) and np.all(np.isnan(rows.energy[1:]))
 
 
 class TestEnergyMonotonicity:

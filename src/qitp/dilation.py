@@ -54,8 +54,10 @@ class ItpParams:
             raise ValueError(f"trial_mode must be one of {TRIAL_MODES}")
         if not np.isfinite(self.trial_energy):
             raise ValueError("trial_energy must be finite")
-        if self.trial_mode == "fraction_of_ground" and not self.fraction > 0:
-            raise ValueError("fraction must be > 0")
+        if self.trial_mode == "fraction_of_ground" and not (
+            np.isfinite(self.fraction) and self.fraction > 0
+        ):
+            raise ValueError(f"fraction must be finite and > 0, got {self.fraction}")
 
     def resolve_trial_energy(self, op: HermitianOperator) -> float:
         if self.trial_mode == "absolute":
@@ -68,11 +70,16 @@ class ItpParams:
 def filter_profile(energies, tau: float, trial_energy: float) -> np.ndarray:
     """Scalar filter h(E) = 1/sqrt(1 + exp(2 (E - E_T) tau)), overflow-safe.
 
-    Strictly decreasing in E, with values in (0, 1); h(E_T) = 2**-0.5.
-    The complementary profile r = sqrt(1 - h^2) of the dilation's R block
-    is ``filter_profile(-E, tau, -E_T)``.
+    Decreasing in E, with values in [0, 1]; h(E_T) = 2**-0.5 (to one ulp),
+    as is every value at tau = 0. The complementary profile r = sqrt(1 - h^2) of the
+    dilation's R block is ``filter_profile(-E, tau, -E_T)``. Any finite E,
+    E_T and tau >= 0 are accepted: the halves E/2 - E_T/2 never overflow,
+    and an exponent 2 (E - E_T) tau beyond the float range is an infinity
+    that falls in the saturated branches.
     """
-    x = 2.0 * (np.asarray(energies, dtype=float) - trial_energy) * tau
+    half = np.asarray(energies, dtype=float) / 2 - np.asarray(trial_energy, dtype=float) / 2
+    with np.errstate(over="ignore"):
+        x = half * tau * 4.0
     out = np.empty_like(x)
     hi = x > _EXP_CAP
     lo = x < -_EXP_CAP

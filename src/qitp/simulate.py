@@ -11,10 +11,17 @@ normalized occupancies stay recoverable.
 Noisy path: same loop on a density matrix, with single-qubit amplitude
 damping and dephasing applied once after each (noiseless) unitary step and
 an optional classical readout-flip confusion applied to the reported
-distribution. Both act qubit by qubit, never as a Kronecker product with
-identities: the channel updates each qubit's 2x2 density blocks in closed
-form, and the flips apply a 2x2 map to one bit of the register index
-(``_apply_1q``). This is a qualitative stand-in for hardware relaxation.
+distribution. The register is the reservoir qubit, leading, (x) the system
+padded to 2**m >= N levels: index a * 2**m + beta. Channels on distinct
+qubits commute and only the reservoir-0 block is kept, so each repetition is
+one N x N update ``rho <- E_sys(Q rho Q + g R rho R) / p0`` (g the damping),
+never the 2N x 2N register. Both noise maps act qubit by qubit, never as a
+Kronecker product with identities: the channel updates each qubit's 2x2
+density blocks in closed form, and the flips apply a 2x2 map to one bit of
+the register index (``_apply_1q``). For N not a power of two this layout
+differs from padding the extended index a * N + beta itself, where no bit
+is the reservoir; noisy outputs for such N changed when it was adopted. This
+is a qualitative stand-in for hardware relaxation.
 
 Shots are counted against integer CDF thresholds on a splitmix64 counter
 stream (an exact inverse-CDF multinomial draw), so counts are bit-reproducible
@@ -207,25 +214,35 @@ def apply_channel(rho, noise: NoiseParams, qubit_count: int | None = None) -> np
     return out[:dim, :dim]
 
 
-def readout_confusion(probs, flip: float, qubit_count: int | None = None) -> np.ndarray:
+def readout_confusion(
+    probs, flip: float, qubit_count: int | None = None, *, system_dim: int | None = None
+) -> np.ndarray:
     """Independent per-bit readout flips applied to a probability vector.
 
-    For non-power-of-two lengths the vector is padded into the qubit
-    register, flipped, cropped, and renormalized (flips can leak into the
-    padding levels).
+    The vector is padded into the smallest qubit register, flipped, cropped,
+    and renormalized (flips can leak into the padding levels). With
+    ``system_dim`` N, ``probs`` is an ancilla-major extended distribution
+    (index a*N + beta, length 2N) read on the noisy register: the reservoir
+    qubit, leading, (x) the system padded to 2**m >= N levels, index
+    a*2**m + beta. Both the reservoir bit and the m system bits are flipped,
+    so the reservoir bit is never mixed with system padding.
     """
     p = np.asarray(probs, dtype=float).ravel()
     if flip == 0.0:
         return p.copy()
-    dim = p.size
-    k = _qubit_count_for(dim, qubit_count)
-    full = 2**k
-    out = np.zeros(full)
-    out[:dim] = p
+    if system_dim is None:
+        rows, cols, levels = 1, p.size, 2 ** _qubit_count_for(p.size, qubit_count)
+    else:
+        if p.size != 2 * system_dim:
+            raise DimensionMismatch(f"{p.size} probabilities for system dim {system_dim}")
+        rows, cols, levels = 2, system_dim, 2 ** (system_dim - 1).bit_length()
+    out = np.zeros((rows, levels))
+    out[:, :cols] = p.reshape(rows, cols)
+    out = out.ravel()
     m = np.array([[1 - flip, flip], [flip, 1 - flip]])
-    for q in range(k):
+    for q in range(out.size.bit_length() - 1):
         out = _apply_1q(m, out, q)
-    out = out[:dim]
+    out = out.reshape(rows, levels)[:, :cols].ravel()
     return out / out.sum()
 
 
@@ -236,7 +253,11 @@ class ExperimentRecord:
     ``extended_probs`` is indexed ancilla-major (index = a*N + beta, the
     reservoir bit first); ``normalized_probs`` are the reservoir-0
     occupancies renormalized to the system; ``energy`` is <H> of the
-    post-selected state after the final repetition.
+    post-selected state after the final repetition. On the noisy path the
+    channel and readout flips act on the register reservoir qubit (x) system
+    padded to 2**m levels (index a*2**m + beta), whose padding levels are
+    cropped from ``extended_probs``; for N not a power of two this is why
+    noisy records differ from those of the earlier mixed-bit layout.
     """
 
     system_dim: int
@@ -317,27 +338,34 @@ def spectral_run(
 
 
 def _run_density(op, params, psi0, repetitions, noise):
-    n = op.dim
-    # The reservoir enters in |0>, so only the first N columns of U act.
-    b = build_dilation(op, params).matrix[:, :n]
+    """The noisy repetition loop, one N x N density block per repetition.
+
+    On the register of the module docstring the reservoir's damping is
+    ``rho00 += g * rho11`` and its dephasing touches only the discarded
+    off-diagonal blocks, so a repetition is ``rho <- E_sys(Q rho Q + g R rho R) / p0``
+    and the final reservoir-1 populations are ``(1 - g) diag(E_sys(R rho R))``.
+    Returns the final ancilla-major extended probabilities and the energy.
+    """
+    m = (op.dim - 1).bit_length()
+    u = build_dilation(op, params)
+    q, r, g = u.q_block, u.r_block, noise.amplitude_damping
     state = normalized_state(psi0)
     rho = np.outer(state, state.conj())
-    extended_probs = None
     for rep in range(1, repetitions + 1):
-        ext = b @ rho @ b.conj().T
-        ext = apply_channel(ext, noise)
-        if rep == repetitions:
-            extended_probs = np.real(np.diag(ext)).clip(min=0.0)
-        block = ext[:n, :n]
-        p0 = float(np.real(np.trace(block)))
+        lost = r @ rho @ r
+        kept = apply_channel(q @ rho @ q + g * lost, noise, m)
+        p0 = float(np.real(np.trace(kept)))
         if p0 < POSTSELECT_FLOOR:
             raise PostselectionImpossible(
                 f"repetition {rep}: reservoir-0 probability {p0:.3e}",
                 probability=p0,
                 repetition=rep,
             )
-        rho = block / p0
-    energy = float(np.real(np.trace(rho @ op.matrix)))
+        if rep == repetitions:
+            dropped = (1 - g) * np.diag(apply_channel(lost, noise, m))
+            extended_probs = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
+        rho = kept / p0
+    energy = float(np.real(np.sum(rho * op.matrix.T)))
     return extended_probs, energy
 
 
@@ -374,7 +402,7 @@ def run_itp(
     else:
         extended, energy = _run_density(op, params, psi0, repetitions, noise)
         if noise.readout_flip > 0.0:
-            extended = readout_confusion(extended, noise.readout_flip)
+            extended = readout_confusion(extended, noise.readout_flip, system_dim=op.dim)
     total = extended.sum()
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"extended probabilities sum to {total!r}")

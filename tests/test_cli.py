@@ -24,6 +24,17 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def cli_process(argv, cwd, *flags):
+    """Run ``python [flags] -m qitp.cli argv`` in a fresh process on this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "qitp.cli", *map(str, argv)], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestHamCommand:
     def test_hydrogen_builder_schema(self, tmp_path):
         out = tmp_path / "h.json"
@@ -328,6 +339,27 @@ class TestTranspileCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestExtremeTrialEnergies:
+    # RuntimeWarning is an error in these processes, as in this suite
+    def test_infinite_fraction_is_a_config_error(self, tmp_path):
+        argv = ("transpile", "--ham", "hydrogen", "--tau", "0", "--et", "frac:inf",
+                "--out", "c.qasm")
+        result = cli_process(argv, tmp_path, "-W", "error::RuntimeWarning")
+        assert result.returncode == 2
+        assert result.stderr == "error: fraction must be finite and > 0, got inf\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_exponent_writes_flagged_row(self, tmp_path):
+        argv = ("sweep-et", "--ham", "hydrogen", "--fractions", "1e308", "--taus", "5",
+                "--out", "sweep.csv")
+        result = cli_process(argv, tmp_path, "-W", "error::RuntimeWarning")
+        assert (result.returncode, result.stderr) == (0, "")
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].split(",")[:2] == ["5.0", "1e+308"]
+        assert rows[1].split(",")[3:] == ["0.0", "", "", "1"]
+
+
 class TestParserReuse:
     # (command line, files it writes)
     COMMANDS = (
@@ -345,11 +377,6 @@ class TestParserReuse:
         assert cli._parser() is cli._parser()
 
     def test_one_process_matches_fresh_processes(self, tmp_path, capsys, monkeypatch):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
         shared.mkdir()
         monkeypatch.chdir(shared)
@@ -361,10 +388,7 @@ class TestParserReuse:
         for (argv, outputs), (rc, err) in zip(self.COMMANDS, in_process):
             workdir = fresh / argv[-1]
             workdir.mkdir(parents=True)
-            result = subprocess.run(
-                [sys.executable, "-m", "qitp.cli", *argv], cwd=workdir, env=env,
-                capture_output=True, text=True, timeout=120,
-            )
+            result = cli_process(argv, workdir)
             assert (result.returncode, result.stderr) == (rc, err)
             assert sorted(path.name for path in workdir.iterdir()) == outputs
             for name in outputs:

@@ -37,6 +37,11 @@ class TestItpParams:
         with pytest.raises(ValueError):
             ItpParams(tau=1.0, trial_mode="fraction_of_ground", fraction=0.0)
 
+    def test_rejects_nonfinite_fraction(self):
+        for fraction in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="fraction must be finite and > 0"):
+                ItpParams(tau=1.0, trial_mode="fraction_of_ground", fraction=fraction)
+
     def test_trial_energy_resolution(self):
         op = op_from(np.diag([-2.0, 3.0]))
         assert ItpParams(1.0, trial_energy=0.7).resolve_trial_energy(op) == 0.7
@@ -82,6 +87,32 @@ class TestFilterOperator:
         assert np.all(np.isfinite(h)) and np.all(np.isfinite(r))
         assert h[0] == 1.0 and h[1] == 0.0
         assert r[0] == 0.0 and r[1] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        energies=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+        tau=st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1.7976931348623157e308]),
+                      st.floats(0.0, allow_infinity=False)),
+        et=st.one_of(st.sampled_from([0.0, -1.7976931348623157e308, 1.7976931348623157e308]),
+                     st.floats(allow_nan=False, allow_infinity=False)),
+    )
+    def test_profile_any_finite_input(self, energies, tau, et):
+        # RuntimeWarning is an error in this suite, so the overflow of
+        # 2 (E - E_T) tau must be handled, not merely silenced downstream
+        h = filter_profile(energies, tau, et)
+        r = filter_profile(-np.array(energies), tau, -et)
+        assert np.all((h >= 0.0) & (h <= 1.0)) and np.all((r >= 0.0) & (r <= 1.0))
+        if tau == 0.0:  # 1/sqrt(2) rounds one ulp below 2**-0.5
+            assert np.max(np.abs(np.concatenate([h, r]) - INV_SQRT2)) <= 2.0**-53
+        assert np.max(np.abs(h**2 + r**2 - 1.0)) < 1e-15
+
+    def test_profile_exponent_beyond_float_range(self):
+        big = 1.7976931348623157e308
+        h = filter_profile([big, -big, 0.0], 2.0, -big)
+        assert h[0] == h[2] == 0.0 and abs(h[1] - INV_SQRT2) <= 2.0**-53
+        assert filter_profile([-big], 1e300, big).tolist() == [1.0]
+        h = filter_profile([big, -big], 0.0, -big)
+        assert np.max(np.abs(h - INV_SQRT2)) <= 2.0**-53
 
     def test_profiles_square_to_one(self):
         energies = np.linspace(-400, 400, 101)
@@ -143,12 +174,12 @@ def extreme_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     op = op_from(random_hermitian(dim, rng))
     tau = draw(st.one_of(st.sampled_from([0.0, 1e6]), st.floats(0.0, 1e6)))
-    # E_T anywhere up to 1e6 beyond either end of the spectrum
-    offset = draw(st.one_of(st.sampled_from([0.0, 1e6]), st.floats(0.0, 1e6)))
+    # E_T anywhere up to 1e308 beyond either end of the spectrum
+    offset = draw(st.one_of(st.sampled_from([0.0, 1e6, 1e308]), st.floats(0.0, 1e308)))
     et = draw(st.sampled_from([
         op.eigenvalues[0] - offset,
         op.eigenvalues[-1] + offset,
-        draw(st.floats(-1e6, 1e6)),
+        draw(st.floats(-1e308, 1e308)),
     ]))
     return op, tau, et
 

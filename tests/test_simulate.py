@@ -20,6 +20,7 @@ from qitp.simulate import (
     basis_labels,
     energy_expectation,
     extend_with_ancilla,
+    normalized_state,
     postselect_ancilla0,
     readout_confusion,
     run_itp,
@@ -63,6 +64,14 @@ def channel_oracle(rho, noise):
         ops = [np.kron(np.kron(left, kq), right) for kq in kraus_oracle(noise)]
         want = sum(op @ want @ op.conj().T for op in ops)
     return want[:dim, :dim]
+
+
+def readout_oracle(p, flip):
+    """Flips on every bit of a power-of-two register: one Kronecker product."""
+    conf = np.ones((1, 1))
+    for _ in range(p.size.bit_length() - 1):
+        conf = np.kron(conf, np.array([[1 - flip, flip], [flip, 1 - flip]]))
+    return conf @ p
 
 
 def splitmix64_uniforms(count, seed):
@@ -365,13 +374,9 @@ class TestChannels:
             p = rng.uniform(size=dim)
             p /= p.sum()
             flip = rng.uniform(0, 0.5)
-            m = np.array([[1 - flip, flip], [flip, 1 - flip]])
-            conf = np.ones((1, 1))
-            for _ in range(k):
-                conf = np.kron(conf, m)
             work = np.zeros(2**k)
             work[:dim] = p
-            want = (conf @ work)[:dim]
+            want = readout_oracle(work, flip)[:dim]
             assert max_abs(readout_confusion(p, flip) - want / want.sum()) < 1e-14
 
 
@@ -478,20 +483,20 @@ def dense_loop(op, params, psi, repetitions):
 
 
 @st.composite
-def itp_cases(draw):
-    dim = draw(st.integers(1, 8))
+def itp_cases(draw, dims=st.integers(1, 8), max_repetitions=4):
+    dim = draw(dims)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     op = op_from(random_hermitian(dim, rng))
     mode = draw(st.sampled_from(TRIAL_MODES))
     extra = {}
     if mode == "absolute":
-        # the spectrum of a dim-8 draw stays well inside [-10, 10]
+        # inside the spectrum of a dim-64 draw, around all of a dim-8 one
         extra["trial_energy"] = draw(st.floats(-10.0, 10.0))
     elif mode == "fraction_of_ground":
         # a fraction above 1 puts E_T below a negative ground energy
         extra["fraction"] = draw(st.floats(0.05, 3.0))
     params = ItpParams(tau=draw(st.floats(0.0, 1e3)), trial_mode=mode, **extra)
-    repetitions = draw(st.integers(1, 4))
+    repetitions = draw(st.integers(1, max_repetitions))
     return op, params, random_state(dim, rng), repetitions
 
 
@@ -665,6 +670,126 @@ class TestNoisePath:
         clean = run_itp(op, params, psi0, noise=NoiseParams(0.0, 0.0, 0.0))
         assert abs(flip.energy - clean.energy) < 1e-10
         assert max_abs(flip.extended_probs - clean.extended_probs) > 1e-3
+
+
+def dense_density_oracle(op, params, psi0, repetitions, noise):
+    """The noisy loop on the whole 2N-level register, the oracle for run_itp.
+
+    Each repetition forms ``B rho B^dag`` with B the reservoir-0 columns of the
+    2N x 2N dilation, applies the channel to every qubit of the ancilla-major
+    index a*N + beta and keeps the reservoir-0 block. That index is the noisy
+    register (reservoir leading, system on 2**m levels) only for N a power of
+    two. Returns ``(failed_repetition, p0s, extended, energy)`` with the final
+    repetition's extended populations before readout flips; after a failure
+    only the first two are set.
+    """
+    n = op.dim
+    b = build_dilation(op, params).matrix[:, :n]
+    state = normalized_state(psi0)
+    rho, p0s = np.outer(state, state.conj()), []
+    for rep in range(1, repetitions + 1):
+        ext = apply_channel(b @ rho @ b.conj().T, noise)
+        block = ext[:n, :n]
+        p0s.append(float(np.real(np.trace(block))))
+        if p0s[-1] < POSTSELECT_FLOOR:
+            return rep, p0s, None, None
+        rho = block / p0s[-1]
+    extended = np.real(np.diag(ext)).clip(min=0.0)
+    return None, p0s, extended, float(np.real(np.trace(rho @ op.matrix)))
+
+
+@st.composite
+def noisy_cases(draw):
+    case = draw(itp_cases(dims=st.sampled_from([1, 2, 4, 8, 16, 64]), max_repetitions=10))
+    strength = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    flip = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    noise = NoiseParams(draw(strength), draw(strength), flip)
+    return case + (noise, draw(st.integers(0, 2000)), draw(st.integers(0, 2**64 - 1)))
+
+
+class TestReducedDensityLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(noisy_cases())
+    def test_matches_dense_register_loop(self, case):
+        op, params, psi, repetitions, noise, shots, seed = case
+        failed, p0s, extended, energy = dense_density_oracle(op, params, psi, repetitions, noise)
+        # a probability on the floor itself may round to either side of it
+        assume(all(abs(p / POSTSELECT_FLOOR - 1.0) > 1e-6 for p in p0s))
+        if failed is not None:
+            with pytest.raises(PostselectionImpossible) as err:
+                run_itp(op, params, psi, repetitions, shots, seed, noise)
+            assert err.value.repetition == failed
+            return
+        rec = run_itp(op, params, psi, repetitions, shots, seed, noise)
+        if noise.readout_flip > 0.0:
+            extended = readout_confusion(extended, noise.readout_flip)
+        extended = extended / extended.sum()
+        # 1e-12 relative, over an absolute floor: a small population is a sum
+        # of O(1) terms that cancel, so either loop rounds it to about 1e-15
+        assert np.all(np.abs(rec.extended_probs - extended) <= 1e-12 * extended + 1e-14)
+        assert abs(rec.energy - energy) < 1e-12
+        assert np.array_equal(rec.shot_counts, sample_shots(extended, shots, seed))
+
+
+def padded_register_loop(op, params, psi0, repetitions, noise):
+    """The noisy loop built on the register itself, by Kronecker/Kraus products.
+
+    The register is the reservoir qubit (leading) (x) the system padded to
+    P = 2**m levels, index a*P + beta. Returns the final repetition's padded
+    2P x 2P density matrix after the channel, and the post-selected system
+    state.
+    """
+    n, levels = op.dim, 2 ** (op.dim - 1).bit_length()
+    u = build_dilation(op, params)
+    b = np.zeros((2 * levels, levels), dtype=complex)
+    b[:n, :n], b[levels:levels + n, :n] = u.q_block, u.r_block
+    state = normalized_state(psi0)
+    rho = np.zeros((levels, levels), dtype=complex)
+    rho[:n, :n] = np.outer(state, state.conj())
+    for _ in range(repetitions):
+        ext = channel_oracle(b @ rho @ b.conj().T, noise)
+        rho = ext[:levels, :levels] / np.trace(ext[:levels, :levels]).real
+    return ext, rho[:n, :n]
+
+
+class TestNoisyRegisterLayout:
+    """N not a power of two: the reservoir is a qubit of its own."""
+
+    @pytest.mark.parametrize("dim, repetitions", [(3, 4), (5, 3), (48, 2)])
+    def test_run_itp_matches_padded_register(self, dim, repetitions):
+        rng = np.random.default_rng(dim)
+        op = op_from(random_hermitian(dim, rng))
+        psi = random_state(dim, rng)
+        params = ItpParams(tau=0.9, trial_mode="fraction_of_ground", fraction=0.8)
+        g, lam = rng.uniform(0.05, 0.4, size=2)
+        levels = 2 ** (dim - 1).bit_length()
+        ext, rho = padded_register_loop(op, params, psi, repetitions, NoiseParams(g, lam))
+        blocks = ext.reshape(2, levels, 2, levels)
+        # the padding levels stay empty
+        assert not np.any(blocks[:, dim:]) and not np.any(blocks[:, :, :, dim:])
+        for flip in (0.0, 0.07):
+            rec = run_itp(op, params, psi, repetitions, noise=NoiseParams(g, lam, flip))
+            populations = np.real(np.diag(ext))
+            if flip > 0.0:
+                populations = readout_oracle(populations, flip)
+            want = populations.reshape(2, levels)[:, :dim].ravel()
+            assert max_abs(rec.extended_probs - want / want.sum()) < 1e-12
+            assert abs(rec.energy - np.real(np.trace(rho @ op.matrix))) < 1e-12
+
+    @pytest.mark.parametrize("dim", [3, 5, 48])
+    def test_reservoir_damping_keeps_the_system_label(self, dim):
+        # the weight that leaves |1, beta> for reservoir 0 is g / (1 - g) times
+        # what stays in reservoir 1, label by label: it arrives at |0, beta'>
+        # exactly where the system channel leaves |1, beta'>
+        levels = 2 ** (dim - 1).bit_length()
+        g = 0.3
+        for beta in sorted({*range(0, dim, 1 + dim // 8), dim - 1}):
+            rho = np.zeros((2 * levels, 2 * levels), dtype=complex)
+            rho[levels + beta, levels + beta] = 1.0
+            out = np.real(np.diag(channel_oracle(rho, NoiseParams(g, 0.2)))).reshape(2, levels)
+            assert max_abs(out[0] * (1 - g) - out[1] * g) < 1e-15
+            assert not np.any(out[:, dim:])
+            assert out[0, beta] > 0.0 and np.all(out[0, beta + 1:] == 0.0)
 
 
 class TestBasisLabels:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from qitp import transpile
@@ -304,7 +305,32 @@ class TestKakDecompose:
             assert max_abs(built - u) < 1e-7
 
 
+@st.composite
+def random_circuits(draw):
+    """1-2 qubit circuits of rx/rz/cz with any finite angles and global phase."""
+    qubit_count = draw(st.integers(1, 2))
+    angle = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -2 * math.pi, 4 * math.pi]),
+                      st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+    kinds = ("rx", "rz", "cz") if qubit_count == 2 else ("rx", "rz")
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "cz":
+            gates.append(Gate("cz", draw(st.sampled_from([(0, 1), (1, 0)]))))
+        else:
+            gates.append(Gate(kind, (draw(st.integers(0, qubit_count - 1)),), draw(angle)))
+    return Circuit(qubit_count, gates, draw(angle))
+
+
 class TestQasmRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(random_circuits())
+    def test_round_trip_property(self, circuit):
+        text = emit_circuit_text(circuit)
+        parsed = parse_circuit_text(text)
+        assert emit_circuit_text(parsed) == text
+        assert parsed.qubit_count == circuit.qubit_count
+        assert max_abs(circuit_unitary(parsed) - circuit_unitary(circuit)) == 0.0
+
     def test_empty_circuit_header_only(self):
         text = emit_circuit_text(Circuit(2))
         assert text == 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'

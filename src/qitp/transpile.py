@@ -7,7 +7,8 @@ Any 4x4 unitary factors (Cartan/KAK) as
 with the interaction coefficients canonicalized into the Weyl chamber
 ``0 <= |z| <= y <= x <= pi/4`` (z >= 0 when x = pi/4). The canonical class
 fixes the entangling cost: 0 CZs for local unitaries, 1 for the CZ class,
-2 when z = 0, 3 otherwise. Local factors compile to Rz-Rx-Rz Euler triples.
+2 when z = 0, 3 otherwise. Local factors compile to Rz-Rx-Rz Euler triples
+in closed form.
 
 Qubit 0 is the most significant bit of the state index, so a dilation
 unitary transpiles with the reservoir on q[0] and the system on q[1].
@@ -66,7 +67,7 @@ def ry_matrix(theta: float) -> np.ndarray:
 
 
 def rz_matrix(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
 
 
 def _normalize_angle(theta: float) -> float:
@@ -171,42 +172,48 @@ def _phase_for(target: np.ndarray, built: np.ndarray) -> float:
     return float(np.angle(np.trace(built.conj().T @ target)))
 
 
-def decompose_1q(u, atol: float = 1e-10) -> Circuit:
-    """Euler decomposition of a 2x2 unitary as Rz(g) Rx(b) Rz(a).
-
-    The returned circuit applies rz(a), rx(b), rz(g) in order and carries
-    the global phase that reproduces ``u`` exactly. Near-diagonal input
+def _euler_1q(m: np.ndarray, atol: float) -> tuple[list[tuple[str, float]], np.ndarray]:
+    """Closed-form Euler step: the non-identity ``(kind, angle)`` steps of
+    rz(a), rx(b), rz(g) in application order, and their product, which
+    equals the unitary 2x2 ``m`` up to global phase. Near-diagonal input
     takes the deterministic b = 0 branch (all rotation in the first rz).
     """
-    m = _check_unitary(u, 2, atol)
     det = np.linalg.det(m)
     su = m * np.exp(-0.5j * np.angle(det))
     if abs(su[1, 0]) < atol:
-        alpha = 2.0 * float(np.angle(su[1, 1]))
-        beta = 0.0
-        gamma = 0.0
+        alpha, beta, gamma = 2.0 * float(np.angle(su[1, 1])), 0.0, 0.0
     elif abs(su[0, 0]) < atol:
-        beta = math.pi
-        alpha = -math.pi - 2.0 * float(np.angle(su[1, 0]))
-        gamma = 0.0
+        alpha, beta, gamma = -math.pi - 2.0 * float(np.angle(su[1, 0])), math.pi, 0.0
     else:
         beta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
         plus = float(np.angle(su[1, 1]))
         minus = -math.pi / 2.0 - float(np.angle(su[1, 0]))
         alpha = plus + minus
         gamma = plus - minus
-    gates = [
-        Gate("rz", (0,), alpha),
-        Gate("rx", (0,), beta),
-        Gate("rz", (0,), gamma),
-    ]
-    gates = [g for g in gates if abs(g.angle) > 1e-14]
-    circuit = Circuit(1, gates, 0.0)
-    built = circuit_unitary(circuit)
+    steps = []
+    built = _I2
+    for kind, angle in (("rz", alpha), ("rx", beta), ("rz", gamma)):
+        angle = _normalize_angle(angle)
+        if abs(angle) > 1e-14:
+            steps.append((kind, angle))
+            built = (rx_matrix if kind == "rx" else rz_matrix)(angle) @ built
     if process_fidelity(m, built) < 1.0 - 1e-10:
         raise FidelityShortfall("single-qubit Euler decomposition missed its target")
-    circuit.global_phase = _phase_for(m, built)
-    return circuit
+    return steps, built
+
+
+def decompose_1q(u, atol: float = 1e-10) -> Circuit:
+    """Euler decomposition of a 2x2 unitary as Rz(g) Rx(b) Rz(a).
+
+    The returned circuit applies rz(a), rx(b), rz(g) in order, omitting
+    identity rotations, and carries the global phase that reproduces ``u``
+    exactly. The angles are the closed-form step that :func:`kak_decompose`
+    runs on each local factor.
+    """
+    m = _check_unitary(u, 2, atol)
+    steps, built = _euler_1q(m, atol)
+    gates = [Gate(kind, (0,), angle) for kind, angle in steps]
+    return Circuit(1, gates, _phase_for(m, built))
 
 
 def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
@@ -252,6 +259,7 @@ def _kron_factor(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
 
 
 _FLIPPERS = (1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z)
+_FLIPPER_POWERS = tuple(tuple(np.linalg.matrix_power(f, p) for p in range(4)) for f in _FLIPPERS)
 _SWAPPERS = (
     np.array([[1, -1j], [1j, -1]]) * 1j * np.sqrt(0.5),  # swaps YY and ZZ
     np.array([[1, 1], [1, -1]]) * 1j * np.sqrt(0.5),  # swaps XX and ZZ
@@ -279,7 +287,7 @@ def _canonicalize_interaction(x: float, y: float, z: float, atol: float = 1e-9):
     def shift(k, step):
         v[k] += step * math.pi / 2
         phase[0] *= 1j**step
-        f = np.linalg.matrix_power(_FLIPPERS[k], step % 4)
+        f = _FLIPPER_POWERS[k][step % 4]
         before[0] = f @ before[0]
         before[1] = f @ before[1]
 
@@ -450,22 +458,10 @@ def _merge_rotations(gates: list[Gate]) -> list[Gate]:
     """
     out: list[Gate] = []
     for gate in gates:
-        if (
-            out
-            and gate.kind in ("rx", "rz")
-            and out[-1].kind == gate.kind
-            and out[-1].qubits == gate.qubits
-        ):
-            merged = _normalize_angle(out[-1].angle + gate.angle)
-            out.pop()
-            if abs(merged) > 1e-12 and abs(abs(merged) - 2 * math.pi) > 1e-12:
-                out.append(Gate(gate.kind, gate.qubits, merged))
-            continue
-        if gate.kind in ("rx", "rz") and (
-            abs(gate.angle) <= 1e-12 or abs(abs(gate.angle) - 2 * math.pi) <= 1e-12
-        ):
-            continue
-        out.append(gate)
+        if out and out[-1].kind == gate.kind != "cz" and out[-1].qubits == gate.qubits:
+            gate = Gate(gate.kind, gate.qubits, out.pop().angle + gate.angle)
+        if gate.kind == "cz" or min(abs(gate.angle), abs(abs(gate.angle) - 2 * math.pi)) > 1e-12:
+            out.append(gate)
     return out
 
 
@@ -474,11 +470,14 @@ def kak_decompose(u, atol: float = 1e-9) -> Circuit:
 
     The CZ count matches the canonical class of the input, the gate list is
     deterministic, and the circuit matrix reproduces the input including
-    global phase. Raises NotUnitary on bad input and FidelityShortfall if
-    the synthesized circuit misses (internal consistency guard).
+    global phase. Each local 2x2 factor compiles in closed form (the Euler
+    step of :func:`decompose_1q`, without building a one-qubit circuit), so
+    one ``circuit_unitary`` call per decomposition fits the phase. Raises
+    NotUnitary on bad input and FidelityShortfall if the synthesized circuit
+    misses (internal consistency guard).
     """
-    m = _check_unitary(u, 4)
-    _, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(m, atol)
+    m = np.asarray(u, dtype=complex)
+    _, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(m, atol)  # checks unitarity
     seq = _BlockSeq()
     if all(_is_quarter_or_zero(c, atol) for c in (x, y, z)):  # all zero: local, no CZ
         for axis, coeff in enumerate((x, y, abs(z))):
@@ -503,8 +502,8 @@ def kak_decompose(u, atol: float = 1e-9) -> Circuit:
         for qubit, local in enumerate(item):
             if max_abs(local - local[0, 0] * _I2) < 1e-14:
                 continue  # identity up to phase
-            for g in decompose_1q(local).gates:
-                gates.append(Gate(g.kind, (qubit,), g.angle))
+            steps, _ = _euler_1q(_check_unitary(local, 2), 1e-10)
+            gates.extend(Gate(kind, (qubit,), angle) for kind, angle in steps)
     gates = _merge_rotations(gates)
     circuit = Circuit(2, gates, 0.0)
     built = circuit_unitary(circuit)

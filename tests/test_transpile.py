@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from qitp import transpile
 from qitp.dilation import ItpParams, build_dilation
-from qitp.errors import NotUnitary, ParseError
+from qitp.errors import FidelityShortfall, NotUnitary, ParseError
 from qitp.hamiltonians import hydrogen_sto2g
 from qitp.linalg import PAULI_X, PAULI_Y, PAULI_Z, max_abs
 from qitp.transpile import (
@@ -59,6 +59,77 @@ def chamber_points(rng, count):
             z = math.copysign(eps, z)
         points.append((float(x), float(y), float(z)))
     return points
+
+
+def decompose_1q_oracle(u, atol=1e-10):
+    """The Euler step the long way: build a one-qubit Circuit, take its
+    circuit_unitary and fit the global phase to it."""
+    m = transpile._check_unitary(u, 2, atol)
+    det = np.linalg.det(m)
+    su = m * np.exp(-0.5j * np.angle(det))
+    if abs(su[1, 0]) < atol:
+        alpha = 2.0 * float(np.angle(su[1, 1]))
+        beta = 0.0
+        gamma = 0.0
+    elif abs(su[0, 0]) < atol:
+        beta = math.pi
+        alpha = -math.pi - 2.0 * float(np.angle(su[1, 0]))
+        gamma = 0.0
+    else:
+        beta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
+        plus = float(np.angle(su[1, 1]))
+        minus = -math.pi / 2.0 - float(np.angle(su[1, 0]))
+        alpha = plus + minus
+        gamma = plus - minus
+    gates = [
+        Gate("rz", (0,), alpha),
+        Gate("rx", (0,), beta),
+        Gate("rz", (0,), gamma),
+    ]
+    gates = [g for g in gates if abs(g.angle) > 1e-14]
+    circuit = Circuit(1, gates, 0.0)
+    built = circuit_unitary(circuit)
+    if process_fidelity(m, built) < 1.0 - 1e-10:
+        raise FidelityShortfall("single-qubit Euler decomposition missed its target")
+    circuit.global_phase = transpile._phase_for(m, built)
+    return circuit
+
+
+@st.composite
+def one_qubit_unitaries(draw):
+    """Haar, diagonal and anti-diagonal 2x2 unitaries, and ones within 1e-11
+    of a branch edge (|su[1, 0]| or |su[0, 0]| equal to 1e-10), each times a
+    random phase."""
+    angle = st.floats(-math.pi, math.pi)
+    a, b, phi = draw(angle), draw(angle), draw(angle)
+    kind = draw(st.sampled_from(["haar", "diagonal", "anti-diagonal", "edge-0", "edge-pi"]))
+    if kind == "haar":
+        u = haar_unitary(2, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    elif kind == "diagonal":
+        u = np.diag(np.exp(1j * np.array([a, b])))
+    elif kind == "anti-diagonal":
+        u = np.array([[0.0, np.exp(1j * a)], [np.exp(1j * b), 0.0]])
+    else:
+        s = 1e-10 + draw(st.floats(-1e-11, 1e-11))
+        beta = 2.0 * (math.asin(s) if kind == "edge-0" else math.acos(s))
+        u = rz_matrix(b) @ rx_matrix(beta) @ rz_matrix(a)
+    return np.exp(1j * phi) * u
+
+
+@st.composite
+def weyl_cases(draw):
+    """A Weyl-chamber point between two random local pairs. Each coordinate
+    sits exactly on a face or at least 1e-4 off every face."""
+    part = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
+    x = math.pi / 4 * draw(part)
+    y = x * draw(part)
+    z = y * draw(part)
+    if x < math.pi / 4:
+        z *= draw(st.sampled_from([-1.0, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return (x, y, z), after @ interaction(x, y, z) @ before
 
 
 class TestGateAndCircuit:
@@ -172,6 +243,32 @@ class TestDecompose1q:
         with pytest.raises(NotUnitary):
             decompose_1q(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
+    @settings(max_examples=500, deadline=None)
+    @given(one_qubit_unitaries())
+    def test_matches_circuit_oracle(self, u):
+        c = decompose_1q(u)
+        want = decompose_1q_oracle(u)
+        assert [g.kind for g in c.gates] == [g.kind for g in want.gates]
+        assert [g.angle for g in c.gates] == [g.angle for g in want.gates]
+        assert abs(c.global_phase - want.global_phase) <= 1e-15
+
+    def test_beta_pi_branch(self):
+        rng = np.random.default_rng(39)
+        cases = [PAULI_X, PAULI_Y]
+        for _ in range(50):
+            a, b, phi = rng.uniform(-math.pi, math.pi, 3)
+            anti = np.array([[0.0, np.exp(1j * a)], [np.exp(1j * b), 0.0]])
+            # |u[0, 0]| = sin(eps): below the branch's 1e-10, and small
+            # enough that dropping it keeps u within 1e-12
+            eps = 10.0 ** rng.uniform(-16, -13)
+            near = rz_matrix(b) @ rx_matrix(math.pi - 2.0 * eps) @ rz_matrix(a)
+            cases += [np.exp(1j * phi) * anti, np.exp(1j * phi) * near]
+        for u in cases:
+            c = decompose_1q(u)
+            assert [g for g in c.gates if g.kind == "rx"] == [Gate("rx", (0,), math.pi)]
+            assert len(c.gates) <= 2
+            assert max_abs(circuit_unitary(c) - u) < 1e-12
+
 
 class TestKakDecompose:
     def test_local_product_needs_no_cz(self):
@@ -278,6 +375,21 @@ class TestKakDecompose:
             assert c.cz_count() == 3
             assert process_fidelity(u, built) >= 1 - 1e-8
             assert max_abs(built - u) < 1e-7
+
+    @settings(max_examples=200, deadline=None)
+    @given(weyl_cases())
+    def test_cz_count_by_weyl_class(self, case):
+        (x, y, z), u = case
+        c = kak_decompose(u)
+        built = circuit_unitary(c)
+        assert process_fidelity(u, built) >= 1 - 1e-8
+        assert max_abs(built - u) < 1e-7
+        if (x, y, z) == (0.0, 0.0, 0.0):
+            assert c.cz_count() == 0
+        elif (x, y, z) == (math.pi / 4, 0.0, 0.0):
+            assert c.cz_count() == 1
+        else:
+            assert c.cz_count() == (2 if z == 0.0 else 3)
 
     def test_degenerate_first_mixing_angle_falls_back(self):
         # Two eigenphases of the magic-basis Gram matrix summing to 2 * t0

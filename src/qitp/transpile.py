@@ -16,11 +16,18 @@ unitary transpiles with the reservoir on q[0] and the system on q[1].
 Circuits carry an explicit global phase and reproduce their target matrix
 exactly, not just up to phase. They serialize to an OpenQASM-2.0 subset
 with a byte-stable emit/parse round trip.
+
+One-qubit arithmetic (rotation matrices, Euler angles, determinants,
+unitarity and fidelity checks, and the gate runs that ``circuit_unitary``
+multiplies before applying) runs on Python complex scalars: at 2x2 a numpy
+call costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -56,9 +63,51 @@ _GAMMA = (
 )
 
 
-def rx_matrix(theta: float) -> np.ndarray:
+def _rotation(kind: str, theta: float) -> tuple:
+    """rx(theta) or rz(theta) as the row-major scalar tuple (a, b, c, d)."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    if kind == "rx":
+        return complex(c), complex(0.0, -s), complex(0.0, -s), complex(c)
+    return complex(c, -s), 0j, 0j, complex(c, s)
+
+
+def _mul2(p: tuple, q: tuple) -> tuple:
+    """The product p @ q of two row-major scalar 2x2 tuples."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _det2(q) -> complex:
+    a, b, c, d = q
+    return a * d - b * c
+
+
+def _fidelity2(p, q) -> float:
+    """:func:`process_fidelity` of two row-major scalar 2x2 tuples."""
+    trace = (p[0].conjugate() * q[0] + p[2].conjugate() * q[2]) + (
+        p[1].conjugate() * q[1] + p[3].conjugate() * q[3]
+    )
+    return abs(trace) / 2.0
+
+
+def _unitary_defect2(q) -> float:
+    """||q^dag q - I||_max of a row-major scalar 2x2 tuple."""
+    a, b, c, d = q
+    ac, cc = a.conjugate(), c.conjugate()
+    return max(
+        abs(ac * a + cc * c - 1.0),
+        abs(b.conjugate() * b + d.conjugate() * d - 1.0),
+        abs(ac * b + cc * d),
+    )
+
+
+def _matrix(q) -> np.ndarray:
+    return np.array(q, dtype=complex).reshape(2, 2)
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    return _matrix(_rotation("rx", theta))
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -67,7 +116,7 @@ def ry_matrix(theta: float) -> np.ndarray:
 
 
 def rz_matrix(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
+    return _matrix(_rotation("rz", theta))
 
 
 def _normalize_angle(theta: float) -> float:
@@ -91,24 +140,27 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        try:
+            qubits = tuple(map(operator.index, self.qubits))
+        except TypeError as exc:
+            raise ValueError(f"qubits must be a sequence of ints, got {self.qubits!r}") from exc
+        object.__setattr__(self, "qubits", qubits)
         if self.kind == "cz":
-            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
+            if len(qubits) != 2 or qubits[0] == qubits[1]:
                 raise ValueError("cz needs two distinct qubits")
             if self.angle is not None:
                 raise ValueError("cz takes no angle")
         else:
-            if len(self.qubits) != 1:
+            if len(qubits) != 1:
                 raise ValueError(f"{self.kind} acts on exactly one qubit")
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
             object.__setattr__(self, "angle", _normalize_angle(self.angle))
 
     def matrix(self) -> np.ndarray:
-        if self.kind == "rx":
-            return rx_matrix(self.angle)
-        if self.kind == "rz":
-            return rz_matrix(self.angle)
-        return np.diag([1, 1, 1, -1]).astype(complex)
+        if self.kind == "cz":
+            return np.diag([1, 1, 1, -1]).astype(complex)
+        return _matrix(_rotation(self.kind, self.angle))
 
 
 @dataclass
@@ -126,6 +178,8 @@ class Circuit:
     def __post_init__(self):
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
+        if not math.isfinite(self.global_phase):
+            raise ValueError(f"global_phase must be finite, got {self.global_phase!r}")
         for g in self.gates:
             if any(q < 0 or q >= self.qubit_count for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for {self.qubit_count} qubits")
@@ -135,20 +189,32 @@ class Circuit:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """The circuit's full matrix including its global phase (n <= 10)."""
+    """The circuit's full matrix including its global phase (n <= 10).
+
+    Each run of one-qubit gates on a qubit, up to the next cz touching it,
+    is multiplied into one 2x2 first and applied to the register once.
+    """
     n = circuit.qubit_count
     if n > 10:
         raise DimensionError("circuit_unitary supports at most 10 qubits")
     u = np.eye(2**n, dtype=complex)
     idx = np.arange(2**n)
+    runs = {}
     for gate in circuit.gates:
-        if gate.kind == "cz":
-            i, j = gate.qubits
-            rows = ((idx >> (n - 1 - i)) & (idx >> (n - 1 - j)) & 1).astype(bool)
-            u[rows] = -u[rows]
-        else:
-            u = _apply_1q(gate.matrix(), u, gate.qubits[0])
-    return u * np.exp(1j * circuit.global_phase)
+        if gate.kind != "cz":
+            (q,) = gate.qubits
+            r = _rotation(gate.kind, gate.angle)
+            runs[q] = _mul2(r, runs[q]) if q in runs else r
+            continue
+        for q in gate.qubits:
+            if q in runs:
+                u = _apply_1q(_matrix(runs.pop(q)), u, q)
+        i, j = gate.qubits
+        rows = ((idx >> (n - 1 - i)) & (idx >> (n - 1 - j)) & 1).astype(bool)
+        u[rows] = -u[rows]
+    for q, run in runs.items():
+        u = _apply_1q(_matrix(run), u, q)
+    return u * cmath.exp(1j * circuit.global_phase)
 
 
 def process_fidelity(u, v) -> float:
@@ -161,10 +227,22 @@ def _check_unitary(u, dim: int, atol: float = 1e-10) -> np.ndarray:
     m = np.asarray(u, dtype=complex)
     if m.shape != (dim, dim):
         raise NotUnitary(f"expected a {dim}x{dim} matrix, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotUnitary("matrix has non-finite entries")
     defect = max_abs(m.conj().T @ m - np.eye(dim))
     if defect >= atol:
         raise NotUnitary(f"||U^dag U - I||_max = {defect:.3e}")
     return m
+
+
+def _check_unitary2(q, atol: float = 1e-10) -> None:
+    """:func:`_check_unitary` for a row-major scalar 2x2 tuple."""
+    # finiteness first: max() in the defect can pass over a NaN entry
+    if not all(map(cmath.isfinite, q)):
+        raise NotUnitary("matrix has non-finite entries")
+    defect = _unitary_defect2(q)
+    if defect >= atol:
+        raise NotUnitary(f"||U^dag U - I||_max = {defect:.3e}")
 
 
 def _phase_for(target: np.ndarray, built: np.ndarray) -> float:
@@ -172,32 +250,34 @@ def _phase_for(target: np.ndarray, built: np.ndarray) -> float:
     return float(np.angle(np.trace(built.conj().T @ target)))
 
 
-def _euler_1q(m: np.ndarray, atol: float) -> tuple[list[tuple[str, float]], np.ndarray]:
+def _euler_1q(q: tuple, atol: float) -> tuple[list[tuple[str, float]], tuple]:
     """Closed-form Euler step: the non-identity ``(kind, angle)`` steps of
     rz(a), rx(b), rz(g) in application order, and their product, which
-    equals the unitary 2x2 ``m`` up to global phase. Near-diagonal input
-    takes the deterministic b = 0 branch (all rotation in the first rz).
+    equals the unitary 2x2 ``q`` (a row-major scalar tuple) up to global
+    phase. Near-diagonal input takes the deterministic b = 0 branch (all
+    rotation in the first rz).
     """
-    det = np.linalg.det(m)
-    su = m * np.exp(-0.5j * np.angle(det))
-    if abs(su[1, 0]) < atol:
-        alpha, beta, gamma = 2.0 * float(np.angle(su[1, 1])), 0.0, 0.0
-    elif abs(su[0, 0]) < atol:
-        alpha, beta, gamma = -math.pi - 2.0 * float(np.angle(su[1, 0])), math.pi, 0.0
+    a, _, c, d = q
+    phase = cmath.exp(-0.5j * cmath.phase(_det2(q)))
+    su00, su10, su11 = a * phase, c * phase, d * phase
+    if abs(su10) < atol:
+        alpha, beta, gamma = 2.0 * cmath.phase(su11), 0.0, 0.0
+    elif abs(su00) < atol:
+        alpha, beta, gamma = -math.pi - 2.0 * cmath.phase(su10), math.pi, 0.0
     else:
-        beta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-        plus = float(np.angle(su[1, 1]))
-        minus = -math.pi / 2.0 - float(np.angle(su[1, 0]))
+        beta = 2.0 * math.atan2(abs(su10), abs(su00))
+        plus = cmath.phase(su11)
+        minus = -math.pi / 2.0 - cmath.phase(su10)
         alpha = plus + minus
         gamma = plus - minus
     steps = []
-    built = _I2
+    built = (1 + 0j, 0j, 0j, 1 + 0j)
     for kind, angle in (("rz", alpha), ("rx", beta), ("rz", gamma)):
         angle = _normalize_angle(angle)
         if abs(angle) > 1e-14:
             steps.append((kind, angle))
-            built = (rx_matrix if kind == "rx" else rz_matrix)(angle) @ built
-    if process_fidelity(m, built) < 1.0 - 1e-10:
+            built = _mul2(_rotation(kind, angle), built)
+    if _fidelity2(q, built) < 1.0 - 1e-10:
         raise FidelityShortfall("single-qubit Euler decomposition missed its target")
     return steps, built
 
@@ -211,9 +291,9 @@ def decompose_1q(u, atol: float = 1e-10) -> Circuit:
     runs on each local factor.
     """
     m = _check_unitary(u, 2, atol)
-    steps, built = _euler_1q(m, atol)
+    steps, built = _euler_1q(tuple(m.ravel().tolist()), atol)
     gates = [Gate(kind, (0,), angle) for kind, angle in steps]
-    return Circuit(1, gates, _phase_for(m, built))
+    return Circuit(1, gates, _phase_for(m, _matrix(built)))
 
 
 def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
@@ -246,14 +326,15 @@ def _kron_factor(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
         for j in range(2):
             f0[(a >> 1) ^ i, (b >> 1) ^ j] = m[a ^ (i << 1), b ^ (j << 1)]
             f1[(a & 1) ^ i, (b & 1) ^ j] = m[a ^ i, b ^ j]
-    det0 = np.linalg.det(f0)
-    det1 = np.linalg.det(f1)
+    det0 = _det2(f0.ravel().tolist())
+    det1 = _det2(f1.ravel().tolist())
     if abs(det0) < 1e-12 or abs(det1) < 1e-12:
         raise FidelityShortfall("kron factor extraction hit a singular block")
-    f0 = f0 / np.sqrt(det0)
-    f1 = f1 / np.sqrt(det1)
+    f0 = f0 / cmath.sqrt(det0)
+    f1 = f1 / cmath.sqrt(det1)
     g = m[a, b] / (f0[a >> 1, b >> 1] * f1[a & 1, b & 1])
-    if max_abs(m - g * np.kron(f0, f1)) > 1e-9:
+    kron = (f0[:, None, :, None] * f1[None, :, None, :]).reshape(4, 4)
+    if max_abs(m - g * kron) > 1e-9:
         raise FidelityShortfall("matrix is not a kron product of 2x2 blocks")
     return complex(g), f0, f1
 
@@ -500,9 +581,11 @@ def kak_decompose(u, atol: float = 1e-9) -> Circuit:
             gates.append(Gate("cz", (0, 1)))
             continue
         for qubit, local in enumerate(item):
-            if max_abs(local - local[0, 0] * _I2) < 1e-14:
+            q = tuple(local.ravel().tolist())
+            if max(abs(q[1]), abs(q[2]), abs(q[3] - q[0])) < 1e-14:
                 continue  # identity up to phase
-            steps, _ = _euler_1q(_check_unitary(local, 2), 1e-10)
+            _check_unitary2(q)
+            steps, _ = _euler_1q(q, 1e-10)
             gates.extend(Gate(kind, (qubit,), angle) for kind, angle in steps)
     gates = _merge_rotations(gates)
     circuit = Circuit(2, gates, 0.0)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -63,22 +64,30 @@ def chamber_points(rng, count):
 
 def decompose_1q_oracle(u, atol=1e-10):
     """The Euler step the long way: build a one-qubit Circuit, take its
-    circuit_unitary and fit the global phase to it."""
+    circuit_unitary and fit the global phase to it.
+
+    The angles come from the closed-form determinant ``a d - b c`` on Python
+    scalars, as in the step itself. LAPACK's LU determinant can land on the
+    other side of the phase cut at det = -1 (an angle 2 pi away, which the
+    global phase absorbs), and numpy's vectorized angle and complex product
+    differ from cmath in the last bit, so neither would pin the step's
+    angles exactly."""
     m = transpile._check_unitary(u, 2, atol)
-    det = np.linalg.det(m)
-    su = m * np.exp(-0.5j * np.angle(det))
-    if abs(su[1, 0]) < atol:
-        alpha = 2.0 * float(np.angle(su[1, 1]))
+    (a, b), (c, d) = m.tolist()
+    phase = cmath.exp(-0.5j * cmath.phase(a * d - b * c))
+    su00, su10, su11 = a * phase, c * phase, d * phase
+    if abs(su10) < atol:
+        alpha = 2.0 * cmath.phase(su11)
         beta = 0.0
         gamma = 0.0
-    elif abs(su[0, 0]) < atol:
+    elif abs(su00) < atol:
         beta = math.pi
-        alpha = -math.pi - 2.0 * float(np.angle(su[1, 0]))
+        alpha = -math.pi - 2.0 * cmath.phase(su10)
         gamma = 0.0
     else:
-        beta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-        plus = float(np.angle(su[1, 1]))
-        minus = -math.pi / 2.0 - float(np.angle(su[1, 0]))
+        beta = 2.0 * math.atan2(abs(su10), abs(su00))
+        plus = cmath.phase(su11)
+        minus = -math.pi / 2.0 - cmath.phase(su10)
         alpha = plus + minus
         gamma = plus - minus
     gates = [
@@ -95,14 +104,26 @@ def decompose_1q_oracle(u, atol=1e-10):
     return circuit
 
 
+ONE_QUBIT_KINDS = ("haar", "diagonal", "anti-diagonal", "edge-0", "edge-pi", "det-at-cut")
+
+
 @st.composite
-def one_qubit_unitaries(draw):
+def one_qubit_unitaries(draw, kinds=ONE_QUBIT_KINDS):
     """Haar, diagonal and anti-diagonal 2x2 unitaries, and ones within 1e-11
     of a branch edge (|su[1, 0]| or |su[0, 0]| equal to 1e-10), each times a
-    random phase."""
+    random phase; and i * SU(2) matrices, whose determinant -1 sits on the
+    phase cut (no extra phase)."""
     angle = st.floats(-math.pi, math.pi)
     a, b, phi = draw(angle), draw(angle), draw(angle)
-    kind = draw(st.sampled_from(["haar", "diagonal", "anti-diagonal", "edge-0", "edge-pi"]))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "det-at-cut":
+        # off-diagonal magnitude sin(theta) is 0, 1 or at least 1e-6 from
+        # both: the branches' 1e-10 edges are the edge kinds' job
+        theta = draw(st.one_of(st.sampled_from([0.0, math.pi / 2]),
+                               st.floats(1e-6, math.pi / 2 - 1e-6)))
+        alpha = math.cos(theta) * cmath.exp(1j * a)
+        beta = math.sin(theta) * cmath.exp(1j * b)
+        return 1j * np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]])
     if kind == "haar":
         u = haar_unitary(2, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     elif kind == "diagonal":
@@ -140,6 +161,24 @@ class TestGateAndCircuit:
             Gate("cz", (0, 0))
         with pytest.raises(ValueError):
             Gate("rx", (0,), None)
+        for qubits in ((0.0,), 0, "0"):
+            with pytest.raises(ValueError):
+                Gate("rx", qubits, 1.0)
+
+    def test_gate_qubits_normalized_to_int_tuple(self):
+        g = Gate("rx", [0], 1.0)
+        assert g.qubits == (0,) and type(g.qubits) is tuple
+        assert g == Gate("rx", (0,), 1.0)
+        assert hash(g) == hash(Gate("rx", (0,), 1.0))
+        cz = Gate("cz", np.array([1, 0]))
+        assert cz.qubits == (1, 0) and all(type(q) is int for q in cz.qubits)
+        merged = transpile._merge_rotations([Gate("rx", [0], 0.5), Gate("rx", (0,), 0.25)])
+        assert merged == [Gate("rx", (0,), 0.75)]
+
+    def test_global_phase_must_be_finite(self):
+        for phase in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Circuit(1, [], phase)
 
     def test_angle_normalized_into_range(self):
         g = Gate("rz", (0,), 7.0 * math.pi)
@@ -242,6 +281,42 @@ class TestDecompose1q:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             decompose_1q(np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        for value in (bad, complex(0.0, bad)):
+            for entry in range(4):
+                q = [1 + 0j, 0j, 0j, 1 + 0j]
+                q[entry] = value
+                with pytest.raises(NotUnitary):
+                    decompose_1q(np.array(q).reshape(2, 2))
+                with pytest.raises(NotUnitary):
+                    transpile._check_unitary2(tuple(q))
+        with pytest.raises(NotUnitary):
+            decompose_1q(np.full((2, 2), bad))
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_qubit_unitaries(), st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
+           st.integers(0, 2**32 - 1))
+    def test_scalar_checks_match_numpy(self, u, scale, seed):
+        rng = np.random.default_rng(seed)
+        m = u + scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        v = haar_unitary(2, rng)
+        q, w = tuple(m.ravel().tolist()), tuple(v.ravel().tolist())
+        defect = max_abs(m.conj().T @ m - np.eye(2))
+        assert abs(transpile._unitary_defect2(q) - defect) <= 1e-15
+        assert abs(transpile._fidelity2(q, w) - process_fidelity(m, v)) <= 1e-15
+        assert abs(transpile._fidelity2(w, q) - process_fidelity(v, m)) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_qubit_unitaries(kinds=("haar", "diagonal", "anti-diagonal", "det-at-cut")),
+           st.integers(0, 2**32 - 1))
+    def test_reproduces_input_with_phase(self, u, seed):
+        assert max_abs(circuit_unitary(decompose_1q(u)) - u) < 1e-12
+        other = haar_unitary(2, np.random.default_rng(seed))
+        cz = np.diag([1.0, 1.0, 1.0, -1.0])
+        for target in (np.kron(u, other), np.kron(other, u) @ cz @ np.kron(u, u)):
+            assert max_abs(circuit_unitary(kak_decompose(target)) - target) < 1e-12
 
     @settings(max_examples=500, deadline=None)
     @given(one_qubit_unitaries())
@@ -346,6 +421,16 @@ class TestKakDecompose:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             kak_decompose(np.eye(4) * 1.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        one = np.eye(4, dtype=complex)
+        one[2, 3] = bad
+        for u in (one, np.full((4, 4), bad)):
+            with pytest.raises(NotUnitary):
+                kak_coefficients(u)
+            with pytest.raises(NotUnitary):
+                kak_decompose(u)
 
     def test_three_cz_circuit_matches_expm(self):
         def block_matrix(seq):

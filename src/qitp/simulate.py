@@ -227,6 +227,8 @@ def readout_confusion(
     a*2**m + beta. Both the reservoir bit and the m system bits are flipped,
     so the reservoir bit is never mixed with system padding.
     """
+    if not 0.0 <= flip <= 0.5:
+        raise ValueError("readout_flip must be in [0, 0.5]")
     p = np.asarray(probs, dtype=float).ravel()
     if flip == 0.0:
         return p.copy()
@@ -282,6 +284,12 @@ def basis_labels(system_dim: int) -> list[str]:
     return [str(i) for i in range(2 * system_dim)]
 
 
+def _check_repetitions(repetitions) -> None:
+    integral = isinstance(repetitions, (int, np.integer)) and not isinstance(repetitions, bool)
+    if not integral or repetitions < 1:
+        raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
+
+
 SpectralRows = namedtuple("SpectralRows", "p0 energy ground_weight failed extended")
 
 
@@ -303,8 +311,7 @@ def spectral_run(
     ancilla-major ``[|V h c'|^2, |V r c'|^2]`` (c' the coefficients entering
     it). Failed rows read NaN in energy, ground_weight and extended.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_repetitions(repetitions)
     taus, ets = np.broadcast_arrays(np.asarray(taus, float), np.asarray(trial_energies, float))
     taus, ets = taus.reshape(-1, 1), ets.reshape(-1, 1)
     bad = ~(np.isfinite(taus) & (taus >= 0))
@@ -350,6 +357,8 @@ def _run_density(op, params, psi0, repetitions, noise):
     u = build_dilation(op, params)
     q, r, g = u.q_block, u.r_block, noise.amplitude_damping
     state = normalized_state(psi0)
+    if state.size != op.dim:
+        raise DimensionMismatch(f"state dim {state.size} != operator dim {op.dim}")
     rho = np.outer(state, state.conj())
     for rep in range(1, repetitions + 1):
         lost = r @ rho @ r
@@ -389,8 +398,7 @@ def run_itp(
 
     Pure given (inputs, seed): repeated calls reproduce identical records.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_repetitions(repetitions)
     if noise is None:
         et = params.resolve_trial_energy(op)
         rows = spectral_run(op, params.tau, et, psi0, repetitions, extended=True)
@@ -430,4 +438,6 @@ def state_fidelity(a, b) -> float:
     """|<a|b>|^2 for normalized state vectors."""
     va = normalized_state(a)
     vb = normalized_state(b)
+    if va.size != vb.size:
+        raise DimensionMismatch(f"state dims {va.size} and {vb.size} differ")
     return float(abs(va.conj() @ vb) ** 2)

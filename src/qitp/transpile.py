@@ -17,10 +17,12 @@ Circuits carry an explicit global phase and reproduce their target matrix
 exactly, not just up to phase. They serialize to an OpenQASM-2.0 subset
 with a byte-stable emit/parse round trip.
 
-One-qubit arithmetic (rotation matrices, Euler angles, determinants,
-unitarity and fidelity checks, and the gate runs that ``circuit_unitary``
-multiplies before applying) runs on Python complex scalars: at 2x2 a numpy
-call costs more than the arithmetic it does.
+Every one-qubit factor, from its extraction out of a kron product through
+the Weyl-chamber Cliffords, the interaction blocks and the Euler step, and
+every gate run that ``circuit_unitary`` multiplies before applying, is a
+row-major tuple ``(a, b, c, d)`` of Python complex scalars: at 2x2 a numpy
+call costs more than the arithmetic it does. ``kak_coefficients`` turns its
+local factors into 2x2 arrays only at its return.
 """
 
 from __future__ import annotations
@@ -38,36 +40,32 @@ from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _apply_1q, max_abs
 
 GATE_KINDS = ("rx", "rz", "cz")
 
-_I2 = np.eye(2, dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S_DAG = np.diag([1.0, -1.0j])
-
 # Magic (Bell-like) basis: conjugation maps SU(2)xSU(2) onto SO(4) and
 # diagonalizes the XX/YY/ZZ interaction family.
-_MAGIC = (
-    np.array(
-        [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]],
-        dtype=complex,
-    )
-    * np.sqrt(0.5)
-)
+_MAGIC = np.array(
+    [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]], dtype=complex
+) * np.sqrt(0.5)
 _MAGIC_DAG = _MAGIC.conj().T
 
 # Maps the four magic-basis phases to (global, x, y, z) coefficients.
-_GAMMA = (
-    np.array(
-        [[1, 1, 1, 1], [1, 1, -1, -1], [-1, 1, -1, 1], [1, -1, -1, 1]],
-        dtype=float,
-    )
-    / 4.0
-)
+_GAMMA = np.array(
+    [[1, 1, 1, 1], [1, 1, -1, -1], [-1, 1, -1, 1], [1, -1, -1, 1]], dtype=float
+) / 4.0
+
+# Row-major scalar 2x2 constants: identity, Hadamard, S and S^dag.
+_I2 = (1 + 0j, 0j, 0j, 1 + 0j)
+_H = tuple(complex(v / math.sqrt(2)) for v in (1, 1, 1, -1))
+_S = (1 + 0j, 0j, 0j, 1j)
+_S_DAG = (1 + 0j, 0j, 0j, -1j)
 
 
 def _rotation(kind: str, theta: float) -> tuple:
-    """rx(theta) or rz(theta) as the row-major scalar tuple (a, b, c, d)."""
+    """rx, ry or rz(theta) as the row-major scalar tuple (a, b, c, d)."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     if kind == "rx":
         return complex(c), complex(0.0, -s), complex(0.0, -s), complex(c)
+    if kind == "ry":
+        return complex(c), complex(-s), complex(s), complex(c)
     return complex(c, -s), 0j, 0j, complex(c, s)
 
 
@@ -104,19 +102,6 @@ def _unitary_defect2(q) -> float:
 
 def _matrix(q) -> np.ndarray:
     return np.array(q, dtype=complex).reshape(2, 2)
-
-
-def rx_matrix(theta: float) -> np.ndarray:
-    return _matrix(_rotation("rx", theta))
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    return _matrix(_rotation("rz", theta))
 
 
 def _normalize_angle(theta: float) -> float:
@@ -176,11 +161,16 @@ class Circuit:
     global_phase: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.qubit_count, bool) or not hasattr(self.qubit_count, "__index__"):
+            raise ValueError(f"qubit_count must be an int, got {self.qubit_count!r}")
+        self.qubit_count = operator.index(self.qubit_count)
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
         if not math.isfinite(self.global_phase):
             raise ValueError(f"global_phase must be finite, got {self.global_phase!r}")
         for g in self.gates:
+            if not isinstance(g, Gate):
+                raise ValueError(f"circuit entries must be Gates, got {g!r}")
             if any(q < 0 or q >= self.qubit_count for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for {self.qubit_count} qubits")
 
@@ -197,8 +187,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.qubit_count
     if n > 10:
         raise DimensionError("circuit_unitary supports at most 10 qubits")
-    u = np.eye(2**n, dtype=complex)
-    idx = np.arange(2**n)
+    # one axis per qubit (qubit 0 first), then the column index
+    u = np.eye(2**n, dtype=complex).reshape((2,) * n + (2**n,))
     runs = {}
     for gate in circuit.gates:
         if gate.kind != "cz":
@@ -209,12 +199,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         for q in gate.qubits:
             if q in runs:
                 u = _apply_1q(_matrix(runs.pop(q)), u, q)
-        i, j = gate.qubits
-        rows = ((idx >> (n - 1 - i)) & (idx >> (n - 1 - j)) & 1).astype(bool)
-        u[rows] = -u[rows]
+        block = u[tuple(1 if q in gate.qubits else slice(None) for q in range(n))]
+        np.negative(block, out=block)  # the pair's |11> block, a view
     for q, run in runs.items():
         u = _apply_1q(_matrix(run), u, q)
-    return u * cmath.exp(1j * circuit.global_phase)
+    return u.reshape(2**n, 2**n) * cmath.exp(1j * circuit.global_phase)
 
 
 def process_fidelity(u, v) -> float:
@@ -271,7 +260,7 @@ def _euler_1q(q: tuple, atol: float) -> tuple[list[tuple[str, float]], tuple]:
         alpha = plus + minus
         gamma = plus - minus
     steps = []
-    built = (1 + 0j, 0j, 0j, 1 + 0j)
+    built = _I2
     for kind, angle in (("rz", alpha), ("rx", beta), ("rz", gamma)):
         angle = _normalize_angle(angle)
         if abs(angle) > 1e-14:
@@ -315,36 +304,42 @@ def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
     raise FidelityShortfall("failed to diagonalize the magic-basis Gram matrix")
 
 
-def _kron_factor(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Split m = g * (f0 (x) f1) with unit-determinant 2x2 factors."""
-    a, b = max(
-        ((i, j) for i in range(4) for j in range(4)), key=lambda t: abs(m[t])
-    )
-    f0 = np.zeros((2, 2), dtype=complex)
-    f1 = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            f0[(a >> 1) ^ i, (b >> 1) ^ j] = m[a ^ (i << 1), b ^ (j << 1)]
-            f1[(a & 1) ^ i, (b & 1) ^ j] = m[a ^ i, b ^ j]
-    det0 = _det2(f0.ravel().tolist())
-    det1 = _det2(f1.ravel().tolist())
+_KRON_INDEX = tuple(
+    (4 * r + c, 2 * (r >> 1) + (c >> 1), 2 * (r & 1) + (c & 1)) for r in range(4) for c in range(4)
+)
+
+
+def _kron_factor(m: np.ndarray) -> tuple[complex, tuple, tuple]:
+    """Split m = g * (f0 (x) f1) with unit-determinant 2x2 factors, returned
+    as row-major scalar tuples."""
+    flat = m.ravel().tolist()
+    mags = list(map(abs, flat))
+    a, b = divmod(mags.index(max(mags)), 4)
+    f0, f1 = [0j] * 4, [0j] * 4
+    for i in (0, 1):
+        for j in (0, 1):
+            f0[2 * ((a >> 1) ^ i) + ((b >> 1) ^ j)] = flat[4 * (a ^ (i << 1)) + (b ^ (j << 1))]
+            f1[2 * ((a & 1) ^ i) + ((b & 1) ^ j)] = flat[4 * (a ^ i) + (b ^ j)]
+    det0, det1 = _det2(f0), _det2(f1)
     if abs(det0) < 1e-12 or abs(det1) < 1e-12:
         raise FidelityShortfall("kron factor extraction hit a singular block")
-    f0 = f0 / cmath.sqrt(det0)
-    f1 = f1 / cmath.sqrt(det1)
-    g = m[a, b] / (f0[a >> 1, b >> 1] * f1[a & 1, b & 1])
-    kron = (f0[:, None, :, None] * f1[None, :, None, :]).reshape(4, 4)
-    if max_abs(m - g * kron) > 1e-9:
+    r0, r1 = cmath.sqrt(det0), cmath.sqrt(det1)
+    f0 = tuple(v / r0 for v in f0)
+    f1 = tuple(v / r1 for v in f1)
+    g = flat[4 * a + b] / (f0[2 * (a >> 1) + (b >> 1)] * f1[2 * (a & 1) + (b & 1)])
+    if max(abs(flat[k] - g * (f0[i] * f1[j])) for k, i, j in _KRON_INDEX) > 1e-9:
         raise FidelityShortfall("matrix is not a kron product of 2x2 blocks")
-    return complex(g), f0, f1
+    return g, f0, f1
 
 
-_FLIPPERS = (1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z)
-_FLIPPER_POWERS = tuple(tuple(np.linalg.matrix_power(f, p) for p in range(4)) for f in _FLIPPERS)
-_SWAPPERS = (
-    np.array([[1, -1j], [1j, -1]]) * 1j * np.sqrt(0.5),  # swaps YY and ZZ
-    np.array([[1, 1], [1, -1]]) * 1j * np.sqrt(0.5),  # swaps XX and ZZ
-    np.array([[0, 1 - 1j], [1 + 1j, 0]]) * 1j * np.sqrt(0.5),  # swaps XX and YY
+_FLIPPERS = tuple(tuple((1j * p).ravel().tolist()) for p in (PAULI_X, PAULI_Y, PAULI_Z))
+_SWAPPERS = tuple(
+    tuple(v * 1j * math.sqrt(0.5) for v in q)
+    for q in (
+        (1, -1j, 1j, -1),  # swaps YY and ZZ
+        (1, 1, 1, -1),  # swaps XX and ZZ
+        (0, 1 - 1j, 1 + 1j, 0),  # swaps XX and YY
+    )
 )
 
 
@@ -358,35 +353,31 @@ def _canonicalize_interaction(x: float, y: float, z: float, atol: float = 1e-9):
             phase * kron(*after) @ canonical @ kron(*before).
 
     Half-pi shifts, pairwise negations, and axis swaps are all realized by
-    single-qubit Cliffords, tracked in the local factors.
+    single-qubit Cliffords (scalar tuples), tracked in the local factors.
     """
-    phase = [1.0 + 0.0j]
-    after = [_I2.copy(), _I2.copy()]
-    before = [_I2.copy(), _I2.copy()]
+    phase = 1 + 0j
+    after, before = [_I2, _I2], [_I2, _I2]
     v = [x, y, z]
 
-    def shift(k, step):
+    def shift(k, step):  # step = +-1; (i P)^-1 = -i P
+        nonlocal phase
         v[k] += step * math.pi / 2
-        phase[0] *= 1j**step
-        f = _FLIPPER_POWERS[k][step % 4]
-        before[0] = f @ before[0]
-        before[1] = f @ before[1]
+        phase *= 1j**step
+        f = tuple(step * e for e in _FLIPPERS[k])
+        before[:] = _mul2(f, before[0]), _mul2(f, before[1])
 
     def negate(k1, k2):
-        v[k1] *= -1
-        v[k2] *= -1
-        phase[0] *= -1
+        nonlocal phase
+        v[k1], v[k2] = -v[k1], -v[k2]
+        phase *= -1
         s = _FLIPPERS[3 - k1 - k2]
-        after[0] = after[0] @ s
-        before[0] = s @ before[0]
+        after[0], before[0] = _mul2(after[0], s), _mul2(s, before[0])
 
     def swap_axes(k1, k2):
         v[k1], v[k2] = v[k2], v[k1]
         s = _SWAPPERS[3 - k1 - k2]
-        after[0] = after[0] @ s
-        after[1] = after[1] @ s
-        before[0] = s @ before[0]
-        before[1] = s @ before[1]
+        after[:] = _mul2(after[0], s), _mul2(after[1], s)
+        before[:] = _mul2(s, before[0]), _mul2(s, before[1])
 
     def into_range(k):
         while v[k] <= -math.pi / 4:
@@ -410,7 +401,10 @@ def _canonicalize_interaction(x: float, y: float, z: float, atol: float = 1e-9):
     if v[0] > math.pi / 4 - atol and v[2] < 0:
         shift(0, -1)
         negate(0, 2)
-    return phase[0], after, tuple(v), before
+    return phase, after, tuple(v), before
+
+
+_ROWS = np.arange(4)
 
 
 def kak_coefficients(u, atol: float = 1e-9):
@@ -424,36 +418,29 @@ def kak_coefficients(u, atol: float = 1e-9):
     """
     m = _check_unitary(u, 4)
     det_phase = float(np.angle(np.linalg.det(m))) / 4.0
-    su = m * np.exp(-1j * det_phase)
+    su = m * cmath.exp(-1j * det_phase)
     mb = _MAGIC_DAG @ su @ _MAGIC
     p = _diagonalize_complex_symmetric_unitary(mb @ mb.T)
     q = p.T @ mb
-    delta = np.empty(4)
-    o2 = np.empty((4, 4))
-    for k in range(4):
-        row = q[k]
-        pivot = int(np.argmax(np.abs(row)))
-        theta = float(np.angle(row[pivot]))
-        real_row = row * np.exp(-1j * theta)
-        if max_abs(real_row.imag) > 1e-8:
-            raise FidelityShortfall("magic-basis factor is not phase-times-real")
-        delta[k] = theta
-        o2[k] = real_row.real
+    # each row of q is a phase times a real row: the phase of the row's
+    # largest entry, all four rows in one pass
+    delta = np.angle(q[_ROWS, np.argmax(np.abs(q), axis=1)])
+    real = q * np.exp(-1j * delta)[:, None]
+    if max_abs(real.imag) > 1e-8:
+        raise FidelityShortfall("magic-basis factor is not phase-times-real")
+    o2 = real.real
     if np.linalg.det(o2) < 0:
         o2[0] = -o2[0]
         delta[0] += math.pi
-    w, x, y, z = _GAMMA @ delta
-    k1 = _MAGIC @ p @ _MAGIC_DAG
-    k2 = _MAGIC @ o2 @ _MAGIC_DAG
-    g1, a0, a1 = _kron_factor(k1)
-    g2, b0, b1 = _kron_factor(k2)
-    inner_phase, after, (x2, y2, z2), before = _canonicalize_interaction(x, y, z, atol)
-    a0 = a0 @ after[0]
-    a1 = a1 @ after[1]
-    b0 = before[0] @ b0
-    b1 = before[1] @ b1
-    total = det_phase + w + float(np.angle(g1 * g2 * inner_phase))
-    return total, (a0, a1), (x2, y2, z2), (b0, b1)
+    w, x, y, z = (_GAMMA @ delta).tolist()
+    g1, a0, a1 = _kron_factor(_MAGIC @ p @ _MAGIC_DAG)
+    g2, b0, b1 = _kron_factor(_MAGIC @ o2 @ _MAGIC_DAG)
+    inner_phase, after, xyz, before = _canonicalize_interaction(x, y, z, atol)
+    a0, a1, b0, b1 = np.array(
+        (_mul2(a0, after[0]), _mul2(a1, after[1]), _mul2(before[0], b0), _mul2(before[1], b1))
+    ).reshape(4, 2, 2)
+    total = det_phase + w + cmath.phase(g1 * g2 * inner_phase)
+    return total, (a0, a1), xyz, (b0, b1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +453,15 @@ class _BlockSeq:
     """Alternating local pairs and CZ markers, merging adjacent locals."""
 
     def __init__(self):
-        self.items = [(_I2.copy(), _I2.copy())]
+        self.items = [(_I2, _I2)]
 
     def local(self, m0=None, m1=None):
         l0, l1 = self.items[-1]
-        if m0 is not None:
-            l0 = m0 @ l0
-        if m1 is not None:
-            l1 = m1 @ l1
-        self.items[-1] = (l0, l1)
+        self.items[-1] = (l0 if m0 is None else _mul2(m0, l0), l1 if m1 is None else _mul2(m1, l1))
 
     def cz(self):
         self.items.append("cz")
-        self.items.append((_I2.copy(), _I2.copy()))
+        self.items.append((_I2, _I2))
 
 
 def _append_quarter_turn(seq: _BlockSeq, axis: int):
@@ -487,8 +470,9 @@ def _append_quarter_turn(seq: _BlockSeq, axis: int):
         seq.cz()
         seq.local(_S_DAG, _S_DAG)
         return
-    conj = _H if axis == 0 else _S_DAG.conj().T @ _H  # X = H Z H; Y = (SH) Z (SH)^dag
-    seq.local(conj.conj().T, conj.conj().T)
+    # X = H Z H; Y = (SH) Z (SH)^dag
+    conj, conj_dag = (_H, _H) if axis == 0 else (_mul2(_S, _H), _mul2(_H, _S_DAG))
+    seq.local(conj_dag, conj_dag)
     seq.cz()
     seq.local(_S_DAG, _S_DAG)
     seq.local(conj, conj)
@@ -498,18 +482,18 @@ def _append_xx(seq: _BlockSeq, x: float):
     """exp(i x XX) with two CZs, up to phase."""
     seq.local(None, _H)
     seq.cz()
-    seq.local(rx_matrix(-2.0 * x), None)
+    seq.local(_rotation("rx", -2.0 * x), None)
     seq.cz()
     seq.local(None, _H)
 
 
 def _append_xx_yy(seq: _BlockSeq, x: float, y: float):
     """exp(i (x XX + y YY)) with two CZs, up to phase."""
-    seq.local(rx_matrix(math.pi / 2), _H)
+    seq.local(_rotation("rx", math.pi / 2), _H)
     seq.cz()
-    seq.local(rx_matrix(-2.0 * x), _H @ ry_matrix(-2.0 * y) @ _H)
+    seq.local(_rotation("rx", -2.0 * x), _mul2(_mul2(_H, _rotation("ry", -2.0 * y)), _H))
     seq.cz()
-    seq.local(rx_matrix(-math.pi / 2), _H)
+    seq.local(_rotation("rx", -math.pi / 2), _H)
 
 
 def _append_xyz(seq: _BlockSeq, x: float, y: float, z: float):
@@ -518,31 +502,31 @@ def _append_xyz(seq: _BlockSeq, x: float, y: float, z: float):
     The three-CNOT circuit of Vatan & Williams, PRA 69, 032315 (2004),
     Fig. 6, with each CNOT written as a Hadamard-dressed CZ.
     """
-    seq.local(_H, rz_matrix(-math.pi / 2))
+    seq.local(_H, _rotation("rz", -math.pi / 2))
     seq.cz()
-    seq.local(rz_matrix(math.pi / 2 - 2.0 * z) @ _H, _H @ ry_matrix(2.0 * x - math.pi / 2))
+    seq.local(
+        _mul2(_rotation("rz", math.pi / 2 - 2.0 * z), _H),
+        _mul2(_H, _rotation("ry", 2.0 * x - math.pi / 2)),
+    )
     seq.cz()
-    seq.local(_H, ry_matrix(math.pi / 2 - 2.0 * y) @ _H)
+    seq.local(_H, _mul2(_rotation("ry", math.pi / 2 - 2.0 * y), _H))
     seq.cz()
-    seq.local(rz_matrix(math.pi / 2) @ _H, None)
+    seq.local(_mul2(_rotation("rz", math.pi / 2), _H), None)
 
 
-def _is_quarter_or_zero(angle: float, atol: float) -> bool:
-    return abs(angle) < atol or abs(abs(angle) - math.pi / 4) < atol
-
-
-def _merge_rotations(gates: list[Gate]) -> list[Gate]:
-    """Fuse adjacent same-axis rotations on the same qubit; drop identities.
+def _merge_steps(steps: list[tuple]) -> list[tuple]:
+    """Fuse adjacent same-axis ``(kind, qubits, angle)`` rotation steps on the
+    same qubit; drop identities.
 
     Angles that land on 0 or +-2*pi modulo 4*pi disappear (a 2*pi rotation
     is a pure phase, recovered by the final phase fit).
     """
-    out: list[Gate] = []
-    for gate in gates:
-        if out and out[-1].kind == gate.kind != "cz" and out[-1].qubits == gate.qubits:
-            gate = Gate(gate.kind, gate.qubits, out.pop().angle + gate.angle)
-        if gate.kind == "cz" or min(abs(gate.angle), abs(abs(gate.angle) - 2 * math.pi)) > 1e-12:
-            out.append(gate)
+    out: list[tuple] = []
+    for kind, qubits, angle in steps:
+        if out and out[-1][0] == kind != "cz" and out[-1][1] == qubits:
+            angle = _normalize_angle(out.pop()[2] + angle)
+        if kind == "cz" or min(abs(angle), abs(abs(angle) - 2 * math.pi)) > 1e-12:
+            out.append((kind, qubits, angle))
     return out
 
 
@@ -552,15 +536,17 @@ def kak_decompose(u, atol: float = 1e-9) -> Circuit:
     The CZ count matches the canonical class of the input, the gate list is
     deterministic, and the circuit matrix reproduces the input including
     global phase. Each local 2x2 factor compiles in closed form (the Euler
-    step of :func:`decompose_1q`, without building a one-qubit circuit), so
-    one ``circuit_unitary`` call per decomposition fits the phase. Raises
-    NotUnitary on bad input and FidelityShortfall if the synthesized circuit
-    misses (internal consistency guard).
+    step of :func:`decompose_1q`, without building a one-qubit circuit); the
+    steps are merged before any Gate is built, and one ``circuit_unitary``
+    call per decomposition fits the phase. Raises NotUnitary on bad input
+    and FidelityShortfall if the synthesized circuit misses (internal
+    consistency guard).
     """
     m = np.asarray(u, dtype=complex)
     _, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(m, atol)  # checks unitarity
+    a0, a1, b0, b1 = map(tuple, np.reshape((a0, a1, b0, b1), (4, 4)).tolist())
     seq = _BlockSeq()
-    if all(_is_quarter_or_zero(c, atol) for c in (x, y, z)):  # all zero: local, no CZ
+    if all(abs(c) < atol or abs(abs(c) - math.pi / 4) < atol for c in (x, y, z)):
         for axis, coeff in enumerate((x, y, abs(z))):
             if coeff >= atol:
                 _append_quarter_turn(seq, axis)
@@ -571,29 +557,28 @@ def kak_decompose(u, atol: float = 1e-9) -> Circuit:
     else:
         _append_xyz(seq, x, y, z)
     first0, first1 = seq.items[0]
-    seq.items[0] = (first0 @ b0, first1 @ b1)
+    seq.items[0] = (_mul2(first0, b0), _mul2(first1, b1))
     last0, last1 = seq.items[-1]
-    seq.items[-1] = (a0 @ last0, a1 @ last1)
+    seq.items[-1] = (_mul2(a0, last0), _mul2(a1, last1))
 
-    gates: list[Gate] = []
+    steps = []
     for item in seq.items:
         if item == "cz":
-            gates.append(Gate("cz", (0, 1)))
+            steps.append(("cz", (0, 1), None))
             continue
-        for qubit, local in enumerate(item):
-            q = tuple(local.ravel().tolist())
+        for qubit, q in enumerate(item):
             if max(abs(q[1]), abs(q[2]), abs(q[3] - q[0])) < 1e-14:
                 continue  # identity up to phase
             _check_unitary2(q)
-            steps, _ = _euler_1q(q, 1e-10)
-            gates.extend(Gate(kind, (qubit,), angle) for kind, angle in steps)
-    gates = _merge_rotations(gates)
-    circuit = Circuit(2, gates, 0.0)
+            euler, _ = _euler_1q(q, 1e-10)
+            steps.extend((kind, (qubit,), angle) for kind, angle in euler)
+    circuit = Circuit(2, [Gate(*step) for step in _merge_steps(steps)], 0.0)
     built = circuit_unitary(circuit)
-    fidelity = process_fidelity(m, built)
+    overlap = complex(np.vdot(built, m))  # tr(built^dag m)
+    fidelity = abs(overlap) / 4.0
     if fidelity < 1.0 - 1e-8:
         raise FidelityShortfall(f"synthesis fidelity {fidelity!r}")
-    circuit.global_phase = _phase_for(m, built)
+    circuit.global_phase = cmath.phase(overlap)
     return circuit
 
 
@@ -619,9 +604,7 @@ def emit_circuit_text(circuit: Circuit) -> str:
         if gate.kind == "cz":
             lines.append(f"cz q[{gate.qubits[0]}],q[{gate.qubits[1]}];")
         else:
-            lines.append(
-                f"{gate.kind}({format(gate.angle, '.17g')}) q[{gate.qubits[0]}];"
-            )
+            lines.append(f"{gate.kind}({format(gate.angle, '.17g')}) q[{gate.qubits[0]}];")
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,7 @@
-"""Shared generators for the test suite: seeded Hermitian and Haar samples."""
+"""Shared generators for the test suite: seeded Hermitian and Haar samples,
+and numpy rotation matrices as oracles for the transpiler's scalar forms."""
+
+import math
 
 import numpy as np
 
@@ -18,3 +21,18 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def ry_matrix(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def rz_matrix(theta: float) -> np.ndarray:
+    return np.diag([complex(math.cos(theta / 2), -math.sin(theta / 2)),
+                    complex(math.cos(theta / 2), math.sin(theta / 2))])

@@ -792,6 +792,43 @@ class TestNoisyRegisterLayout:
             assert out[0, beta] > 0.0 and np.all(out[0, beta + 1:] == 0.0)
 
 
+def _hydrogen_op():
+    op, _, _ = hydrogen_sto2g()
+    return op
+
+
+_PURE = dict(params=ItpParams(tau=1.0), psi0=np.array([1.0, 1.0]))
+_NOISY = dict(_PURE, noise=NoiseParams())
+
+# (case, documented error class, call on the hydrogen operator)
+ERROR_CASES = [
+    ("run_itp pure, state of wrong dim", DimensionMismatch,
+     lambda op: run_itp(op, ItpParams(tau=1.0), np.ones(3))),
+    ("run_itp noisy, state of wrong dim", DimensionMismatch,
+     lambda op: run_itp(op, ItpParams(tau=1.0), np.ones(3), noise=NoiseParams())),
+    ("state_fidelity, dims differ", DimensionMismatch,
+     lambda op: state_fidelity(np.ones(2), np.ones(3))),
+    ("run_itp pure, repetitions=True", ValueError, lambda op: run_itp(op, repetitions=True, **_PURE)),
+    ("run_itp pure, repetitions=1.5", ValueError, lambda op: run_itp(op, repetitions=1.5, **_PURE)),
+    ("run_itp noisy, repetitions=True", ValueError, lambda op: run_itp(op, repetitions=True, **_NOISY)),
+    ("run_itp noisy, repetitions=1.5", ValueError, lambda op: run_itp(op, repetitions=1.5, **_NOISY)),
+    ("run_itp, repetitions=0", ValueError, lambda op: run_itp(op, repetitions=0, **_PURE)),
+    ("spectral_run, repetitions=True", ValueError,
+     lambda op: spectral_run(op, 1.0, 0.0, np.ones(2), True)),
+    ("spectral_run, repetitions=1.5", ValueError,
+     lambda op: spectral_run(op, 1.0, 0.0, np.ones(2), 1.5)),
+    ("readout_confusion, flip 0.7", ValueError, lambda op: readout_confusion([0.5, 0.5], 0.7)),
+    ("readout_confusion, flip -0.1", ValueError, lambda op: readout_confusion([0.5, 0.5], -0.1)),
+    ("readout_confusion, flip nan", ValueError, lambda op: readout_confusion([0.5, 0.5], np.nan)),
+]
+
+
+@pytest.mark.parametrize("error, call", [c[1:] for c in ERROR_CASES], ids=[c[0] for c in ERROR_CASES])
+def test_bad_input_raises_documented_class(error, call):
+    with pytest.raises(error):
+        call(_hydrogen_op())
+
+
 class TestBasisLabels:
     def test_single_system_qubit_uses_bitstrings(self):
         assert basis_labels(2) == ["00", "01", "10", "11"]

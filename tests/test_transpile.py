@@ -21,11 +21,9 @@ from qitp.transpile import (
     kak_decompose,
     parse_circuit_text,
     process_fidelity,
-    rx_matrix,
-    rz_matrix,
 )
 
-from helpers import haar_unitary
+from helpers import haar_unitary, rx_matrix, ry_matrix, rz_matrix
 
 HYDROGEN_EXTENDED = np.array([0.00357, 0.17678, 0.53561, 0.28403])
 
@@ -153,6 +151,48 @@ def weyl_cases(draw):
     return (x, y, z), after @ interaction(x, y, z) @ before
 
 
+def sbm_cz_count(u, tol=1e-9):
+    """CZ count of a two-qubit unitary by Shende, Bullock & Markov, PRA 70,
+    012310 (2004). With U scaled into SU(4) and gamma = U (Y(x)Y) U^T (Y(x)Y):
+    0 CZs iff gamma = +-I, 1 iff tr gamma = 0 and gamma^2 = -I, 2 iff tr gamma
+    is real, 3 otherwise. Plain numpy; shares no code with the Weyl-chamber
+    reduction. The fourth root's branch only flips the sign of gamma, which
+    none of the four conditions can tell apart."""
+    u = np.asarray(u, dtype=complex)
+    u = u / np.linalg.det(u) ** 0.25
+    y = np.array([[0, -1j], [1j, 0]])
+    yy = np.kron(y, y)
+    gamma = u @ yy @ u.T @ yy
+    eye = np.eye(4)
+    trace = np.trace(gamma)
+    if min(np.abs(gamma - eye).max(), np.abs(gamma + eye).max()) < tol:
+        return 0
+    if abs(trace) < tol and np.abs(gamma @ gamma + eye).max() < tol:
+        return 1
+    return 2 if abs(trace.imag) < tol else 3
+
+
+@st.composite
+def interaction_cases(draw):
+    """exp(i(x XX + y YY + z ZZ)) for any (x, y, z), not reduced to the Weyl
+    chamber, between two random local pairs and times a random phase. Each
+    coordinate is a multiple of pi/4 (a class face after the reduction) or at
+    least 1e-3 from every multiple: the triple product sin 2x sin 2y sin 2z
+    that separates 2 from 3 CZs then stays above 1e-8, clear of the oracle's
+    tolerance. Offsets of 1e-6 alone would not do: with all three
+    coordinates near 1e-6 the product is 1e-17."""
+    def coordinate():
+        offset = draw(st.one_of(st.just(0.0), st.floats(1e-3, math.pi / 4 - 1e-3)))
+        return draw(st.integers(-4, 4)) * math.pi / 4 + offset
+
+    x, y, z = coordinate(), coordinate(), coordinate()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    phase = np.exp(1j * rng.uniform(-math.pi, math.pi))
+    return phase * after @ interaction(x, y, z) @ before
+
+
 class TestGateAndCircuit:
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -172,13 +212,22 @@ class TestGateAndCircuit:
         assert hash(g) == hash(Gate("rx", (0,), 1.0))
         cz = Gate("cz", np.array([1, 0]))
         assert cz.qubits == (1, 0) and all(type(q) is int for q in cz.qubits)
-        merged = transpile._merge_rotations([Gate("rx", [0], 0.5), Gate("rx", (0,), 0.25)])
-        assert merged == [Gate("rx", (0,), 0.75)]
+        merged = transpile._merge_steps([("rx", (0,), 0.5), ("rx", (0,), 0.25)])
+        assert [Gate(*step) for step in merged] == [Gate("rx", [0], 0.75)]
 
     def test_global_phase_must_be_finite(self):
         for phase in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 Circuit(1, [], phase)
+        # the qubit count must be an integer >= 1, and every entry a Gate
+        for count in (math.nan, 1.5, 2.0, True, False, "2", None, 0, -1):
+            with pytest.raises(ValueError):
+                Circuit(count)
+        for entry in (("cz", (0, 1)), None, "cz q[0],q[1];"):
+            with pytest.raises(ValueError):
+                Circuit(2, [Gate("rx", (0,), 0.5), entry])
+        c = Circuit(np.int64(2), [Gate("cz", (0, 1))])
+        assert c.qubit_count == 2 and type(c.qubit_count) is int
 
     def test_angle_normalized_into_range(self):
         g = Gate("rz", (0,), 7.0 * math.pi)
@@ -243,6 +292,28 @@ class TestGateAndCircuit:
                 want = gate_matrix(gate, c.qubit_count) @ want
             want *= np.exp(1j * c.global_phase)
             assert max_abs(circuit_unitary(c) - want) < 1e-14
+
+
+class TestScalarKernels:
+    """The scalar 2x2 forms against numpy oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.integers(0, 2**32 - 1))
+    def test_scalar_forms_match_numpy(self, theta, seed):
+        for kind, oracle in (("rx", rx_matrix), ("ry", ry_matrix), ("rz", rz_matrix)):
+            got = np.reshape(transpile._rotation(kind, theta), (2, 2))
+            assert max_abs(got - oracle(theta)) <= 1e-15
+        rng = np.random.default_rng(seed)
+        p, q = haar_unitary(2, rng), haar_unitary(2, rng)
+        product = transpile._mul2(tuple(p.ravel().tolist()), tuple(q.ravel().tolist()))
+        assert max_abs(np.reshape(product, (2, 2)) - p @ q) <= 1e-15
+        m = np.exp(1j * rng.uniform(-math.pi, math.pi)) * np.kron(p, q)
+        g, f0, f1 = transpile._kron_factor(m)
+        assert all(type(f) is tuple and len(f) == 4 for f in (f0, f1))
+        for f in (f0, f1):
+            assert abs(transpile._det2(f) - 1.0) <= 1e-15
+        rebuilt = g * np.kron(np.reshape(f0, (2, 2)), np.reshape(f1, (2, 2)))
+        assert max_abs(rebuilt - m) <= 1e-15
 
 
 class TestDecompose1q:
@@ -439,7 +510,7 @@ class TestKakDecompose:
                 if item == "cz":
                     u = np.diag([1, 1, 1, -1]) @ u
                 else:
-                    u = np.kron(item[0], item[1]) @ u
+                    u = np.kron(*(np.reshape(f, (2, 2)) for f in item)) @ u
             return u
 
         rng = np.random.default_rng(36)
@@ -475,6 +546,39 @@ class TestKakDecompose:
             assert c.cz_count() == 1
         else:
             assert c.cz_count() == (2 if z == 0.0 else 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(interaction_cases())
+    def test_cz_count_matches_independent_oracle(self, u):
+        c = kak_decompose(u)
+        assert c.cz_count() == sbm_cz_count(u)
+        assert max_abs(circuit_unitary(c) - u) < 1e-7
+
+    def test_oracle_on_known_gates(self):
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+        local = np.kron(rx_matrix(0.3), rz_matrix(1.1))
+        for u, czs in ((np.eye(4), 0), (local, 0), (cnot, 1), (iswap, 2), (swap, 3)):
+            assert sbm_cz_count(u) == czs
+            assert kak_decompose(u).cz_count() == czs
+
+    def test_one_call_each_to_traced_layers(self, monkeypatch):
+        # a benchmark tracer wraps these module attributes; kak_decompose
+        # must reach them through the module, once per decomposition
+        calls = {}
+        for name in ("kak_coefficients", "circuit_unitary", "decompose_1q"):
+            def counting(*args, _inner=getattr(transpile, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(transpile, name, counting)
+        rng = np.random.default_rng(40)
+        local = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+        for u in (haar_unitary(4, rng), local, np.diag([1.0, 1.0, 1.0, -1.0])):
+            calls.update(kak_coefficients=0, circuit_unitary=0, decompose_1q=0)
+            transpile.kak_decompose(u)
+            assert calls == {"kak_coefficients": 1, "circuit_unitary": 1, "decompose_1q": 0}
 
     def test_degenerate_first_mixing_angle_falls_back(self):
         # Two eigenphases of the magic-basis Gram matrix summing to 2 * t0

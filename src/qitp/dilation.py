@@ -75,11 +75,14 @@ def filter_profile(energies, tau: float, trial_energy: float) -> np.ndarray:
     dilation's R block is ``filter_profile(-E, tau, -E_T)``. Any finite E,
     E_T and tau >= 0 are accepted: the halves E/2 - E_T/2 never overflow,
     and an exponent 2 (E - E_T) tau beyond the float range is an infinity
-    that falls in the saturated branches.
+    that falls in the saturated branches. Infinite input goes to its limit;
+    a NaN (E - E_T) tau (NaN input, inf - inf, 0 * inf) raises ValueError.
     """
-    half = np.asarray(energies, dtype=float) / 2 - np.asarray(trial_energy, dtype=float) / 2
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.asarray(energies, dtype=float) / 2 - np.asarray(trial_energy, dtype=float) / 2
         x = half * tau * 4.0
+    if np.isnan(x).any():
+        raise ValueError("(E - E_T) * tau is undefined: a NaN, inf - inf or 0 * inf")
     out = np.empty_like(x)
     hi = x > _EXP_CAP
     lo = x < -_EXP_CAP

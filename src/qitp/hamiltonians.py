@@ -268,7 +268,7 @@ def load_hamiltonian(source) -> HermitianOperator:
 
     Validates the schema, the dimension range (1..64) and finite entries
     (NaN/Infinity raise ParseError); :func:`eigh` rejects a matrix that is
-    not Hermitian within 1e-10 with NonHermitianInput.
+    not Hermitian within 1e-10 of its largest entry with NonHermitianInput.
     """
     if isinstance(source, dict):
         doc = source

@@ -7,7 +7,8 @@ are built through that spectrum.
 
 Eigendecompositions are deterministic: degenerate clusters are
 re-orthonormalized in a fixed order and every eigenvector's phase is pinned,
-so equal inputs give bitwise-equal outputs.
+so equal inputs give bitwise-equal outputs. Their tolerances scale with
+``max_abs(H)``: the constants below are their values at ``max_abs(H) = 1``.
 """
 
 from __future__ import annotations
@@ -69,35 +70,27 @@ def _fix_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:
     Ties on magnitude (within 1e-12) resolve to the lowest row index, so the
     result is deterministic.
     """
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mags = np.abs(col)
-        top = mags.max()
-        pivot = int(np.nonzero(mags >= top - 1e-12)[0][0])
-        phase = col[pivot] / abs(col[pivot])
-        out[:, k] = col * np.conj(phase)
-    return out
+    mags = np.abs(vectors)
+    pivots = np.argmax(mags >= mags.max(axis=0) - 1e-12, axis=0)
+    # scalar divisions: numpy's array division differs from them in the last bit
+    phases = [p / abs(p) for p in vectors[pivots, np.arange(vectors.shape[1])]]
+    return vectors * np.conj(phases)
 
 
-def _degenerate_clusters(eigenvalues: np.ndarray, tol: float):
+def _degenerate_clusters(eigenvalues: np.ndarray, scale: float):
     """Split ascending eigenvalues into clusters of near-equal values.
 
-    A cluster ends where the next gap reaches ``tol * max(1, |E|)`` of the
-    value below it. Returns ``(start, stop)`` index pairs.
+    A cluster ends where the next gap exceeds ``DEGENERACY_TOL * max(scale,
+    |E|)`` of the value below it, ``scale`` being ``max_abs(H)``; a zero
+    matrix is one cluster. Returns ``(start, stop)`` index pairs.
     """
     w = np.asarray(eigenvalues)
-    gaps = np.diff(w) >= tol * np.maximum(1.0, np.abs(w[:-1]))
+    gaps = np.diff(w) > DEGENERACY_TOL * np.maximum(scale, np.abs(w[:-1]))
     edges = [0, *(np.flatnonzero(gaps) + 1).tolist(), w.size]
     return list(zip(edges[:-1], edges[1:]))
 
 
-def eigh(
-    matrix,
-    *,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
@@ -107,12 +100,14 @@ def eigh(
     the output is deterministic even when the subspace basis is arbitrary.
 
     Raises NonHermitianInput if the symmetry check fails and NoConvergence
-    if the underlying solver breaks down.
+    if the underlying solver breaks down. The Hermiticity, degeneracy and
+    reconstruction tolerances are relative to ``max_abs(matrix)``.
     """
     m = _as_square_complex(matrix)
-    if max_abs(m - m.conj().T) > hermiticity_tol:
+    scale = max_abs(m)
+    if max_abs(m - m.conj().T) > HERMITICITY_TOL * scale:
         raise NonHermitianInput(
-            f"matrix is not Hermitian within {hermiticity_tol:g}"
+            f"matrix is not Hermitian within {HERMITICITY_TOL:g} of its largest entry"
         )
     sym = (m + m.conj().T) / 2.0
     try:
@@ -120,7 +115,7 @@ def eigh(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
 
-    for lo, hi in _degenerate_clusters(w, degeneracy_tol):
+    for lo, hi in _degenerate_clusters(w, scale):
         if hi - lo == 1:
             continue
         block = v[:, lo:hi]
@@ -136,15 +131,13 @@ def eigh(
         block = _fix_eigenvector_phases(block)
         # Deterministic within-cluster order: descending lexicographic on the
         # rounded entries, so an identity-like basis keeps its natural order.
-        keys = [
-            tuple(np.round(np.column_stack([block[:, j].real, block[:, j].imag]), 9).ravel())
-            for j in range(block.shape[1])
-        ]
+        rounded = np.round(np.stack([block.real, block.imag], axis=-1), 9)
+        keys = [tuple(col.ravel()) for col in rounded.transpose(1, 0, 2)]
         order = sorted(range(block.shape[1]), key=keys.__getitem__, reverse=True)
         v[:, lo:hi] = block[:, order]
 
     v = _fix_eigenvector_phases(v)
-    if max_abs((v * w) @ v.conj().T - sym) > RECONSTRUCTION_TOL:
+    if max_abs((v * w) @ v.conj().T - sym) > RECONSTRUCTION_TOL * scale:
         raise NoConvergence("spectral reconstruction error exceeds tolerance")
     return w, v
 

@@ -44,7 +44,7 @@ from .errors import (
     NonRealExpectation,
     PostselectionImpossible,
 )
-from .linalg import DEGENERACY_TOL, HermitianOperator, _apply_1q, _degenerate_clusters
+from .linalg import HermitianOperator, _apply_1q, _degenerate_clusters, max_abs
 
 POSTSELECT_FLOOR = 1e-14
 
@@ -193,11 +193,15 @@ def apply_channel(rho, noise: NoiseParams, qubit_count: int | None = None) -> np
 
     Dimensions that are not a power of two are padded into the smallest
     qubit register; both channels only move weight toward lower indices, so
-    the embedded block is closed and the trace is preserved exactly.
+    the embedded block is closed and the trace is preserved exactly. Raises
+    InvalidFactorization for a matrix that is not square and
+    InvalidDistribution for a NaN or infinite entry.
     """
     r = np.asarray(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
         raise InvalidFactorization(f"density matrix must be square, got {r.shape}")
+    if not np.isfinite(r).all():
+        raise InvalidDistribution("density matrix has non-finite entries")
     dim = r.shape[0]
     k = _qubit_count_for(dim, qubit_count)
     out = np.zeros((2**k, 2**k), dtype=complex)
@@ -225,11 +229,15 @@ def readout_confusion(
     (index a*N + beta, length 2N) read on the noisy register: the reservoir
     qubit, leading, (x) the system padded to 2**m >= N levels, index
     a*2**m + beta. Both the reservoir bit and the m system bits are flipped,
-    so the reservoir bit is never mixed with system padding.
+    so the reservoir bit is never mixed with system padding. Raises
+    ValueError for a flip outside [0, 0.5] and InvalidDistribution for a
+    NaN, infinite or negative probability.
     """
     if not 0.0 <= flip <= 0.5:
         raise ValueError("readout_flip must be in [0, 0.5]")
     p = np.asarray(probs, dtype=float).ravel()
+    if not (np.isfinite(p).all() and (p >= 0.0).all()):
+        raise InvalidDistribution("probabilities must be finite and non-negative")
     if flip == 0.0:
         return p.copy()
     if system_dim is None:
@@ -335,7 +343,7 @@ def spectral_run(
         c[ok] /= np.sqrt(p[ok])[:, None]
     done = (failed == 0)[:, None]
     weights = np.where(done, np.abs(c) ** 2, np.nan)
-    _, ground_end = _degenerate_clusters(w, DEGENERACY_TOL)[0]
+    _, ground_end = _degenerate_clusters(w, max_abs(op.matrix))[0]
     ext = None
     if extended:
         r = filter_profile(-w, taus, -ets)

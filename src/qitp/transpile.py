@@ -17,6 +17,11 @@ Circuits carry an explicit global phase and reproduce their target matrix
 exactly, not just up to phase. They serialize to an OpenQASM-2.0 subset
 with a byte-stable emit/parse round trip.
 
+The interaction comes from one table of local pairs, one CZ between each
+two (:func:`_interaction_blocks`). iSWAP takes the z = 0 circuit and SWAP
+the generic one, with the same CZ counts as before and new gate lists.
+Tolerances are module constants; no function takes an ``atol``.
+
 Every one-qubit factor, from its extraction out of a kron product through
 the Weyl-chamber Cliffords, the interaction blocks and the Euler step, and
 every gate run that ``circuit_unitary`` multiplies before applying, is a
@@ -40,6 +45,9 @@ from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _apply_1q, max_abs
 
 GATE_KINDS = ("rx", "rz", "cz")
 
+_WEYL_TOL = 1e-9  # on the Weyl-class coordinates (x, y, z)
+_UNITARY_TOL = 1e-10  # on ||U^dag U - I||_max; also the Euler step's zero entry
+
 # Magic (Bell-like) basis: conjugation maps SU(2)xSU(2) onto SO(4) and
 # diagonalizes the XX/YY/ZZ interaction family.
 _MAGIC = np.array(
@@ -52,11 +60,9 @@ _GAMMA = np.array(
     [[1, 1, 1, 1], [1, 1, -1, -1], [-1, 1, -1, 1], [1, -1, -1, 1]], dtype=float
 ) / 4.0
 
-# Row-major scalar 2x2 constants: identity, Hadamard, S and S^dag.
+# Row-major scalar 2x2 constants: identity and Hadamard.
 _I2 = (1 + 0j, 0j, 0j, 1 + 0j)
 _H = tuple(complex(v / math.sqrt(2)) for v in (1, 1, 1, -1))
-_S = (1 + 0j, 0j, 0j, 1j)
-_S_DAG = (1 + 0j, 0j, 0j, -1j)
 
 
 def _rotation(kind: str, theta: float) -> tuple:
@@ -81,12 +87,11 @@ def _det2(q) -> complex:
     return a * d - b * c
 
 
-def _fidelity2(p, q) -> float:
-    """:func:`process_fidelity` of two row-major scalar 2x2 tuples."""
-    trace = (p[0].conjugate() * q[0] + p[2].conjugate() * q[2]) + (
+def _overlap2(p, q) -> complex:
+    """tr(p^dag q) of two row-major scalar 2x2 tuples."""
+    return (p[0].conjugate() * q[0] + p[2].conjugate() * q[2]) + (
         p[1].conjugate() * q[1] + p[3].conjugate() * q[3]
     )
-    return abs(trace) / 2.0
 
 
 def _unitary_defect2(q) -> float:
@@ -212,34 +217,29 @@ def process_fidelity(u, v) -> float:
     return float(abs(np.trace(u.conj().T @ np.asarray(v)))) / u.shape[0]
 
 
-def _check_unitary(u, dim: int, atol: float = 1e-10) -> np.ndarray:
+def _check_unitary(u, dim: int) -> np.ndarray:
     m = np.asarray(u, dtype=complex)
     if m.shape != (dim, dim):
         raise NotUnitary(f"expected a {dim}x{dim} matrix, got {m.shape}")
     if not np.isfinite(m).all():
         raise NotUnitary("matrix has non-finite entries")
     defect = max_abs(m.conj().T @ m - np.eye(dim))
-    if defect >= atol:
+    if defect >= _UNITARY_TOL:
         raise NotUnitary(f"||U^dag U - I||_max = {defect:.3e}")
     return m
 
 
-def _check_unitary2(q, atol: float = 1e-10) -> None:
+def _check_unitary2(q) -> None:
     """:func:`_check_unitary` for a row-major scalar 2x2 tuple."""
     # finiteness first: max() in the defect can pass over a NaN entry
     if not all(map(cmath.isfinite, q)):
         raise NotUnitary("matrix has non-finite entries")
     defect = _unitary_defect2(q)
-    if defect >= atol:
+    if defect >= _UNITARY_TOL:
         raise NotUnitary(f"||U^dag U - I||_max = {defect:.3e}")
 
 
-def _phase_for(target: np.ndarray, built: np.ndarray) -> float:
-    """Global phase aligning ``built`` with ``target`` (fidelity ~ 1)."""
-    return float(np.angle(np.trace(built.conj().T @ target)))
-
-
-def _euler_1q(q: tuple, atol: float) -> tuple[list[tuple[str, float]], tuple]:
+def _euler_1q(q: tuple) -> tuple[list[tuple[str, float]], tuple]:
     """Closed-form Euler step: the non-identity ``(kind, angle)`` steps of
     rz(a), rx(b), rz(g) in application order, and their product, which
     equals the unitary 2x2 ``q`` (a row-major scalar tuple) up to global
@@ -249,9 +249,9 @@ def _euler_1q(q: tuple, atol: float) -> tuple[list[tuple[str, float]], tuple]:
     a, _, c, d = q
     phase = cmath.exp(-0.5j * cmath.phase(_det2(q)))
     su00, su10, su11 = a * phase, c * phase, d * phase
-    if abs(su10) < atol:
+    if abs(su10) < _UNITARY_TOL:
         alpha, beta, gamma = 2.0 * cmath.phase(su11), 0.0, 0.0
-    elif abs(su00) < atol:
+    elif abs(su00) < _UNITARY_TOL:
         alpha, beta, gamma = -math.pi - 2.0 * cmath.phase(su10), math.pi, 0.0
     else:
         beta = 2.0 * math.atan2(abs(su10), abs(su00))
@@ -266,12 +266,12 @@ def _euler_1q(q: tuple, atol: float) -> tuple[list[tuple[str, float]], tuple]:
         if abs(angle) > 1e-14:
             steps.append((kind, angle))
             built = _mul2(_rotation(kind, angle), built)
-    if _fidelity2(q, built) < 1.0 - 1e-10:
+    if abs(_overlap2(q, built)) / 2.0 < 1.0 - 1e-10:
         raise FidelityShortfall("single-qubit Euler decomposition missed its target")
     return steps, built
 
 
-def decompose_1q(u, atol: float = 1e-10) -> Circuit:
+def decompose_1q(u) -> Circuit:
     """Euler decomposition of a 2x2 unitary as Rz(g) Rx(b) Rz(a).
 
     The returned circuit applies rz(a), rx(b), rz(g) in order, omitting
@@ -279,10 +279,10 @@ def decompose_1q(u, atol: float = 1e-10) -> Circuit:
     exactly. The angles are the closed-form step that :func:`kak_decompose`
     runs on each local factor.
     """
-    m = _check_unitary(u, 2, atol)
-    steps, built = _euler_1q(tuple(m.ravel().tolist()), atol)
+    q = tuple(_check_unitary(u, 2).ravel().tolist())
+    steps, built = _euler_1q(q)
     gates = [Gate(kind, (0,), angle) for kind, angle in steps]
-    return Circuit(1, gates, _phase_for(m, _matrix(built)))
+    return Circuit(1, gates, cmath.phase(_overlap2(built, q)))
 
 
 def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
@@ -343,7 +343,7 @@ _SWAPPERS = tuple(
 )
 
 
-def _canonicalize_interaction(x: float, y: float, z: float, atol: float = 1e-9):
+def _canonicalize_interaction(x: float, y: float, z: float):
     """Weyl-chamber form of an XX/YY/ZZ interaction.
 
     Returns ``(phase, after_pair, (x2, y2, z2), before_pair)`` with
@@ -398,7 +398,7 @@ def _canonicalize_interaction(x: float, y: float, z: float, atol: float = 1e-9):
     if v[1] < 0:
         negate(1, 2)
     into_range(2)
-    if v[0] > math.pi / 4 - atol and v[2] < 0:
+    if v[0] > math.pi / 4 - _WEYL_TOL and v[2] < 0:
         shift(0, -1)
         negate(0, 2)
     return phase, after, tuple(v), before
@@ -407,7 +407,7 @@ def _canonicalize_interaction(x: float, y: float, z: float, atol: float = 1e-9):
 _ROWS = np.arange(4)
 
 
-def kak_coefficients(u, atol: float = 1e-9):
+def kak_coefficients(u):
     """Full KAK data for a two-qubit unitary.
 
     Returns ``(phase, (a0, a1), (x, y, z), (b0, b1))`` with the interaction
@@ -435,7 +435,7 @@ def kak_coefficients(u, atol: float = 1e-9):
     w, x, y, z = (_GAMMA @ delta).tolist()
     g1, a0, a1 = _kron_factor(_MAGIC @ p @ _MAGIC_DAG)
     g2, b0, b1 = _kron_factor(_MAGIC @ o2 @ _MAGIC_DAG)
-    inner_phase, after, xyz, before = _canonicalize_interaction(x, y, z, atol)
+    inner_phase, after, xyz, before = _canonicalize_interaction(x, y, z)
     a0, a1, b0, b1 = np.array(
         (_mul2(a0, after[0]), _mul2(a1, after[1]), _mul2(before[0], b0), _mul2(before[1], b1))
     ).reshape(4, 2, 2)
@@ -443,75 +443,34 @@ def kak_coefficients(u, atol: float = 1e-9):
     return total, (a0, a1), xyz, (b0, b1)
 
 
-# ---------------------------------------------------------------------------
-# Interaction synthesis: block sequences [locals, cz, locals, ...] realizing
-# exp(i(x XX + y YY + z ZZ)) up to global phase with the minimal CZ count.
-# ---------------------------------------------------------------------------
+_H_S_DAG = _mul2(_H, (1 + 0j, 0j, 0j, -1j))  # H S^dag
 
 
-class _BlockSeq:
-    """Alternating local pairs and CZ markers, merging adjacent locals."""
-
-    def __init__(self):
-        self.items = [(_I2, _I2)]
-
-    def local(self, m0=None, m1=None):
-        l0, l1 = self.items[-1]
-        self.items[-1] = (l0 if m0 is None else _mul2(m0, l0), l1 if m1 is None else _mul2(m1, l1))
-
-    def cz(self):
-        self.items.append("cz")
-        self.items.append((_I2, _I2))
-
-
-def _append_quarter_turn(seq: _BlockSeq, axis: int):
-    """One full CZ realizing exp(i pi/4 PP) for P = X, Y, or Z, up to phase."""
-    if axis == 2:  # ZZ
-        seq.cz()
-        seq.local(_S_DAG, _S_DAG)
-        return
-    # X = H Z H; Y = (SH) Z (SH)^dag
-    conj, conj_dag = (_H, _H) if axis == 0 else (_mul2(_S, _H), _mul2(_H, _S_DAG))
-    seq.local(conj_dag, conj_dag)
-    seq.cz()
-    seq.local(_S_DAG, _S_DAG)
-    seq.local(conj, conj)
-
-
-def _append_xx(seq: _BlockSeq, x: float):
-    """exp(i x XX) with two CZs, up to phase."""
-    seq.local(None, _H)
-    seq.cz()
-    seq.local(_rotation("rx", -2.0 * x), None)
-    seq.cz()
-    seq.local(None, _H)
-
-
-def _append_xx_yy(seq: _BlockSeq, x: float, y: float):
-    """exp(i (x XX + y YY)) with two CZs, up to phase."""
-    seq.local(_rotation("rx", math.pi / 2), _H)
-    seq.cz()
-    seq.local(_rotation("rx", -2.0 * x), _mul2(_mul2(_H, _rotation("ry", -2.0 * y)), _H))
-    seq.cz()
-    seq.local(_rotation("rx", -math.pi / 2), _H)
-
-
-def _append_xyz(seq: _BlockSeq, x: float, y: float, z: float):
-    """exp(i (x XX + y YY + z ZZ)) with three CZs, up to phase.
-
-    The three-CNOT circuit of Vatan & Williams, PRA 69, 032315 (2004),
-    Fig. 6, with each CNOT written as a Hadamard-dressed CZ.
-    """
-    seq.local(_H, _rotation("rz", -math.pi / 2))
-    seq.cz()
-    seq.local(
-        _mul2(_rotation("rz", math.pi / 2 - 2.0 * z), _H),
-        _mul2(_H, _rotation("ry", 2.0 * x - math.pi / 2)),
-    )
-    seq.cz()
-    seq.local(_H, _mul2(_rotation("ry", math.pi / 2 - 2.0 * y), _H))
-    seq.cz()
-    seq.local(_mul2(_rotation("rz", math.pi / 2), _H), None)
+def _interaction_blocks(x: float, y: float, z: float) -> list[tuple]:
+    """Local pairs ``[(l0, l1), ...]``, one CZ between consecutive pairs, whose
+    product is exp(i(x XX + y YY + z ZZ)) up to phase. The CZ count is that of
+    the Weyl class: 0 at the origin, 1 for (pi/4, 0, 0), 2 when z = 0, else 3
+    (Vatan & Williams, PRA 69, 032315 (2004), CNOTs as H-dressed CZs)."""
+    if max(abs(x), abs(y), abs(z)) < _WEYL_TOL:
+        return [(_I2, _I2)]
+    if abs(z) < _WEYL_TOL and y < _WEYL_TOL:
+        if abs(x - math.pi / 4) < _WEYL_TOL:
+            # exp(i pi/4 XX) = (H S^dag (x) H S^dag) CZ (H (x) H) up to phase
+            return [(_H, _H), (_H_S_DAG, _H_S_DAG)]
+        return [(_I2, _H), (_rotation("rx", -2.0 * x), _I2), (_I2, _H)]
+    if abs(z) < _WEYL_TOL:
+        return [
+            (_rotation("rx", math.pi / 2), _H),
+            (_rotation("rx", -2.0 * x), _mul2(_mul2(_H, _rotation("ry", -2.0 * y)), _H)),
+            (_rotation("rx", -math.pi / 2), _H),
+        ]
+    return [
+        (_H, _rotation("rz", -math.pi / 2)),
+        (_mul2(_rotation("rz", math.pi / 2 - 2.0 * z), _H),
+         _mul2(_H, _rotation("ry", 2.0 * x - math.pi / 2))),
+        (_H, _mul2(_rotation("ry", math.pi / 2 - 2.0 * y), _H)),
+        (_mul2(_rotation("rz", math.pi / 2), _H), _I2),
+    ]
 
 
 def _merge_steps(steps: list[tuple]) -> list[tuple]:
@@ -530,7 +489,7 @@ def _merge_steps(steps: list[tuple]) -> list[tuple]:
     return out
 
 
-def kak_decompose(u, atol: float = 1e-9) -> Circuit:
+def kak_decompose(u) -> Circuit:
     """Compile a two-qubit unitary into {rx, rz, cz} with at most 3 CZs.
 
     The CZ count matches the canonical class of the input, the gate list is
@@ -543,34 +502,21 @@ def kak_decompose(u, atol: float = 1e-9) -> Circuit:
     consistency guard).
     """
     m = np.asarray(u, dtype=complex)
-    _, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(m, atol)  # checks unitarity
+    _, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(m)  # checks unitarity
     a0, a1, b0, b1 = map(tuple, np.reshape((a0, a1, b0, b1), (4, 4)).tolist())
-    seq = _BlockSeq()
-    if all(abs(c) < atol or abs(abs(c) - math.pi / 4) < atol for c in (x, y, z)):
-        for axis, coeff in enumerate((x, y, abs(z))):
-            if coeff >= atol:
-                _append_quarter_turn(seq, axis)
-    elif abs(z) < atol and y < atol:
-        _append_xx(seq, x)
-    elif abs(z) < atol:
-        _append_xx_yy(seq, x, y)
-    else:
-        _append_xyz(seq, x, y, z)
-    first0, first1 = seq.items[0]
-    seq.items[0] = (_mul2(first0, b0), _mul2(first1, b1))
-    last0, last1 = seq.items[-1]
-    seq.items[-1] = (_mul2(a0, last0), _mul2(a1, last1))
+    blocks = _interaction_blocks(x, y, z)
+    blocks[0] = tuple(map(_mul2, blocks[0], (b0, b1)))
+    blocks[-1] = tuple(map(_mul2, (a0, a1), blocks[-1]))
 
     steps = []
-    for item in seq.items:
-        if item == "cz":
+    for i, pair in enumerate(blocks):
+        if i:
             steps.append(("cz", (0, 1), None))
-            continue
-        for qubit, q in enumerate(item):
+        for qubit, q in enumerate(pair):
             if max(abs(q[1]), abs(q[2]), abs(q[3] - q[0])) < 1e-14:
                 continue  # identity up to phase
             _check_unitary2(q)
-            euler, _ = _euler_1q(q, 1e-10)
+            euler, _ = _euler_1q(q)
             steps.extend((kind, (qubit,), angle) for kind, angle in euler)
     circuit = Circuit(2, [Gate(*step) for step in _merge_steps(steps)], 0.0)
     built = circuit_unitary(circuit)

@@ -6,12 +6,25 @@ from qitp.linalg import (
     HermitianOperator,
     PAULI_X,
     PAULI_Z,
+    _fix_eigenvector_phases,
     eigh,
     matrix_function,
     max_abs,
 )
 
 from helpers import random_hermitian
+
+
+def fix_phases_loop(vectors):
+    """Phase pinning one column at a time: the reference for the vectorized
+    form, which does the same arithmetic per entry."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        mags = np.abs(col)
+        pivot = int(np.nonzero(mags >= mags.max() - 1e-12)[0][0])
+        out[:, k] = col * np.conj(col[pivot] / abs(col[pivot]))
+    return out
 
 
 class TestEigh:
@@ -59,6 +72,22 @@ class TestEigh:
             assert np.all(np.diff(w) >= -1e-12)
             assert max_abs(v.conj().T @ v - np.eye(dim)) < 1e-12
             assert max_abs((v * w) @ v.conj().T - m) < 1e-10
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_phase_pinning_matches_loop(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+        cases = [
+            np.linalg.eigh(random_hermitian(dim, rng))[1],
+            np.linalg.qr(random_hermitian(dim, rng))[0][:, : max(1, dim // 2)],
+            np.eye(dim)[:, ::-1] * phases,  # one nonzero entry per column
+            np.full((dim, dim), dim**-0.5) * phases,  # all entries tie on magnitude
+        ]
+        for v in cases:
+            got, want = _fix_eigenvector_phases(v), fix_phases_loop(v)
+            # same formula per entry; numpy's kernels may round the product
+            # differently by an ulp
+            assert max_abs(got - want) <= 2 * np.finfo(float).eps
 
 
 class TestHermitianOperator:

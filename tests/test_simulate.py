@@ -7,11 +7,12 @@ from qitp.dilation import TRIAL_MODES, ItpParams, build_dilation, filter_profile
 from qitp.errors import (
     DimensionMismatch,
     InvalidDistribution,
+    NonHermitianInput,
     NonRealExpectation,
     PostselectionImpossible,
 )
 from qitp.hamiltonians import hydrogen_sto2g
-from qitp.linalg import DEGENERACY_TOL, HermitianOperator, PAULI_Z, _degenerate_clusters, max_abs
+from qitp.linalg import HermitianOperator, PAULI_Z, _degenerate_clusters, max_abs
 from qitp.simulate import (
     POSTSELECT_FLOOR,
     NoiseParams,
@@ -564,7 +565,7 @@ def grid_cases(draw):
     psi = random_state(dim, rng)
     if draw(st.booleans()):
         # no weight in the ground eigenspace
-        _, stop = _degenerate_clusters(op.eigenvalues, DEGENERACY_TOL)[0]
+        _, stop = _degenerate_clusters(op.eigenvalues, max_abs(op.matrix))[0]
         ground = op.eigenvectors[:, :stop]
         psi = psi - ground @ (ground.conj().T @ psi)
         assume(np.linalg.norm(psi) > 1e-6)
@@ -623,6 +624,61 @@ class TestSpectralGrid:
         assert abs(rows.p0[1] - want) <= 1e-12 * want
         assert rows.p0[2] == 0.0
         assert not np.isnan(rows.energy[0]) and np.all(np.isnan(rows.energy[1:]))
+
+
+@st.composite
+def covariance_cases(draw):
+    """A real or complex Hermitian H (dim 2 to 8), a state, tau, the offset of
+    E_T above E0 (up to max_abs(H)) and 1 to 3 repetitions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 8))
+    h = random_hermitian(dim, rng)
+    if draw(st.booleans()):
+        h = h.real
+    offset = draw(st.floats(0.0, 1.0)) * max_abs(h)
+    return h, random_state(dim, rng), draw(st.floats(0.1, 2.0)), offset, draw(st.integers(1, 3))
+
+
+class TestScaleAndShiftCovariance:
+    """The filter depends on (E - E_T) tau alone: (s H, tau / s, s E_T) and
+    (H + c I, tau, E_T + c) keep p0 and the ground weight of (H, tau, E_T),
+    with the energy scaled by s or shifted by c, at any scale."""
+
+    @staticmethod
+    def rows(h, psi, tau, offset, reps):
+        op = op_from(h)
+        return spectral_run(op, tau, op.ground_energy + offset, psi, reps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(covariance_cases(), st.floats(-12.0, 12.0))
+    def test_scale(self, case, log_s):
+        h, psi, tau, offset, reps = case
+        s = 10.0**log_s
+        want = self.rows(h, psi, tau, offset, reps)
+        got = self.rows(s * h, psi, tau / s, s * offset, reps)
+        assert abs(got.p0[0] - want.p0[0]) <= 1e-9 * want.p0[0]
+        assert abs(got.ground_weight[0] - want.ground_weight[0]) <= 1e-9
+        assert abs(got.energy[0] / s - want.energy[0]) <= 1e-9 * max_abs(h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(covariance_cases(), st.floats(-1e6, 1e6))
+    def test_shift(self, case, c):
+        h, psi, tau, offset, reps = case
+        want = self.rows(h, psi, tau, offset, reps)
+        got = self.rows(h + c * np.eye(len(h)), psi, tau, offset, reps)
+        assert abs(got.p0[0] - want.p0[0]) <= 1e-6 * want.p0[0]
+        assert abs(got.ground_weight[0] - want.ground_weight[0]) <= 1e-6
+        assert abs(got.energy[0] - c - want.energy[0]) <= 1e-9 * (max_abs(h) + abs(c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(-12.0, 12.0),
+           st.floats(-1e6, 1e6))
+    def test_non_hermitian_rejected_at_every_scale(self, seed, dim, log_s, c):
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(dim, rng) + 0.1 * rng.standard_normal((dim, dim))
+        for m in (10.0**log_s * a, a + c * np.eye(dim)):
+            with pytest.raises(NonHermitianInput):
+                op_from(m)
 
 
 class TestEnergyMonotonicity:
@@ -820,6 +876,25 @@ ERROR_CASES = [
     ("readout_confusion, flip 0.7", ValueError, lambda op: readout_confusion([0.5, 0.5], 0.7)),
     ("readout_confusion, flip -0.1", ValueError, lambda op: readout_confusion([0.5, 0.5], -0.1)),
     ("readout_confusion, flip nan", ValueError, lambda op: readout_confusion([0.5, 0.5], np.nan)),
+    ("filter_profile, NaN energy", ValueError, lambda op: filter_profile([np.nan, 0.0], 1.0, 0.0)),
+    ("filter_profile, NaN trial energy", ValueError,
+     lambda op: filter_profile([1.0, 0.0], 1.0, np.nan)),
+    ("filter_profile, inf tau at E = E_T", ValueError,
+     lambda op: filter_profile([1.0, 0.0], np.inf, 0.0)),
+    ("filter_profile, inf energy and trial energy", ValueError,
+     lambda op: filter_profile([np.inf, 0.0], 1.0, np.inf)),
+    ("apply_channel, NaN rho", InvalidDistribution,
+     lambda op: apply_channel(np.diag([np.nan, 1.0]), NoiseParams(0.1, 0.1))),
+    ("apply_channel, inf rho", InvalidDistribution,
+     lambda op: apply_channel(np.full((2, 2), np.inf), NoiseParams())),
+    ("readout_confusion, NaN probability", InvalidDistribution,
+     lambda op: readout_confusion([np.nan, 1.0], 0.1)),
+    ("readout_confusion, NaN probability, no flip", InvalidDistribution,
+     lambda op: readout_confusion([np.nan, 1.0], 0.0)),
+    ("readout_confusion, inf probability", InvalidDistribution,
+     lambda op: readout_confusion([np.inf, 1.0], 0.1)),
+    ("readout_confusion, negative probability", InvalidDistribution,
+     lambda op: readout_confusion([-0.1, 1.1], 0.1)),
 ]
 
 

@@ -70,7 +70,7 @@ def decompose_1q_oracle(u, atol=1e-10):
     global phase absorbs), and numpy's vectorized angle and complex product
     differ from cmath in the last bit, so neither would pin the step's
     angles exactly."""
-    m = transpile._check_unitary(u, 2, atol)
+    m = transpile._check_unitary(u, 2)
     (a, b), (c, d) = m.tolist()
     phase = cmath.exp(-0.5j * cmath.phase(a * d - b * c))
     su00, su10, su11 = a * phase, c * phase, d * phase
@@ -98,7 +98,9 @@ def decompose_1q_oracle(u, atol=1e-10):
     built = circuit_unitary(circuit)
     if process_fidelity(m, built) < 1.0 - 1e-10:
         raise FidelityShortfall("single-qubit Euler decomposition missed its target")
-    circuit.global_phase = transpile._phase_for(m, built)
+    circuit.global_phase = cmath.phase(
+        transpile._overlap2(tuple(built.ravel().tolist()), tuple(m.ravel().tolist()))
+    )
     return circuit
 
 
@@ -376,8 +378,8 @@ class TestDecompose1q:
         q, w = tuple(m.ravel().tolist()), tuple(v.ravel().tolist())
         defect = max_abs(m.conj().T @ m - np.eye(2))
         assert abs(transpile._unitary_defect2(q) - defect) <= 1e-15
-        assert abs(transpile._fidelity2(q, w) - process_fidelity(m, v)) <= 1e-15
-        assert abs(transpile._fidelity2(w, q) - process_fidelity(v, m)) <= 1e-15
+        assert abs(abs(transpile._overlap2(q, w)) / 2 - process_fidelity(m, v)) <= 1e-15
+        assert abs(abs(transpile._overlap2(w, q)) / 2 - process_fidelity(v, m)) <= 1e-15
 
     @settings(max_examples=300, deadline=None)
     @given(one_qubit_unitaries(kinds=("haar", "diagonal", "anti-diagonal", "det-at-cut")),
@@ -504,21 +506,31 @@ class TestKakDecompose:
                 kak_decompose(u)
 
     def test_three_cz_circuit_matches_expm(self):
-        def block_matrix(seq):
+        """Every branch of the block table: the origin, the CZ class, (x, 0, 0),
+        (x, y, 0), iSWAP, SWAP and generic points, most of them 1e-8 to 1e-2
+        from a face. Each block list has the Shende-Bullock-Markov CZ count
+        and multiplies out to the interaction."""
+        def block_matrix(blocks):
             u = np.eye(4, dtype=complex)
-            for item in seq.items:
-                if item == "cz":
+            for i, pair in enumerate(blocks):
+                if i:
                     u = np.diag([1, 1, 1, -1]) @ u
-                else:
-                    u = np.kron(*(np.reshape(f, (2, 2)) for f in item)) @ u
+                u = np.kron(*(np.reshape(f, (2, 2)) for f in pair)) @ u
             return u
 
         rng = np.random.default_rng(36)
-        for x, y, z in chamber_points(rng, 300):
-            seq = transpile._BlockSeq()
-            transpile._append_xyz(seq, x, y, z)
-            assert sum(item == "cz" for item in seq.items) == 3
-            assert process_fidelity(interaction(x, y, z), block_matrix(seq)) > 1 - 1e-12
+        quarter = math.pi / 4
+        points = [(0.0, 0.0, 0.0), (quarter, 0.0, 0.0), (quarter, quarter, 0.0),
+                  (quarter, quarter, quarter)]
+        for _ in range(50):
+            x = rng.uniform(1e-3, quarter - 1e-3)
+            points += [(x, 0.0, 0.0), (x, rng.uniform(1e-3, x), 0.0)]
+        points += chamber_points(rng, 300)
+        for x, y, z in points:
+            blocks = transpile._interaction_blocks(x, y, z)
+            target = interaction(x, y, z)
+            assert len(blocks) - 1 == sbm_cz_count(target)
+            assert process_fidelity(target, block_matrix(blocks)) > 1 - 1e-12
 
     def test_face_near_three_cz_classes(self):
         rng = np.random.default_rng(37)

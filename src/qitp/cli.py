@@ -31,9 +31,9 @@ from .hamiltonians import (
     GaussianBasis,
     SpinCouplings,
     default_hydrogen_basis,
-    hamiltonian_to_dict,
     hydrogen_sto2g,
     load_hamiltonian,
+    save_hamiltonian,
     two_neutron_sd,
 )
 from .simulate import (
@@ -148,10 +148,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_text(path: str, text: str):
-    Path(path).write_text(text)
-
-
 def _load_builder_config(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
@@ -197,8 +193,7 @@ def cmd_ham(args) -> int:
             "a1": couplings.a1,
             "a2": [[float(v) for v in row] for row in couplings.a2],
         }
-    doc = hamiltonian_to_dict(op, provenance)
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    save_hamiltonian(op, args.out, provenance)
     return EXIT_OK
 
 
@@ -270,9 +265,9 @@ def cmd_run(args) -> int:
         "units": op.units,
     }
     if args.format == "json":
-        _write_text(args.out, _record_to_json(record, config_echo))
+        Path(args.out).write_text(_record_to_json(record, config_echo))
     else:
-        _write_text(args.out, _record_to_csv(record, config_echo))
+        Path(args.out).write_text(_record_to_csv(record, config_echo))
     return EXIT_OK
 
 
@@ -290,7 +285,7 @@ def cmd_sweep_et(args) -> int:
     for head, p0, energy, weight, failed in zip(heads, *rows[:4]):
         tail = ",,,1" if failed else f",{_fmt(energy)},{_fmt(weight)},0"
         lines.append(f"{head},{_fmt(p0)}{tail}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    Path(args.out).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -307,7 +302,7 @@ def cmd_transpile(args) -> int:
     u = build_dilation(op, params)
     circuit = kak_decompose(u.matrix)
     fidelity = process_fidelity(u.matrix, circuit_unitary(circuit))
-    _write_text(args.out, emit_circuit_text(circuit))
+    Path(args.out).write_text(emit_circuit_text(circuit))
     report = {
         "cz_count": circuit.cz_count(),
         "fidelity": fidelity,
@@ -317,7 +312,7 @@ def cmd_transpile(args) -> int:
         "trial_energy": params.resolve_trial_energy(op),
     }
     report_path = args.report or (args.out + ".report.json")
-    _write_text(report_path, json.dumps(report, indent=2) + "\n")
+    Path(report_path).write_text(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnitarityCheckFailed, ZeroVector
+from .errors import DimensionMismatch, InvalidDistribution, UnitarityCheckFailed, ZeroVector
 from .linalg import HermitianOperator, matrix_function, max_abs
 
 TRIAL_MODES = ("absolute", "ground_state_exact", "fraction_of_ground")
@@ -157,12 +157,15 @@ def classical_itp(
     Returns ``(unnormalized, normalized)``. The normalized state is computed
     in log space (stable for any tau); the unnormalized vector is the direct
     matrix-function application and raises ZeroVector when it underflows.
+    A NaN or infinite amplitude raises InvalidDistribution.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (op.dim,):
         raise DimensionMismatch(
             f"state has shape {psi.shape}, operator dim is {op.dim}"
         )
+    if not np.isfinite(psi).all():
+        raise InvalidDistribution("state has non-finite amplitudes")
     et = params.resolve_trial_energy(op)
     exponents = -(op.eigenvalues - et) * params.tau
     v = op.eigenvectors

@@ -51,22 +51,26 @@ PAULI_VECTOR = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def gaussian_overlap(alpha: float, beta: float) -> float:
-    """Overlap of two normalized 1s Gaussians; symmetric, in (0, 1]."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("Gaussian exponents must be positive")
+    """Overlap of two normalized 1s Gaussians; symmetric, in (0, 1]. Raises
+    ValueError unless both exponents are positive and finite."""
+    if not (0 < alpha < np.inf and 0 < beta < np.inf):
+        raise ValueError("Gaussian exponents must be positive and finite")
     return float((2.0 * np.sqrt(alpha * beta) / (alpha + beta)) ** 1.5)
 
 
 def gaussian_kinetic(alpha: float, beta: float) -> float:
     """Kinetic integral <g_a| -grad^2/2 |g_b> in Hartree; positive."""
-    return 3.0 * alpha * beta / (alpha + beta) * gaussian_overlap(alpha, beta)
+    s = gaussian_overlap(alpha, beta)  # validates the exponents first
+    return 3.0 * alpha * beta / (alpha + beta) * s
 
 
 def gaussian_nuclear(alpha: float, beta: float, charge: float = 1.0) -> float:
-    """Nuclear attraction <g_a| -Z/r |g_b> in Hartree; negative, linear in Z."""
-    if charge <= 0:
-        raise ValueError("nuclear charge must be positive")
-    return -charge * 2.0 * np.sqrt((alpha + beta) / np.pi) * gaussian_overlap(alpha, beta)
+    """Nuclear attraction <g_a| -Z/r |g_b> in Hartree; negative, linear in Z.
+    Raises ValueError unless the charge and exponents are positive and finite."""
+    if not 0 < charge < np.inf:
+        raise ValueError("nuclear charge must be positive and finite")
+    s = gaussian_overlap(alpha, beta)
+    return -charge * 2.0 * np.sqrt((alpha + beta) / np.pi) * s
 
 
 @dataclass(frozen=True)
@@ -85,12 +89,12 @@ class GaussianBasis:
     def __post_init__(self):
         if len(self.exponents) != 2 or len(self.coefficients) != 2:
             raise ValueError("basis needs exactly two primitives")
-        if any(a <= 0 for a in self.exponents):
-            raise ValueError("exponents must be positive")
-        if all(abs(c) == 0 for c in self.coefficients):
-            raise ValueError("at least one contraction coefficient must be nonzero")
-        if self.slater_zeta <= 0:
-            raise ValueError("slater_zeta must be positive")
+        if not all(0 < a < np.inf for a in self.exponents):
+            raise ValueError("exponents must be positive and finite")
+        if not np.all(np.isfinite(self.coefficients)) or not any(self.coefficients):
+            raise ValueError("contraction coefficients must be finite, not all zero")
+        if not 0 < self.slater_zeta < np.inf:
+            raise ValueError("slater_zeta must be positive and finite")
 
     def scaled_exponents(self) -> tuple[float, float]:
         z2 = self.slater_zeta**2
@@ -259,6 +263,8 @@ def hamiltonian_to_dict(op: HermitianOperator, provenance: dict | None = None) -
 def save_hamiltonian(
     op: HermitianOperator, path, provenance: dict | None = None
 ) -> None:
+    """Write the JSON schema of :func:`hamiltonian_to_dict`; OSError if the
+    path cannot be written."""
     doc = hamiltonian_to_dict(op, provenance)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 

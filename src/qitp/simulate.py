@@ -20,8 +20,7 @@ Kronecker product with identities: the channel updates each qubit's 2x2
 density blocks in closed form, and the flips apply a 2x2 map to one bit of
 the register index (``_apply_1q``). For N not a power of two this layout
 differs from padding the extended index a * N + beta itself, where no bit
-is the reservoir; noisy outputs for such N changed when it was adopted. This
-is a qualitative stand-in for hardware relaxation.
+is the reservoir. This is a qualitative stand-in for hardware relaxation.
 
 Shots are counted against integer CDF thresholds on a splitmix64 counter
 stream (an exact inverse-CDF multinomial draw), so counts are bit-reproducible
@@ -56,26 +55,42 @@ _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 _SHOT_CHUNK = 1 << 16
 
 
-def normalized_state(psi) -> np.ndarray:
-    """Validate and return a unit-norm copy of a state vector."""
+def _finite_state(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).ravel()
-    if v.size == 0 or not np.all(np.isfinite(v)):
-        raise InvalidDistribution("state vector must be finite and non-empty")
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise InvalidDistribution("state vector has zero norm")
+    if not np.isfinite(v).all():
+        raise InvalidDistribution("state vector has non-finite entries")
+    return v
+
+
+def normalized_state(psi) -> np.ndarray:
+    """Validate and return a unit-norm copy of a state vector: any finite one
+    with a nonzero entry. Where the squared norm would leave the normal
+    float range, the vector is first divided by its largest part."""
+    v = _finite_state(psi)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not 1e-150 < norm < 1e150:
+        parts = v.view(float)
+        scale = np.abs(parts).max(initial=0.0)
+        if scale == 0.0:
+            raise InvalidDistribution("state vector is empty or zero")
+        v = (parts / scale).view(complex)  # a real division: 1 / scale may overflow
+        norm = np.linalg.norm(v)
     return v / norm
 
 
 def extend_with_ancilla(psi) -> np.ndarray:
-    """|0>_reservoir (x) |psi>: system amplitudes first, zero block second."""
-    v = np.asarray(psi, dtype=complex).ravel()
+    """|0>_reservoir (x) |psi>: system amplitudes first, zero block second.
+    Raises InvalidDistribution for a NaN or infinite amplitude."""
+    v = _finite_state(psi)
     return np.concatenate([v, np.zeros_like(v)])
 
 
 def apply_step(state, u: DilationUnitary) -> np.ndarray:
-    """Apply the dilation unitary to an extended state vector."""
-    v = np.asarray(state, dtype=complex).ravel()
+    """Apply the dilation unitary to an extended state vector. Raises
+    DimensionMismatch for a state of the wrong size and InvalidDistribution
+    for a NaN or infinite amplitude."""
+    v = _finite_state(state)
     if v.size != u.dim:
         raise DimensionMismatch(f"state dim {v.size} != dilation dim {u.dim}")
     return u.matrix @ v
@@ -86,9 +101,10 @@ def postselect_ancilla0(state) -> tuple[np.ndarray, float]:
 
     Returns the renormalized system block and the success probability p0.
     Raises PostselectionImpossible when p0 < 1e-14 (the failure mode of a
-    trial energy below the true ground energy: the kept branch dies out).
+    trial energy below the true ground energy: the kept branch dies out) and
+    InvalidDistribution for a NaN or infinite amplitude.
     """
-    v = np.asarray(state, dtype=complex).ravel()
+    v = _finite_state(state)
     if v.size % 2:
         raise DimensionMismatch("extended state must have even dimension")
     n = v.size // 2
@@ -103,12 +119,17 @@ def postselect_ancilla0(state) -> tuple[np.ndarray, float]:
 
 
 def energy_expectation(psi, op: HermitianOperator) -> float:
-    """Real expectation <psi|H|psi>; rejects states with large imaginary part."""
-    v = np.asarray(psi, dtype=complex).ravel()
+    """Real expectation <psi|H|psi>.
+
+    Raises NonRealExpectation when the imaginary part exceeds
+    ``1e-8 * max_abs(H) * ||psi||^2``, InvalidDistribution for a NaN or
+    infinite amplitude and DimensionMismatch for a state of the wrong size.
+    """
+    v = _finite_state(psi)
     if v.size != op.dim:
         raise DimensionMismatch(f"state dim {v.size} != operator dim {op.dim}")
     val = complex(v.conj() @ (op.matrix @ v))
-    if abs(val.imag) >= 1e-8:
+    if abs(val.imag) > 1e-8 * max_abs(op.matrix) * np.vdot(v, v).real:
         raise NonRealExpectation(f"imaginary part {val.imag:.3e} too large")
     return val.real
 
@@ -173,17 +194,7 @@ class NoiseParams:
             raise ValueError("readout_flip must be in [0, 0.5]")
 
 
-def _qubit_count_for(dim: int, qubit_count: int | None) -> int:
-    if qubit_count is None:
-        qubit_count = max(1, int(np.ceil(np.log2(dim))))
-    if 2**qubit_count < dim:
-        raise InvalidFactorization(
-            f"{qubit_count} qubits cannot carry dimension {dim}"
-        )
-    return qubit_count
-
-
-def apply_channel(rho, noise: NoiseParams, qubit_count: int | None = None) -> np.ndarray:
+def apply_channel(rho, noise: NoiseParams) -> np.ndarray:
     """Apply per-qubit amplitude damping, then dephasing, to a density matrix.
 
     Each qubit's 2x2 blocks are updated in closed form, with g the damping
@@ -203,7 +214,7 @@ def apply_channel(rho, noise: NoiseParams, qubit_count: int | None = None) -> np
     if not np.isfinite(r).all():
         raise InvalidDistribution("density matrix has non-finite entries")
     dim = r.shape[0]
-    k = _qubit_count_for(dim, qubit_count)
+    k = (dim - 1).bit_length()
     out = np.zeros((2**k, 2**k), dtype=complex)
     out[:dim, :dim] = r
     g, lam = noise.amplitude_damping, noise.dephasing
@@ -218,9 +229,7 @@ def apply_channel(rho, noise: NoiseParams, qubit_count: int | None = None) -> np
     return out[:dim, :dim]
 
 
-def readout_confusion(
-    probs, flip: float, qubit_count: int | None = None, *, system_dim: int | None = None
-) -> np.ndarray:
+def readout_confusion(probs, flip: float, *, system_dim: int | None = None) -> np.ndarray:
     """Independent per-bit readout flips applied to a probability vector.
 
     The vector is padded into the smallest qubit register, flipped, cropped,
@@ -231,7 +240,8 @@ def readout_confusion(
     a*2**m + beta. Both the reservoir bit and the m system bits are flipped,
     so the reservoir bit is never mixed with system padding. Raises
     ValueError for a flip outside [0, 0.5] and InvalidDistribution for a
-    NaN, infinite or negative probability.
+    NaN, infinite or negative probability, or for no weight left to
+    renormalize.
     """
     if not 0.0 <= flip <= 0.5:
         raise ValueError("readout_flip must be in [0, 0.5]")
@@ -240,12 +250,10 @@ def readout_confusion(
         raise InvalidDistribution("probabilities must be finite and non-negative")
     if flip == 0.0:
         return p.copy()
-    if system_dim is None:
-        rows, cols, levels = 1, p.size, 2 ** _qubit_count_for(p.size, qubit_count)
-    else:
-        if p.size != 2 * system_dim:
-            raise DimensionMismatch(f"{p.size} probabilities for system dim {system_dim}")
-        rows, cols, levels = 2, system_dim, 2 ** (system_dim - 1).bit_length()
+    rows, cols = (1, p.size) if system_dim is None else (2, system_dim)
+    if p.size != rows * cols:
+        raise DimensionMismatch(f"{p.size} probabilities for system dim {system_dim}")
+    levels = 2 ** (cols - 1).bit_length()
     out = np.zeros((rows, levels))
     out[:, :cols] = p.reshape(rows, cols)
     out = out.ravel()
@@ -253,7 +261,10 @@ def readout_confusion(
     for q in range(out.size.bit_length() - 1):
         out = _apply_1q(m, out, q)
     out = out.reshape(rows, levels)[:, :cols].ravel()
-    return out / out.sum()
+    total = out.sum()
+    if not total > 0.0:
+        raise InvalidDistribution("probabilities have no weight to renormalize")
+    return out / total
 
 
 @dataclass(frozen=True)
@@ -266,8 +277,7 @@ class ExperimentRecord:
     post-selected state after the final repetition. On the noisy path the
     channel and readout flips act on the register reservoir qubit (x) system
     padded to 2**m levels (index a*2**m + beta), whose padding levels are
-    cropped from ``extended_probs``; for N not a power of two this is why
-    noisy records differ from those of the earlier mixed-bit layout.
+    cropped from ``extended_probs``.
     """
 
     system_dim: int
@@ -286,16 +296,18 @@ class ExperimentRecord:
 
 def basis_labels(system_dim: int) -> list[str]:
     """Labels for the extended basis: bitstrings "ab" for a single system
-    qubit (reservoir digit first), Fock indices "0".."2N-1" otherwise."""
+    qubit (reservoir digit first), Fock indices "0".."2N-1" otherwise.
+    Raises ValueError unless ``system_dim`` is an integer >= 1."""
+    _check_count("system_dim", system_dim)
     if system_dim == 2:
         return [f"{a}{b}" for a in (0, 1) for b in (0, 1)]
     return [str(i) for i in range(2 * system_dim)]
 
 
-def _check_repetitions(repetitions) -> None:
-    integral = isinstance(repetitions, (int, np.integer)) and not isinstance(repetitions, bool)
-    if not integral or repetitions < 1:
-        raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
+def _check_count(name: str, value) -> None:
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 SpectralRows = namedtuple("SpectralRows", "p0 energy ground_weight failed extended")
@@ -319,7 +331,7 @@ def spectral_run(
     ancilla-major ``[|V h c'|^2, |V r c'|^2]`` (c' the coefficients entering
     it). Failed rows read NaN in energy, ground_weight and extended.
     """
-    _check_repetitions(repetitions)
+    _check_count("repetitions", repetitions)
     taus, ets = np.broadcast_arrays(np.asarray(taus, float), np.asarray(trial_energies, float))
     taus, ets = taus.reshape(-1, 1), ets.reshape(-1, 1)
     bad = ~(np.isfinite(taus) & (taus >= 0))
@@ -361,7 +373,6 @@ def _run_density(op, params, psi0, repetitions, noise):
     and the final reservoir-1 populations are ``(1 - g) diag(E_sys(R rho R))``.
     Returns the final ancilla-major extended probabilities and the energy.
     """
-    m = (op.dim - 1).bit_length()
     u = build_dilation(op, params)
     q, r, g = u.q_block, u.r_block, noise.amplitude_damping
     state = normalized_state(psi0)
@@ -370,7 +381,7 @@ def _run_density(op, params, psi0, repetitions, noise):
     rho = np.outer(state, state.conj())
     for rep in range(1, repetitions + 1):
         lost = r @ rho @ r
-        kept = apply_channel(q @ rho @ q + g * lost, noise, m)
+        kept = apply_channel(q @ rho @ q + g * lost, noise)
         p0 = float(np.real(np.trace(kept)))
         if p0 < POSTSELECT_FLOOR:
             raise PostselectionImpossible(
@@ -379,7 +390,7 @@ def _run_density(op, params, psi0, repetitions, noise):
                 repetition=rep,
             )
         if rep == repetitions:
-            dropped = (1 - g) * np.diag(apply_channel(lost, noise, m))
+            dropped = (1 - g) * np.diag(apply_channel(lost, noise))
             extended_probs = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
         rho = kept / p0
     energy = float(np.real(np.sum(rho * op.matrix.T)))
@@ -406,7 +417,7 @@ def run_itp(
 
     Pure given (inputs, seed): repeated calls reproduce identical records.
     """
-    _check_repetitions(repetitions)
+    _check_count("repetitions", repetitions)
     if noise is None:
         et = params.resolve_trial_energy(op)
         rows = spectral_run(op, params.tau, et, psi0, repetitions, extended=True)

@@ -5,10 +5,11 @@ Any 4x4 unitary factors (Cartan/KAK) as
     U = g * (A0 (x) A1) * exp(i (x XX + y YY + z ZZ)) * (B0 (x) B1)
 
 with the interaction coefficients canonicalized into the Weyl chamber
-``0 <= |z| <= y <= x <= pi/4`` (z >= 0 when x = pi/4). The canonical class
-fixes the entangling cost: 0 CZs for local unitaries, 1 for the CZ class,
-2 when z = 0, 3 otherwise. Local factors compile to Rz-Rx-Rz Euler triples
-in closed form.
+``0 <= |z| <= y <= x <= pi/4`` (z >= 0 when x = pi/4) by signed
+permutations and quarter turns of the four magic-basis phases (Kraus &
+Cirac, PRA 63, 062309 (2001)). The canonical class fixes the entangling
+cost: 0 CZs for local unitaries, 1 for the CZ class, 2 when z = 0, 3
+otherwise. Local factors compile to Rz-Rx-Rz Euler triples in closed form.
 
 Qubit 0 is the most significant bit of the state index, so a dilation
 unitary transpiles with the reservoir on q[0] and the system on q[1].
@@ -18,16 +19,13 @@ exactly, not just up to phase. They serialize to an OpenQASM-2.0 subset
 with a byte-stable emit/parse round trip.
 
 The interaction comes from one table of local pairs, one CZ between each
-two (:func:`_interaction_blocks`). iSWAP takes the z = 0 circuit and SWAP
-the generic one, with the same CZ counts as before and new gate lists.
-Tolerances are module constants; no function takes an ``atol``.
+two (:func:`_interaction_blocks`). Tolerances are module constants; no
+function takes an ``atol``.
 
-Every one-qubit factor, from its extraction out of a kron product through
-the Weyl-chamber Cliffords, the interaction blocks and the Euler step, and
-every gate run that ``circuit_unitary`` multiplies before applying, is a
+Every one-qubit factor from its kron split to the Euler step, and every
+gate run that ``circuit_unitary`` multiplies before applying, is a
 row-major tuple ``(a, b, c, d)`` of Python complex scalars: at 2x2 a numpy
-call costs more than the arithmetic it does. ``kak_coefficients`` turns its
-local factors into 2x2 arrays only at its return.
+call costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FidelityShortfall, NotUnitary, ParseError
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, _apply_1q, max_abs
+from .errors import DimensionError, DimensionMismatch, FidelityShortfall, NotUnitary, ParseError
+from .linalg import _apply_1q, max_abs
 
 GATE_KINDS = ("rx", "rz", "cz")
 
@@ -105,10 +103,6 @@ def _unitary_defect2(q) -> float:
     )
 
 
-def _matrix(q) -> np.ndarray:
-    return np.array(q, dtype=complex).reshape(2, 2)
-
-
 def _normalize_angle(theta: float) -> float:
     """Fold into (-2*pi, 2*pi]; rotations are 4*pi periodic."""
     theta = math.fmod(theta, 4 * math.pi)
@@ -150,7 +144,7 @@ class Gate:
     def matrix(self) -> np.ndarray:
         if self.kind == "cz":
             return np.diag([1, 1, 1, -1]).astype(complex)
-        return _matrix(_rotation(self.kind, self.angle))
+        return np.array(_rotation(self.kind, self.angle), dtype=complex).reshape(2, 2)
 
 
 @dataclass
@@ -203,18 +197,20 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             continue
         for q in gate.qubits:
             if q in runs:
-                u = _apply_1q(_matrix(runs.pop(q)), u, q)
+                u = _apply_1q(np.array(runs.pop(q), dtype=complex).reshape(2, 2), u, q)
         block = u[tuple(1 if q in gate.qubits else slice(None) for q in range(n))]
         np.negative(block, out=block)  # the pair's |11> block, a view
     for q, run in runs.items():
-        u = _apply_1q(_matrix(run), u, q)
+        u = _apply_1q(np.array(run, dtype=complex).reshape(2, 2), u, q)
     return u.reshape(2**n, 2**n) * cmath.exp(1j * circuit.global_phase)
 
 
 def process_fidelity(u, v) -> float:
     """|tr(U^dag V)| / dim, phase-insensitive closeness of two unitaries."""
-    u = np.asarray(u)
-    return float(abs(np.trace(u.conj().T @ np.asarray(v)))) / u.shape[0]
+    u, v = np.asarray(u), np.asarray(v)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape != v.shape:
+        raise DimensionMismatch(f"shapes {u.shape} and {v.shape} are not one square shape")
+    return float(abs(np.trace(u.conj().T @ v))) / u.shape[0]
 
 
 def _check_unitary(u, dim: int) -> np.ndarray:
@@ -332,52 +328,45 @@ def _kron_factor(m: np.ndarray) -> tuple[complex, tuple, tuple]:
     return g, f0, f1
 
 
-_FLIPPERS = tuple(tuple((1j * p).ravel().tolist()) for p in (PAULI_X, PAULI_Y, PAULI_Z))
-_SWAPPERS = tuple(
-    tuple(v * 1j * math.sqrt(0.5) for v in q)
-    for q in (
-        (1, -1j, 1j, -1),  # swaps YY and ZZ
-        (1, 1, 1, -1),  # swaps XX and ZZ
-        (0, 1 - 1j, 1 + 1j, 0),  # swaps XX and YY
-    )
-)
+# Steps of the Weyl-chamber reduction on the magic-basis phases delta, keyed
+# by the pair of axes of (x, y, z) they act on. Each is the signed
+# permutation (perm, flips) M^dag (a (x) b) M of a Clifford pair: a swap of
+# axes j, k by s (x) s with s = i(P_j + P_k) / sqrt 2, a negation of j, k by
+# i P (x) I with P the third Pauli.
+_SWAPS = {(0, 1): ((3, 1, 2, 0), (1, -1, 1, 1)), (1, 2): ((1, 0, 2, 3), (-1, -1, 1, -1))}
+_NEGATIONS = {(0, 2): ((2, 3, 0, 1), (1, 1, -1, -1)), (1, 2): ((1, 0, 3, 2), (1, -1, -1, 1))}
+_SIGN_ROWS = (4 * _GAMMA[1:]).astype(int).tolist()  # a pi/2 shift of x, y or z
+_QUARTER_TURNS = (1, -1j, -1, 1j)  # (-i)**t for t mod 4
+_ROWS = np.arange(4)
 
 
-def _canonicalize_interaction(x: float, y: float, z: float):
-    """Weyl-chamber form of an XX/YY/ZZ interaction.
+def _weyl_reduce(x: float, y: float, z: float):
+    """Weyl-chamber form of an XX/YY/ZZ interaction, as steps on its phases.
 
-    Returns ``(phase, after_pair, (x2, y2, z2), before_pair)`` with
-    0 <= |z2| <= y2 <= x2 <= pi/4 (z2 >= 0 if x2 = pi/4) such that
+    Returns ``((x2, y2, z2), order, signs, turns)`` with 0 <= |z2| <= y2 <=
+    x2 <= pi/4 (z2 >= 0 if x2 = pi/4). If ``(w, x, y, z) = _GAMMA @ delta``,
+    then ``(w, x2, y2, z2) = _GAMMA @ delta2`` for ``delta2 = delta[order] +
+    turns * pi/2``, and for any 4x4 p and o2
 
-        exp(i(x XX + y YY + z ZZ)) =
-            phase * kron(*after) @ canonical @ kron(*before).
+        p D(delta) o2 = p[:, order] S D(delta2) S T o2[order],
 
-    Half-pi shifts, pairwise negations, and axis swaps are all realized by
-    single-qubit Cliffords (scalar tuples), tracked in the local factors.
+    D = diag(exp(i .)), S = diag(signs), T = diag((-i)**turns).
     """
-    phase = 1 + 0j
-    after, before = [_I2, _I2], [_I2, _I2]
     v = [x, y, z]
+    order, signs, turns = [0, 1, 2, 3], [1, 1, 1, 1], [0, 0, 0, 0]
 
-    def shift(k, step):  # step = +-1; (i P)^-1 = -i P
-        nonlocal phase
+    def permute(perm, flips):
+        order[:] = [order[i] for i in perm]
+        turns[:] = [turns[i] for i in perm]
+        signs[:] = [signs[i] * f for i, f in zip(perm, flips)]
+
+    def shift(k, step):  # step = +-1
         v[k] += step * math.pi / 2
-        phase *= 1j**step
-        f = tuple(step * e for e in _FLIPPERS[k])
-        before[:] = _mul2(f, before[0]), _mul2(f, before[1])
+        turns[:] = [t + step * s for t, s in zip(turns, _SIGN_ROWS[k])]
 
     def negate(k1, k2):
-        nonlocal phase
         v[k1], v[k2] = -v[k1], -v[k2]
-        phase *= -1
-        s = _FLIPPERS[3 - k1 - k2]
-        after[0], before[0] = _mul2(after[0], s), _mul2(s, before[0])
-
-    def swap_axes(k1, k2):
-        v[k1], v[k2] = v[k2], v[k1]
-        s = _SWAPPERS[3 - k1 - k2]
-        after[:] = _mul2(after[0], s), _mul2(after[1], s)
-        before[:] = _mul2(s, before[0]), _mul2(s, before[1])
+        permute(*_NEGATIONS[k1, k2])
 
     def into_range(k):
         while v[k] <= -math.pi / 4:
@@ -387,24 +376,18 @@ def _canonicalize_interaction(x: float, y: float, z: float):
 
     for k in range(3):
         into_range(k)
-    if abs(v[0]) < abs(v[1]):
-        swap_axes(0, 1)
-    if abs(v[1]) < abs(v[2]):
-        swap_axes(1, 2)
-    if abs(v[0]) < abs(v[1]):
-        swap_axes(0, 1)
-    if v[0] < 0:
-        negate(0, 2)
-    if v[1] < 0:
-        negate(1, 2)
+    for k1, k2 in ((0, 1), (1, 2), (0, 1)):  # sort by magnitude
+        if abs(v[k1]) < abs(v[k2]):
+            v[k1], v[k2] = v[k2], v[k1]
+            permute(*_SWAPS[k1, k2])
+    for k in (0, 1):  # x, y >= 0; z keeps the sign
+        if v[k] < 0:
+            negate(k, 2)
     into_range(2)
     if v[0] > math.pi / 4 - _WEYL_TOL and v[2] < 0:
         shift(0, -1)
         negate(0, 2)
-    return phase, after, tuple(v), before
-
-
-_ROWS = np.arange(4)
+    return tuple(v), order, signs, turns
 
 
 def kak_coefficients(u):
@@ -433,13 +416,13 @@ def kak_coefficients(u):
         o2[0] = -o2[0]
         delta[0] += math.pi
     w, x, y, z = (_GAMMA @ delta).tolist()
-    g1, a0, a1 = _kron_factor(_MAGIC @ p @ _MAGIC_DAG)
-    g2, b0, b1 = _kron_factor(_MAGIC @ o2 @ _MAGIC_DAG)
-    inner_phase, after, xyz, before = _canonicalize_interaction(x, y, z)
-    a0, a1, b0, b1 = np.array(
-        (_mul2(a0, after[0]), _mul2(a1, after[1]), _mul2(before[0], b0), _mul2(before[1], b1))
-    ).reshape(4, 2, 2)
-    total = det_phase + w + cmath.phase(g1 * g2 * inner_phase)
+    xyz, order, signs, turns = _weyl_reduce(x, y, z)
+    scale = np.array([[s * _QUARTER_TURNS[t % 4]] for s, t in zip(signs, turns)])
+    # p[:, order] and o2[order]; take is the cheaper index at 4x4
+    g1, a0, a1 = _kron_factor(_MAGIC @ (p.take(order, 1) * signs) @ _MAGIC_DAG)
+    g2, b0, b1 = _kron_factor(_MAGIC @ (o2.take(order, 0) * scale) @ _MAGIC_DAG)
+    a0, a1, b0, b1 = np.array((a0, a1, b0, b1)).reshape(4, 2, 2)
+    total = det_phase + w + cmath.phase(g1 * g2)
     return total, (a0, a1), xyz, (b0, b1)
 
 
@@ -503,7 +486,7 @@ def kak_decompose(u) -> Circuit:
     """
     m = np.asarray(u, dtype=complex)
     _, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(m)  # checks unitarity
-    a0, a1, b0, b1 = map(tuple, np.reshape((a0, a1, b0, b1), (4, 4)).tolist())
+    a0, a1, b0, b1 = map(tuple, np.array((a0, a1, b0, b1)).reshape(4, 4).tolist())
     blocks = _interaction_blocks(x, y, z)
     blocks[0] = tuple(map(_mul2, blocks[0], (b0, b1)))
     blocks[-1] = tuple(map(_mul2, (a0, a1), blocks[-1]))
@@ -532,17 +515,14 @@ def kak_decompose(u) -> Circuit:
 # OpenQASM 2.0 subset
 # ---------------------------------------------------------------------------
 
-_QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
-_GATE_RE = re.compile(
-    r"^(rx|rz)\(([^)]+)\) q\[(\d+)\];$|^(cz) q\[(\d+)\],q\[(\d+)\];$"
-)
+_GATE_RE = re.compile(r"^(rx|rz)\(([^)]+)\) q\[(\d+)\];$|^(cz) q\[(\d+)\],q\[(\d+)\];$")
 _PHASE_RE = re.compile(r"^// global_phase: (\S+)$")
 _QREG_RE = re.compile(r"^qreg q\[(\d+)\];$")
 
 
 def emit_circuit_text(circuit: Circuit) -> str:
     """Serialize to the OpenQASM subset; angles keep 17 significant digits."""
-    lines = [_QASM_HEADER.rstrip("\n")]
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     if circuit.global_phase != 0.0:
         lines.append(f"// global_phase: {format(circuit.global_phase, '.17g')}")
     lines.append(f"qreg q[{circuit.qubit_count}];")

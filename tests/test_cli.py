@@ -360,6 +360,18 @@ class TestExtremeTrialEnergies:
         assert rows[1].split(",")[3:] == ["0.0", "", "", "1"]
 
 
+class TestExtremeAmplitudes:
+    # a fresh process, default warning filters: a numpy warning would reach stderr
+    @pytest.mark.parametrize("scale", ["1e308", "1e-200"])
+    def test_custom_amplitudes_at_float_extremes(self, tmp_path, scale):
+        common = ("run", "--ham", "hydrogen", "--tau", "1", "--init")
+        result = cli_process((*common, f"custom:{scale},{scale}", "--out", "run.json"), tmp_path)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert run_cli(*common, "custom:1,1", "--out", tmp_path / "unit.json") == 0
+        got, want = (json.loads((tmp_path / name).read_text()) for name in ("run.json", "unit.json"))
+        assert got["extended_probs"] == want["extended_probs"]
+
+
 class TestParserReuse:
     # (command line, files it writes)
     COMMANDS = (

@@ -1,15 +1,23 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qitp
 from qitp import simulate
 from qitp.dilation import TRIAL_MODES, ItpParams, build_dilation, filter_profile
 from qitp.errors import (
+    DimensionError,
     DimensionMismatch,
     InvalidDistribution,
+    NonFiniteFunctionValue,
     NonHermitianInput,
     NonRealExpectation,
+    NotUnitary,
+    ParseError,
     PostselectionImpossible,
+    SingularOverlap,
 )
 from qitp.hamiltonians import hydrogen_sto2g
 from qitp.linalg import HermitianOperator, PAULI_Z, _degenerate_clusters, max_abs
@@ -136,6 +144,24 @@ class TestStatePlumbing:
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
+class TestNormalizedState:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(-300.0, 300.0))
+    def test_scale_invariant(self, seed, dim, log_s):
+        # s v keeps every entry finite, but its squares overflow above about
+        # 1e154 and lose digits to underflow below about 1e-154
+        v = random_state(dim, np.random.default_rng(seed))
+        assert max_abs(normalized_state(10.0**log_s * v) - normalized_state(v)) <= 1e-15
+
+    def test_extreme_and_tiny_states(self):
+        assert np.array_equal(normalized_state([1e308, 1e308]), normalized_state([1.0, 1.0]))
+        assert max_abs(normalized_state(1e-13 * np.array([0.6, 0.8])) - [0.6, 0.8]) <= 1e-15
+        assert np.array_equal(normalized_state([5e-324, 0.0]), [1.0, 0.0])
+        for zero in ([0.0, 0.0], [], [0j]):
+            with pytest.raises(InvalidDistribution):
+                normalized_state(zero)
+
+
 class TestPostselection:
     def test_all_weight_on_ancilla0(self):
         system, p0 = postselect_ancilla0([1, 0, 0, 0])
@@ -195,6 +221,9 @@ class TestEnergyExpectation:
         op = op_from(PAULI_Z)
         with pytest.raises(DimensionMismatch):
             energy_expectation(np.ones(3), op)
+
+    def test_zero_matrix_gives_zero(self):
+        assert energy_expectation([0.6, 0.8j], op_from(np.zeros((2, 2)))) == 0.0
 
 
 class TestSampling:
@@ -670,6 +699,25 @@ class TestScaleAndShiftCovariance:
         assert abs(got.ground_weight[0] - want.ground_weight[0]) <= 1e-6
         assert abs(got.energy[0] - c - want.energy[0]) <= 1e-9 * (max_abs(h) + abs(c))
 
+    @settings(max_examples=150, deadline=None)
+    @given(covariance_cases(), st.floats(-12.0, 12.0), st.floats(-3.0, 3.0))
+    def test_energy_expectation_scale(self, case, log_s, log_t):
+        # rounding in <psi|s H|psi> is of order 1e-16 s ||psi||^2: at s = 1e10
+        # it passed an absolute 1e-8 bound on the imaginary part
+        h, psi, *_ = case
+        s, t = 10.0**log_s, 10.0**log_t
+        want = energy_expectation(psi, op_from(h))
+        got = energy_expectation(t * psi, op_from(s * h)) / (s * t * t)
+        assert abs(got - want) <= 1e-9 * max_abs(h)
+
+    @given(st.floats(-12.0, 12.0))
+    def test_non_real_expectation_rejected_at_every_scale(self, log_s):
+        # an operator built around from_matrix's check: <psi|A|psi> = 0.5j
+        a = 10.0**log_s * np.array([[0.0, 1.0], [0.0, 0.0]])
+        op = HermitianOperator(a, np.zeros(2), np.eye(2))
+        with pytest.raises(NonRealExpectation):
+            energy_expectation(np.array([1.0, 1.0j]) / np.sqrt(2.0), op)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(-12.0, 12.0),
            st.floats(-1e6, 1e6))
@@ -895,7 +943,99 @@ ERROR_CASES = [
      lambda op: readout_confusion([np.inf, 1.0], 0.1)),
     ("readout_confusion, negative probability", InvalidDistribution,
      lambda op: readout_confusion([-0.1, 1.1], 0.1)),
+    ("readout_confusion, all zero", InvalidDistribution, lambda op: readout_confusion([0.0, 0.0], 0.1)),
+    ("readout_confusion, empty", InvalidDistribution, lambda op: readout_confusion([], 0.1)),
+    ("NoiseParams, NaN damping", ValueError, lambda op: NoiseParams(np.nan)),
+    ("sample_shots, negative shots", InvalidDistribution, lambda op: sample_shots([1.0], -1, 0)),
+    ("sample_shots, NaN probability", InvalidDistribution,
+     lambda op: sample_shots([np.nan, 1.0], 1, 0)),
+    ("extend_with_ancilla, NaN amplitude", InvalidDistribution,
+     lambda op: extend_with_ancilla([np.nan, 0.0])),
+    ("extend_with_ancilla, inf amplitude", InvalidDistribution,
+     lambda op: extend_with_ancilla([np.inf, 0.0])),
+    ("apply_step, NaN amplitude", InvalidDistribution,
+     lambda op: apply_step([np.nan, 0.0, 0.0, 0.0], build_dilation(op, ItpParams(1.0)))),
+    ("apply_step, DilationUnitary of another dim", DimensionMismatch,
+     lambda op: apply_step(np.ones(3), qitp.DilationUnitary(2, np.eye(4), None, None, None, 0.0))),
+    ("postselect_ancilla0, NaN amplitude", InvalidDistribution,
+     lambda op: postselect_ancilla0([np.nan, 0.0, 0.0, 0.0])),
+    ("postselect_ancilla0, odd size", DimensionMismatch, lambda op: postselect_ancilla0([1, 0, 0])),
+    ("energy_expectation, NaN amplitude", InvalidDistribution,
+     lambda op: energy_expectation([np.nan, 0.0], op)),
+    ("energy_expectation, inf amplitude", InvalidDistribution,
+     lambda op: energy_expectation([np.inf, 1.0], op)),
+    ("basis_labels, -1", ValueError, lambda op: basis_labels(-1)),
+    ("basis_labels, True", ValueError, lambda op: basis_labels(True)),
+    ("basis_labels, 2.0", ValueError, lambda op: basis_labels(2.0)),
+    ("ExperimentRecord.basis_labels, system_dim 0", ValueError,
+     lambda op: qitp.ExperimentRecord(0, *[None] * 8).basis_labels()),
+    ("ItpParams, negative tau", ValueError, lambda op: ItpParams(tau=-1.0)),
+    ("itp_filter, NaN trial energy", ValueError,
+     lambda op: qitp.itp_filter(op, ItpParams(1.0, trial_energy=np.nan))),
+    ("build_dilation, inf tau", ValueError, lambda op: build_dilation(op, ItpParams(np.inf))),
+    ("classical_itp, NaN amplitude", InvalidDistribution,
+     lambda op: qitp.classical_itp(op, ItpParams(1.0), np.array([np.nan, 1.0]))),
+    ("classical_itp, state of wrong dim", DimensionMismatch,
+     lambda op: qitp.classical_itp(op, ItpParams(1.0), np.ones(3))),
+    ("HermitianOperator, not Hermitian", NonHermitianInput,
+     lambda op: qitp.HermitianOperator.from_matrix([[0.0, 1.0], [0.0, 0.0]])),
+    ("eigh, NaN entry", NonHermitianInput, lambda op: qitp.eigh(np.diag([np.nan, 1.0]))),
+    ("eigh, not square", DimensionError, lambda op: qitp.eigh(np.ones((2, 3)))),
+    ("matrix_function, inf values", NonFiniteFunctionValue,
+     lambda op: qitp.matrix_function(op, lambda e: np.full_like(e, np.inf))),
+    ("gaussian_overlap, NaN exponent", ValueError, lambda op: qitp.gaussian_overlap(np.nan, 1.0)),
+    ("gaussian_overlap, inf exponent", ValueError, lambda op: qitp.gaussian_overlap(1.0, np.inf)),
+    ("gaussian_kinetic, NaN exponent", ValueError, lambda op: qitp.gaussian_kinetic(np.nan, 1.0)),
+    ("gaussian_kinetic, inf exponent", ValueError, lambda op: qitp.gaussian_kinetic(np.inf, 1.0)),
+    ("gaussian_kinetic, exponents summing to 0", ValueError,
+     lambda op: qitp.gaussian_kinetic(-1.0, 1.0)),
+    ("gaussian_nuclear, NaN charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, np.nan)),
+    ("gaussian_nuclear, inf charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, np.inf)),
+    ("gaussian_nuclear, NaN exponent", ValueError, lambda op: qitp.gaussian_nuclear(np.nan, 1.0)),
+    ("GaussianBasis, NaN exponent", ValueError,
+     lambda op: qitp.GaussianBasis((np.nan, 1.0), (1.0, 1.0))),
+    ("GaussianBasis, NaN slater_zeta", ValueError,
+     lambda op: qitp.GaussianBasis((1.0, 1.0), (1.0, 1.0), np.nan)),
+    ("GaussianBasis, NaN coefficient", ValueError,
+     lambda op: qitp.GaussianBasis((1.0, 1.0), (np.nan, 1.0))),
+    ("contracted_energy, NaN charge", ValueError, lambda op: qitp.contracted_energy(charge=np.nan)),
+    ("hydrogen_sto2g, default basis, NaN charge", ValueError,
+     lambda op: hydrogen_sto2g(qitp.default_hydrogen_basis(), charge=np.nan)),
+    ("hydrogen_sto2g, unknown orthogonalization", ValueError,
+     lambda op: hydrogen_sto2g(orthogonalization="qr")),
+    ("orthonormalize, singular overlap", SingularOverlap,
+     lambda op: qitp.orthonormalize(np.eye(2), np.ones((2, 2)))),
+    ("SpinCouplings, NaN a1", ValueError, lambda op: qitp.SpinCouplings(np.nan, np.zeros((3, 3)))),
+    ("two_neutron_sd, asymmetric a2", ValueError,
+     lambda op: qitp.two_neutron_sd(qitp.SpinCouplings(1.0, np.triu(np.ones((3, 3)))))),
+    ("load_hamiltonian, no matrix", ParseError,
+     lambda op: qitp.load_hamiltonian({"dim": 2, "units": "mev"})),
+    ("save_hamiltonian, path is a directory", OSError, lambda op: qitp.save_hamiltonian(op, os.curdir)),
+    ("Circuit, float qubit count", ValueError, lambda op: qitp.Circuit(1.5)),
+    ("Gate, NaN angle", ValueError, lambda op: qitp.Gate("rx", (0,), np.nan)),
+    ("circuit_unitary, 11 qubits", DimensionError, lambda op: qitp.circuit_unitary(qitp.Circuit(11))),
+    ("emit_circuit_text, gate off the register", ValueError,
+     lambda op: qitp.emit_circuit_text(qitp.Circuit(1, [qitp.Gate("rz", (1,), 0.5)]))),
+    ("parse_circuit_text, no header", ParseError, lambda op: qitp.parse_circuit_text("qreg q[1];")),
+    ("decompose_1q, not unitary", NotUnitary, lambda op: qitp.decompose_1q(2.0 * np.eye(2))),
+    ("kak_coefficients, NaN entries", NotUnitary,
+     lambda op: qitp.kak_coefficients(np.full((4, 4), np.nan))),
+    ("kak_decompose, 2x2 input", NotUnitary, lambda op: qitp.kak_decompose(np.eye(2))),
+    ("process_fidelity, shapes differ", DimensionMismatch,
+     lambda op: qitp.process_fidelity(np.eye(2), np.eye(4))),
+    ("process_fidelity, not square", DimensionMismatch,
+     lambda op: qitp.process_fidelity(np.ones((2, 3)), np.ones((2, 3)))),
 ]
+
+
+def test_every_public_callable_has_a_row():
+    """Each callable of qitp.__all__, plus readout_confusion and spectral_run,
+    is named by at least one ERROR_CASES call."""
+    named = set()
+    for _, _, call in ERROR_CASES:
+        named.update(call.__code__.co_names)
+    public = {name for name in qitp.__all__ if callable(getattr(qitp, name))}
+    assert public | {"readout_confusion", "spectral_run"} <= named
 
 
 @pytest.mark.parametrize("error, call", [c[1:] for c in ERROR_CASES], ids=[c[0] for c in ERROR_CASES])

@@ -23,7 +23,7 @@ from qitp.transpile import (
     process_fidelity,
 )
 
-from helpers import haar_unitary, rx_matrix, ry_matrix, rz_matrix
+from helpers import haar_unitary, rx_matrix, ry_matrix, rz_matrix, weyl_step_tables
 
 HYDROGEN_EXTENDED = np.array([0.00357, 0.17678, 0.53561, 0.28403])
 
@@ -616,6 +616,90 @@ class TestKakDecompose:
             assert c.cz_count() == 3
             assert process_fidelity(u, built) >= 1 - 1e-8
             assert max_abs(built - u) < 1e-7
+
+
+QUARTER = math.pi / 4
+# Inputs of _weyl_reduce, each taking the steps named: swaps and negations
+# of the axis pairs given, quarter-turn shifts of x, y, z, and the
+# x = pi/4, z < 0 edge.
+WEYL_STEP_POINTS = [
+    (0.1, 0.3, 0.2),  # swap (0, 1), then swap (1, 2)
+    (0.2, 0.1, 0.3),  # swap (1, 2), then swap (0, 1)
+    (0.05, 0.1, 0.3),  # swap (0, 1), swap (1, 2), swap (0, 1)
+    (-0.3, 0.2, 0.1),  # negation (0, 2)
+    (0.3, -0.2, 0.1),  # negation (1, 2)
+    (-0.3, -0.2, 0.1),  # both negations
+    (QUARTER, 0.2, -0.1),  # the edge: shift x down, negation (0, 2)
+    (4 * math.pi - 0.1, -4 * math.pi + 0.3, 2 * math.pi + 0.05),  # multi-turn shifts
+    (-4 * math.pi, 3 * math.pi + 0.2, -3.5 * math.pi - 0.1),
+    (0.0, 0.0, 0.0),
+    (QUARTER, QUARTER, QUARTER),
+    (QUARTER, 0.0, 0.0),
+]
+
+
+def magic_phases(w, x, y, z):
+    """delta with (w, x, y, z) = _GAMMA @ delta (the rows of 4 _GAMMA are orthogonal)."""
+    return 4.0 * transpile._GAMMA.T @ np.array([w, x, y, z])
+
+
+class TestWeylReduction:
+    def test_tables_are_magic_images_of_cliffords(self):
+        assert (transpile._SWAPS, transpile._NEGATIONS) == weyl_step_tables()
+
+    def test_tables_act_on_the_coordinates(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            delta = rng.uniform(-math.pi, math.pi, 4)
+            w, *v = transpile._GAMMA @ delta
+            for (j, k), (perm, _) in transpile._SWAPS.items():
+                swapped = list(v)
+                swapped[j], swapped[k] = v[k], v[j]
+                assert np.allclose(transpile._GAMMA @ delta[list(perm)], [w, *swapped], atol=1e-15)
+            for (j, k), (perm, _) in transpile._NEGATIONS.items():
+                negated = [-a if i in (j, k) else a for i, a in enumerate(v)]
+                assert np.allclose(transpile._GAMMA @ delta[list(perm)], [w, *negated], atol=1e-15)
+            for k in range(3):
+                shifted = delta + math.pi / 2 * np.array(transpile._SIGN_ROWS[k])
+                moved = [a + math.pi / 2 if i == k else a for i, a in enumerate(v)]
+                assert np.allclose(transpile._GAMMA @ shifted, [w, *moved], atol=1e-15)
+
+    @pytest.mark.parametrize("point", WEYL_STEP_POINTS)
+    def test_reduction_identity_on_phases(self, point):
+        """diag(exp(i delta)) = P S diag(exp(i delta2)) S T P^T with the
+        returned order, signs and turns, and (w, x2, y2, z2) = _GAMMA delta2."""
+        w = 0.37
+        delta = magic_phases(w, *point)
+        (x2, y2, z2), order, signs, turns = transpile._weyl_reduce(*point)
+        assert 0 <= abs(z2) <= y2 <= x2 <= QUARTER and (x2 < QUARTER or z2 >= 0)
+        delta2 = delta[order] + math.pi / 2 * np.array(turns)
+        assert np.allclose(transpile._GAMMA @ delta2, [w, x2, y2, z2], atol=1e-12)
+        p = np.eye(4)[:, order] * signs
+        t = np.diag((-1j) ** np.array(turns))
+        rebuilt = p @ np.diag(np.exp(1j * delta2)) @ np.diag(signs) @ t @ np.eye(4)[order]
+        assert max_abs(rebuilt - np.diag(np.exp(1j * delta))) < 1e-12
+        assert np.prod(signs) * np.linalg.det(np.eye(4)[:, order]) == 1.0
+
+    @staticmethod
+    def check_kak_identity(u):
+        phase, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(u)
+        rebuilt = cmath.exp(1j * phase) * np.kron(a0, a1) @ interaction(x, y, z) @ np.kron(b0, b1)
+        assert max_abs(rebuilt - u) < 1e-12
+        for f in (a0, a1, b0, b1):
+            assert abs(np.linalg.det(f) - 1.0) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(interaction_cases())
+    def test_kak_identity(self, u):
+        self.check_kak_identity(u)
+
+    @pytest.mark.parametrize("point", WEYL_STEP_POINTS)
+    def test_kak_identity_at_step_points(self, point):
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+            after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+            self.check_kak_identity(after @ interaction(*point) @ before)
 
 
 @st.composite

@@ -11,9 +11,9 @@ the dilation is the block matrix ``[[Q, R], [R, -Q]]`` where ``Q`` applies
 same profile mirrored about E_T: ``r(E) = h(2 E_T - E)``. The ancilla
 is the leading tensor factor: extended index = ancilla * N + system.
 
-``h`` is evaluated in an overflow-safe piecewise form; the textbook form
-``exp(-(H - E_T) tau) (1 + exp(-2 (H - E_T) tau))^(-1/2)`` overflows for
-spectrum below the trial energy at large tau.
+``h`` is evaluated through ``log h^2 = -logaddexp(0, 2 (E - E_T) tau)``; the
+textbook form ``exp(-(H - E_T) tau) (1 + exp(-2 (H - E_T) tau))^(-1/2)``
+overflows for spectrum below the trial energy at large tau.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .errors import DimensionMismatch, InvalidDistribution, UnitarityCheckFailed
 from .linalg import HermitianOperator, matrix_function, max_abs
 
 TRIAL_MODES = ("absolute", "ground_state_exact", "fraction_of_ground")
-
-_EXP_CAP = 700.0  # exp argument beyond which double precision overflows
 
 
 @dataclass(frozen=True)
@@ -67,30 +65,28 @@ class ItpParams:
         return self.fraction * op.ground_energy
 
 
-def filter_profile(energies, tau: float, trial_energy: float) -> np.ndarray:
-    """Scalar filter h(E) = 1/sqrt(1 + exp(2 (E - E_T) tau)), overflow-safe.
-
-    Decreasing in E, with values in [0, 1]; h(E_T) = 2**-0.5 (to one ulp),
-    as is every value at tau = 0. The complementary profile r = sqrt(1 - h^2) of the
-    dilation's R block is ``filter_profile(-E, tau, -E_T)``. Any finite E,
-    E_T and tau >= 0 are accepted: the halves E/2 - E_T/2 never overflow,
-    and an exponent 2 (E - E_T) tau beyond the float range is an infinity
-    that falls in the saturated branches. Infinite input goes to its limit;
-    a NaN (E - E_T) tau (NaN input, inf - inf, 0 * inf) raises ValueError.
-    """
+def log_filter_squared(energies, tau, trial_energy) -> np.ndarray:
+    """log h(E)^2 = -logaddexp(0, 2 (E - E_T) tau); see :func:`filter_profile`."""
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.asarray(energies, dtype=float) / 2 - np.asarray(trial_energy, dtype=float) / 2
         x = half * tau * 4.0
     if np.isnan(x).any():
         raise ValueError("(E - E_T) * tau is undefined: a NaN, inf - inf or 0 * inf")
-    out = np.empty_like(x)
-    hi = x > _EXP_CAP
-    lo = x < -_EXP_CAP
-    mid = ~(hi | lo)
-    out[hi] = np.exp(-x[hi] / 2.0)
-    out[lo] = 1.0
-    out[mid] = 1.0 / np.sqrt(1.0 + np.exp(x[mid]))
-    return out
+    return -np.logaddexp(0.0, x)
+
+
+def filter_profile(energies, tau: float, trial_energy: float) -> np.ndarray:
+    """Scalar filter h(E) = 1/sqrt(1 + exp(2 (E - E_T) tau)) = exp(log h^2 / 2).
+
+    Decreasing in E, with values in [0, 1]; h(E_T) = 2**-0.5, as is every
+    value at tau = 0. The complementary profile r = sqrt(1 - h^2) of the
+    dilation's R block is ``filter_profile(-E, tau, -E_T)``. Any finite E,
+    E_T and tau >= 0 are accepted: the halves E/2 - E_T/2 never overflow,
+    and an exponent 2 (E - E_T) tau beyond the float range is an infinity
+    whose limit logaddexp takes. Infinite input goes to its limit; a NaN
+    (E - E_T) tau (NaN input, inf - inf, 0 * inf) raises ValueError.
+    """
+    return np.exp(log_filter_squared(energies, tau, trial_energy) / 2)
 
 
 def itp_filter(op: HermitianOperator, params: ItpParams) -> np.ndarray:

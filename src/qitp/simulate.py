@@ -2,11 +2,11 @@
 
 Pure-state path: extend with the reservoir qubit, apply the dilation,
 condition on the reservoir reading 0, repeat. Both dilation blocks are
-functions of H, so :func:`spectral_run` runs this loop in the eigenbasis of H
-for a whole (tau, E_T) grid at once. Post-selection is exact
-probability bookkeeping, not rejection sampling; shot histograms are drawn
-from the final extended distribution so both the extended and the
-normalized occupancies stay recoverable.
+functions of H, so in its eigenbasis the loop telescopes, and
+:func:`spectral_run` evaluates it in closed form over a (tau, E_T) grid.
+Post-selection is exact probability bookkeeping, not rejection sampling;
+shot histograms are drawn from the final extended distribution so both the
+extended and the normalized occupancies stay recoverable.
 
 Noisy path: same loop on a density matrix, with single-qubit amplitude
 damping and dephasing applied once after each (noiseless) unitary step and
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import DilationUnitary, ItpParams, build_dilation, filter_profile
+from .dilation import DilationUnitary, ItpParams, build_dilation, filter_profile, log_filter_squared
 from .errors import (
     DimensionMismatch,
     InvalidDistribution,
@@ -316,20 +316,22 @@ SpectralRows = namedtuple("SpectralRows", "p0 energy ground_weight failed extend
 def spectral_run(
     op: HermitianOperator, taus, trial_energies, psi0, repetitions: int, *, extended: bool = False
 ) -> SpectralRows:
-    """The noiseless repetition loop in the eigenbasis of H, over a grid of rows.
+    """The noiseless repetition loop in the eigenbasis of H, in closed form.
 
     ``taus`` and the resolved ``trial_energies`` broadcast together and
     flatten into G (tau, E_T) rows that share one ``c = V^dag psi``. A
-    repetition multiplies each row's c_n by h(E_n) and renormalizes by its
-    reservoir-0 probability p0 = sum |h c|^2; a row whose p0 falls below the
-    floor stops there and is never divided by. Returns arrays over the rows:
-    ``failed``, the 1-based repetition that fell below the floor (0 if none);
-    ``p0`` of that repetition, else of the final one; ``energy``, <H> of the
-    post-selected state; ``ground_weight``, its weight in the ground
-    eigenspace (degenerate levels clustered as in :func:`eigh`); and, only
-    when asked for, ``extended``, shape (G, 2N), the final repetition's
-    ancilla-major ``[|V h c'|^2, |V r c'|^2]`` (c' the coefficients entering
-    it). Failed rows read NaN in energy, ground_weight and extended.
+    repetition scales c_n by h(E_n) and renormalizes by its reservoir-0
+    probability, so K of them telescope: the weights entering repetition K
+    are the row-wise softmax of ``log |c|^2 + (K - 1) log h^2``. Repetition
+    k succeeds with p0_k = S_k / S_(k-1), ``S_k = sum_n |c_n|^2 h_n^(2k)``,
+    which by Cauchy-Schwarz never decreases in k. Returns arrays over the
+    rows: ``failed``, 1 where repetition 1 fell below the floor, the only one
+    that can, else 0; ``p0`` of that repetition, else of the final one;
+    ``energy``, <H> of the post-selected state; ``ground_weight``, its weight
+    in the ground eigenspace (degenerate levels clustered as in :func:`eigh`);
+    and, only when asked for, ``extended``, shape (G, 2N), the final
+    repetition's ancilla-major ``[|V h c'|^2, |V r c'|^2]`` (c' the
+    coefficients entering it). Failed rows read NaN in all but p0.
     """
     _check_count("repetitions", repetitions)
     taus, ets = np.broadcast_arrays(np.asarray(taus, float), np.asarray(trial_energies, float))
@@ -343,24 +345,26 @@ def spectral_run(
     if state.size != op.dim:
         raise DimensionMismatch(f"state dim {state.size} != operator dim {op.dim}")
     w, v = op.eigenvalues, op.eigenvectors
-    h = filter_profile(w, taus, ets)
-    c = np.broadcast_to(v.conj().T @ state, h.shape)
-    p0, failed = np.zeros(len(h)), np.zeros(len(h), dtype=np.int64)
-    for rep in range(1, repetitions + 1):
-        entering, c = c, h * c
-        p = np.sum(np.abs(c) ** 2, axis=1)
-        p0 = np.where(failed == 0, p, p0)
-        failed[(failed == 0) & (p < POSTSELECT_FLOOR)] = rep
-        ok = failed == 0
-        c[ok] /= np.sqrt(p[ok])[:, None]
-    done = (failed == 0)[:, None]
-    weights = np.where(done, np.abs(c) ** 2, np.nan)
+    log_h2 = log_filter_squared(w, taus, ets)
+    h2, c = np.exp(log_h2), v.conj().T @ state
+    entering = np.abs(c) ** 2
+    p0_1 = h2 @ entering
+    failed = (p0_1 < POSTSELECT_FLOOR).astype(np.int64)
+    with np.errstate(all="ignore"):  # -inf from log 0 or overflow is exact; failed rows: 0 / 0
+        if repetitions > 1:
+            logs = np.log(entering) + (repetitions - 1) * log_h2
+            entering = np.exp(logs - logs.max(axis=1, keepdims=True))
+            entering /= entering.sum(axis=1, keepdims=True)
+        kept = entering * h2
+        p0 = np.where(failed, p0_1, kept.sum(axis=1))
+        weights = np.where(failed[:, None], np.nan, kept / p0[:, None])
     _, ground_end = _degenerate_clusters(w, max_abs(op.matrix))[0]
     ext = None
     if extended:
+        a = np.sqrt(entering) * np.exp(1j * np.angle(c))
         r = filter_profile(-w, taus, -ets)
-        ext = np.concatenate([(h * entering) @ v.T, (r * entering) @ v.T], axis=1)
-        ext = np.where(done, np.abs(ext) ** 2, np.nan)
+        ext = np.concatenate([(np.sqrt(h2) * a) @ v.T, (r * a) @ v.T], axis=1)
+        ext = np.where(failed[:, None], np.nan, np.abs(ext) ** 2)
     return SpectralRows(p0, weights @ w, weights[:, :ground_end].sum(axis=1), failed, ext)
 
 

@@ -34,7 +34,7 @@ import cmath
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,22 +147,24 @@ class Gate:
         return np.array(_rotation(self.kind, self.angle), dtype=complex).reshape(2, 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over ``qubit_count`` qubits plus a global phase.
+    """An immutable gate tuple over ``qubit_count`` qubits plus a global phase.
 
     ``gates[0]`` acts first. The circuit's matrix is
-    ``exp(i global_phase) * G_last ... G_1 G_0``.
+    ``exp(i global_phase) * G_last ... G_1 G_0``. Any iterable of Gates is
+    accepted and stored as a tuple.
     """
 
     qubit_count: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
     global_phase: float = 0.0
 
     def __post_init__(self):
         if isinstance(self.qubit_count, bool) or not hasattr(self.qubit_count, "__index__"):
             raise ValueError(f"qubit_count must be an int, got {self.qubit_count!r}")
-        self.qubit_count = operator.index(self.qubit_count)
+        object.__setattr__(self, "qubit_count", operator.index(self.qubit_count))
+        object.__setattr__(self, "gates", tuple(self.gates))
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
         if not math.isfinite(self.global_phase):
@@ -206,10 +208,13 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def process_fidelity(u, v) -> float:
-    """|tr(U^dag V)| / dim, phase-insensitive closeness of two unitaries."""
+    """|tr(U^dag V)| / dim, phase-insensitive closeness of two unitaries.
+    Raises NotUnitary for a NaN or infinite entry."""
     u, v = np.asarray(u), np.asarray(v)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape != v.shape:
         raise DimensionMismatch(f"shapes {u.shape} and {v.shape} are not one square shape")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise NotUnitary("matrix has non-finite entries")
     return float(abs(np.trace(u.conj().T @ v))) / u.shape[0]
 
 
@@ -501,14 +506,12 @@ def kak_decompose(u) -> Circuit:
             _check_unitary2(q)
             euler, _ = _euler_1q(q)
             steps.extend((kind, (qubit,), angle) for kind, angle in euler)
-    circuit = Circuit(2, [Gate(*step) for step in _merge_steps(steps)], 0.0)
-    built = circuit_unitary(circuit)
-    overlap = complex(np.vdot(built, m))  # tr(built^dag m)
+    gates = tuple(Gate(*step) for step in _merge_steps(steps))
+    overlap = complex(np.vdot(circuit_unitary(Circuit(2, gates)), m))  # tr(built^dag m)
     fidelity = abs(overlap) / 4.0
     if fidelity < 1.0 - 1e-8:
         raise FidelityShortfall(f"synthesis fidelity {fidelity!r}")
-    circuit.global_phase = cmath.phase(overlap)
-    return circuit
+    return Circuit(2, gates, cmath.phase(overlap))
 
 
 # ---------------------------------------------------------------------------

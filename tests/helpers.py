@@ -1,10 +1,15 @@
 """Shared generators for the test suite: seeded Hermitian and Haar samples,
-numpy rotation matrices as oracles for the transpiler's scalar forms, and
-the Weyl-chamber step tables rebuilt from their Clifford pairs."""
+numpy rotation matrices as oracles for the transpiler's scalar forms, the
+Weyl-chamber step tables rebuilt from their Clifford pairs, and the
+renormalizing repetition loop that spectral_run evaluates in closed form."""
 
 import math
 
 import numpy as np
+
+from qitp.dilation import filter_profile
+from qitp.linalg import _degenerate_clusters, max_abs
+from qitp.simulate import POSTSELECT_FLOOR, SpectralRows, normalized_state
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -74,3 +79,36 @@ def weyl_step_tables():
         for j, k in ((0, 2), (1, 2))
     }
     return swaps, negations
+
+
+def spectral_loop(op, taus, trial_energies, psi0, repetitions):
+    """The noiseless repetition loop, one renormalization per repetition, as
+    the oracle for :func:`qitp.simulate.spectral_run` (with ``extended``).
+
+    A row whose p0 falls below the floor stops there: ``failed`` is the
+    1-based repetition it fell at. Returns the SpectralRows and the (K, G)
+    array of every repetition's reservoir-0 probability; after a row fails,
+    its later entries are those of the unrenormalized vector.
+    """
+    taus, ets = np.broadcast_arrays(np.asarray(taus, float), np.asarray(trial_energies, float))
+    taus, ets = taus.reshape(-1, 1), ets.reshape(-1, 1)
+    w, v = op.eigenvalues, op.eigenvectors
+    h = filter_profile(w, taus, ets)
+    c = np.broadcast_to(v.conj().T @ normalized_state(psi0), h.shape)
+    p0, failed, history = np.zeros(len(h)), np.zeros(len(h), dtype=np.int64), []
+    for rep in range(1, repetitions + 1):
+        entering, c = c, h * c
+        p = np.sum(np.abs(c) ** 2, axis=1)
+        history.append(p)
+        p0 = np.where(failed == 0, p, p0)
+        failed[(failed == 0) & (p < POSTSELECT_FLOOR)] = rep
+        ok = failed == 0
+        c[ok] /= np.sqrt(p[ok])[:, None]
+    done = (failed == 0)[:, None]
+    weights = np.where(done, np.abs(c) ** 2, np.nan)
+    _, ground_end = _degenerate_clusters(w, max_abs(op.matrix))[0]
+    r = filter_profile(-w, taus, -ets)
+    ext = np.concatenate([(h * entering) @ v.T, (r * entering) @ v.T], axis=1)
+    ext = np.where(done, np.abs(ext) ** 2, np.nan)
+    rows = SpectralRows(p0, weights @ w, weights[:, :ground_end].sum(axis=1), failed, ext)
+    return rows, np.array(history)

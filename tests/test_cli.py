@@ -9,8 +9,11 @@ import pytest
 
 from qitp import cli
 from qitp.cli import main
-from qitp.hamiltonians import load_hamiltonian, two_neutron_sd, SpinCouplings
+from qitp.hamiltonians import load_hamiltonian, save_hamiltonian, two_neutron_sd, SpinCouplings
+from qitp.linalg import HermitianOperator
 from qitp.transpile import circuit_unitary, parse_circuit_text
+
+from helpers import haar_unitary, random_hermitian, random_state
 
 HYDROGEN_EXTENDED = {
     "00": 0.00357,
@@ -302,6 +305,28 @@ class TestSweepCommand:
             assert cells[6] == "0"
             energy = float(cells[4])
             assert e0 - 1e-9 <= energy <= e_init + 1e-9
+
+    def test_basis_change_keeps_every_column(self, tmp_path):
+        # (U H U^dag, U psi) has the spectrum and eigen-overlaps of (H, psi),
+        # so every row reads the same, failed rows (E_T below E0) included
+        rng = np.random.default_rng(23)
+        h = random_hermitian(5, rng) - 3.0 * np.eye(5)
+        u, psi = haar_unitary(5, rng), random_state(5, rng)
+        tables = []
+        for m, state in ((h, psi), (u @ h @ u.conj().T, u @ psi)):
+            ham, out = tmp_path / "h.json", tmp_path / "sweep.csv"
+            save_hamiltonian(HermitianOperator.from_matrix((m + m.conj().T) / 2, "dimensionless"), ham)
+            init = "custom:" + ",".join(repr(complex(z)) for z in state)
+            rc = run_cli("sweep-et", "--ham", ham, "--init", init, "--fractions", "0.5,1.0,1.3",
+                         "--taus", "0.5,3,450", "--out", out)
+            assert rc == 0
+            tables.append([row.split(",") for row in out.read_text().splitlines()[1:]])
+        assert [row[6] for row in tables[0]] == ["0"] * 6 + ["0", "0", "1"]
+        for want, got in zip(*tables):
+            assert got[6] == want[6]
+            for a, b in zip(want[2:6], got[2:6]):
+                assert (a == "") == (b == "")
+                assert a == "" or abs(float(a) - float(b)) <= 1e-10
 
 
 class TestTranspileCommand:

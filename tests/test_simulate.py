@@ -38,7 +38,7 @@ from qitp.simulate import (
     state_fidelity,
 )
 
-from helpers import random_hermitian, random_state
+from helpers import random_hermitian, random_state, spectral_loop
 
 # Reference occupation probabilities for the hydrogen run at tau = 60/Hartree
 # with E_T = E0 and a uniform initial state, indexed ancilla-major
@@ -656,6 +656,76 @@ class TestSpectralGrid:
 
 
 @st.composite
+def closed_form_cases(draw):
+    """A dim 1 to 16 Hamiltonian (random, degenerate integer levels, or
+    diagonal), a state (random, without ground-eigenspace weight, or with
+    exactly zero eigen-coefficients), up to 6 (tau, E_T) rows with E_T
+    possibly below the spectrum and tau up to 1e308, where 2 (E - E_T) tau
+    overflows and log h^2 is -inf, and 1 to 60 repetitions."""
+    dim = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "degenerate", "diagonal"]))
+    if kind == "random":
+        op = op_from(random_hermitian(dim, rng))
+    else:
+        levels = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)), float)
+        basis = np.eye(dim) if kind == "diagonal" else np.linalg.qr(random_hermitian(dim, rng))[0]
+        op = op_from((basis * levels) @ basis.conj().T)
+    psi = random_state(dim, rng)
+    if kind == "diagonal":
+        psi[rng.random(dim) < 0.5] = 0.0  # the eigenbasis is exact: zero coefficients
+        assume(np.any(psi))
+    elif draw(st.booleans()):
+        _, stop = _degenerate_clusters(op.eigenvalues, max_abs(op.matrix))[0]
+        ground = op.eigenvectors[:, :stop]
+        psi = psi - ground @ (ground.conj().T @ psi)
+        assume(np.linalg.norm(psi) > 1e-6)
+    spread = 1.0 + np.ptp(op.eigenvalues)
+    tau = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.just(1e308))
+    offset = st.floats(-1.0, 2.0).map(lambda f: op.ground_energy + f * spread)
+    points = draw(st.lists(st.tuples(tau, offset), min_size=1, max_size=6))
+    return op, psi, points, draw(st.integers(1, 60))
+
+
+class TestClosedFormMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(closed_form_cases())
+    def test_closed_form_equals_renormalizing_loop(self, case):
+        op, psi, points, repetitions = case
+        taus, ets = np.array(points).T
+        want, history = spectral_loop(op, taus, ets, psi, repetitions)
+        # a probability on the floor itself may round to either side of it
+        reached = [history[: f or repetitions, g] for g, f in enumerate(want.failed)]
+        assume(all(abs(p / POSTSELECT_FLOOR - 1.0) > 1e-6 for p in np.concatenate(reached)))
+        done = want.failed == 0
+        # Cauchy-Schwarz: p0 never decreases, so only repetition 1 can fail
+        assert np.all(history[1:, done] >= history[:-1, done] * (1.0 - 1e-13))
+        got = spectral_run(op, taus, ets, psi, repetitions, extended=True)
+        assert np.array_equal(got.failed, want.failed)
+        assert np.all(np.abs(got.p0 - want.p0) <= 1e-12 * want.p0)
+        scale = 1.0 + max_abs(op.eigenvalues)
+        assert np.all(np.abs(got.energy - want.energy)[done] <= 1e-12 * scale)
+        assert np.all(np.abs(got.ground_weight - want.ground_weight)[done] <= 1e-12)
+        assert max_abs(got.extended[done] - want.extended[done]) <= 1e-12
+        for field in (got.energy, got.ground_weight, got.extended):
+            assert np.all(np.isnan(field[~done]))
+
+    def test_a_million_repetitions_reach_the_ground_projection(self):
+        rng = np.random.default_rng(17)
+        basis = np.linalg.qr(random_hermitian(4, rng))[0]
+        op = op_from((basis * [-1.0, 0.0, 0.5, 2.0]) @ basis.conj().T)
+        rows = spectral_run(op, 1.0, op.ground_energy, random_state(4, rng), 10**6, extended=True)
+        # the state entering the last repetition is the ground state, and
+        # h(E_T)^2 = r(E_T)^2 = 1/2
+        assert rows.failed[0] == 0
+        assert abs(rows.p0[0] - 0.5) <= 1e-12
+        assert abs(rows.energy[0] + 1.0) <= 1e-12
+        assert abs(rows.ground_weight[0] - 1.0) <= 1e-12
+        ground = np.abs(op.ground_state) ** 2 / 2
+        assert max_abs(rows.extended[0] - np.concatenate([ground, ground])) <= 1e-12
+
+
+@st.composite
 def covariance_cases(draw):
     """A real or complex Hermitian H (dim 2 to 8), a state, tau, the offset of
     E_T above E0 (up to max_abs(H)) and 1 to 3 repetitions."""
@@ -1025,6 +1095,10 @@ ERROR_CASES = [
      lambda op: qitp.process_fidelity(np.eye(2), np.eye(4))),
     ("process_fidelity, not square", DimensionMismatch,
      lambda op: qitp.process_fidelity(np.ones((2, 3)), np.ones((2, 3)))),
+    ("process_fidelity, NaN entry", NotUnitary,
+     lambda op: qitp.process_fidelity(np.full((2, 2), np.nan), np.eye(2))),
+    ("process_fidelity, infinite entry", NotUnitary,
+     lambda op: qitp.process_fidelity(np.eye(2), np.diag([1.0, np.inf]))),
 ]
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -94,14 +95,12 @@ def decompose_1q_oracle(u, atol=1e-10):
         Gate("rz", (0,), gamma),
     ]
     gates = [g for g in gates if abs(g.angle) > 1e-14]
-    circuit = Circuit(1, gates, 0.0)
-    built = circuit_unitary(circuit)
+    built = circuit_unitary(Circuit(1, gates, 0.0))
     if process_fidelity(m, built) < 1.0 - 1e-10:
         raise FidelityShortfall("single-qubit Euler decomposition missed its target")
-    circuit.global_phase = cmath.phase(
+    return Circuit(1, gates, cmath.phase(
         transpile._overlap2(tuple(built.ravel().tolist()), tuple(m.ravel().tolist()))
-    )
-    return circuit
+    ))
 
 
 ONE_QUBIT_KINDS = ("haar", "diagonal", "anti-diagonal", "edge-0", "edge-pi", "det-at-cut")
@@ -231,6 +230,17 @@ class TestGateAndCircuit:
         c = Circuit(np.int64(2), [Gate("cz", (0, 1))])
         assert c.qubit_count == 2 and type(c.qubit_count) is int
 
+    def test_circuit_is_immutable(self):
+        # checks run only at construction, and emit trusts them: a NaN phase
+        # or an out-of-range gate would emit QASM that parse rejects
+        c = Circuit(1, [Gate("rx", (0,), 0.5)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.global_phase = math.nan
+        with pytest.raises(AttributeError):
+            c.gates.append(Gate("rx", (3,), 0.1))
+        assert c.gates == (Gate("rx", (0,), 0.5),)
+        assert parse_circuit_text(emit_circuit_text(c)) == c
+
     def test_angle_normalized_into_range(self):
         g = Gate("rz", (0,), 7.0 * math.pi)
         assert -2 * math.pi < g.angle <= 2 * math.pi
@@ -321,7 +331,7 @@ class TestScalarKernels:
 class TestDecompose1q:
     def test_identity(self):
         c = decompose_1q(np.eye(2))
-        assert c.gates == []
+        assert c.gates == ()
         assert c.global_phase == 0.0
 
     def test_rx_fixed_point(self):
@@ -781,4 +791,4 @@ class TestQasmRoundTrip:
         )
         assert c.qubit_count == 3
         assert c.global_phase == 0.0
-        assert c.gates == [Gate("rx", (2,), 0.5)]
+        assert c.gates == (Gate("rx", (2,), 0.5),)

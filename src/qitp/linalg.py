@@ -5,9 +5,11 @@ is :class:`HermitianOperator`, which caches the spectral decomposition of a
 validated Hermitian matrix; all operator functions (propagators, filters)
 are built through that spectrum.
 
-Eigendecompositions are deterministic: degenerate clusters are
-re-orthonormalized in a fixed order and every eigenvector's phase is pinned,
-so equal inputs give bitwise-equal outputs. Their tolerances scale with
+Eigendecompositions are the solver's eigenpairs with each eigenvector's
+phase pinned, so equal inputs give bitwise-equal outputs. Within a cluster of
+near-equal eigenvalues only the invariant subspace is well determined, not
+its basis; results meant to be basis-free (matrix functions, the ground
+eigenspace weight) depend only on the cluster. Tolerances scale with
 ``max_abs(H)``: the constants below are their values at ``max_abs(H) = 1``.
 """
 
@@ -94,14 +96,14 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as the columns of a unitary matrix. Within a degenerate
-    cluster the basis is re-orthonormalized (Gram-Schmidt in index order)
-    and columns are sorted lexicographically by their rounded entries, so
-    the output is deterministic even when the subspace basis is arbitrary.
+    eigenvectors as the columns of a unitary matrix, ``eigenvectors[:, k]``
+    belonging to ``eigenvalues[k]``. Each column's phase is pinned; within a
+    cluster of near-equal eigenvalues the basis is the solver's, so only
+    sums over the cluster are basis-free.
 
     Raises NonHermitianInput if the symmetry check fails and NoConvergence
-    if the underlying solver breaks down. The Hermiticity, degeneracy and
-    reconstruction tolerances are relative to ``max_abs(matrix)``.
+    if the underlying solver breaks down. The Hermiticity and reconstruction
+    tolerances are relative to ``max_abs(matrix)``.
     """
     m = _as_square_complex(matrix)
     scale = max_abs(m)
@@ -114,28 +116,6 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-
-    for lo, hi in _degenerate_clusters(w, scale):
-        if hi - lo == 1:
-            continue
-        block = v[:, lo:hi]
-        # Gram-Schmidt in index order keeps the subspace but fixes the basis.
-        for j in range(block.shape[1]):
-            col = block[:, j]
-            for i in range(j):
-                col = col - block[:, i] * (block[:, i].conj() @ col)
-            norm = np.linalg.norm(col)
-            if norm < 1e-12:
-                raise NoConvergence("degenerate cluster lost rank during re-orthonormalization")
-            block[:, j] = col / norm
-        block = _fix_eigenvector_phases(block)
-        # Deterministic within-cluster order: descending lexicographic on the
-        # rounded entries, so an identity-like basis keeps its natural order.
-        rounded = np.round(np.stack([block.real, block.imag], axis=-1), 9)
-        keys = [tuple(col.ravel()) for col in rounded.transpose(1, 0, 2)]
-        order = sorted(range(block.shape[1]), key=keys.__getitem__, reverse=True)
-        v[:, lo:hi] = block[:, order]
-
     v = _fix_eigenvector_phases(v)
     if max_abs((v * w) @ v.conj().T - sym) > RECONSTRUCTION_TOL * scale:
         raise NoConvergence("spectral reconstruction error exceeds tolerance")
@@ -162,7 +142,7 @@ class HermitianOperator:
     def from_matrix(cls, matrix, units: str = "dimensionless") -> "HermitianOperator":
         if units not in cls.VALID_UNITS:
             raise ValueError(f"units must be one of {cls.VALID_UNITS}, got {units!r}")
-        m = _as_square_complex(matrix)
+        m = _as_square_complex(matrix).copy()  # never the caller's array
         w, v = eigh(m)
         m.setflags(write=False)
         w.setflags(write=False)

@@ -30,6 +30,7 @@ memory is O(chunk + N) at any shot count.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -229,19 +230,18 @@ def apply_channel(rho, noise: NoiseParams) -> np.ndarray:
     return out[:dim, :dim]
 
 
-def readout_confusion(probs, flip: float, *, system_dim: int | None = None) -> np.ndarray:
-    """Independent per-bit readout flips applied to a probability vector.
+def readout_confusion(probs, flip: float, *, system_dim: int) -> np.ndarray:
+    """Independent per-bit readout flips applied to an extended distribution.
 
-    The vector is padded into the smallest qubit register, flipped, cropped,
-    and renormalized (flips can leak into the padding levels). With
-    ``system_dim`` N, ``probs`` is an ancilla-major extended distribution
-    (index a*N + beta, length 2N) read on the noisy register: the reservoir
-    qubit, leading, (x) the system padded to 2**m >= N levels, index
-    a*2**m + beta. Both the reservoir bit and the m system bits are flipped,
-    so the reservoir bit is never mixed with system padding. Raises
-    ValueError for a flip outside [0, 0.5] and InvalidDistribution for a
-    NaN, infinite or negative probability, or for no weight left to
-    renormalize.
+    ``probs`` is ancilla-major (index a*N + beta, length 2N for
+    ``system_dim`` N), read on the noisy register: the reservoir qubit,
+    leading, (x) the system padded to 2**m >= N levels, index a*2**m + beta.
+    It is padded into that register, flipped on the reservoir bit and the m
+    system bits, cropped, and renormalized (flips can leak into the padding
+    levels), so the reservoir bit is never mixed with system padding. Raises
+    ValueError for a flip outside [0, 0.5], DimensionMismatch for a length
+    other than 2N, and InvalidDistribution for a NaN, infinite or negative
+    probability, or for no weight left to renormalize.
     """
     if not 0.0 <= flip <= 0.5:
         raise ValueError("readout_flip must be in [0, 0.5]")
@@ -250,17 +250,16 @@ def readout_confusion(probs, flip: float, *, system_dim: int | None = None) -> n
         raise InvalidDistribution("probabilities must be finite and non-negative")
     if flip == 0.0:
         return p.copy()
-    rows, cols = (1, p.size) if system_dim is None else (2, system_dim)
-    if p.size != rows * cols:
+    if p.size != 2 * system_dim:
         raise DimensionMismatch(f"{p.size} probabilities for system dim {system_dim}")
-    levels = 2 ** (cols - 1).bit_length()
-    out = np.zeros((rows, levels))
-    out[:, :cols] = p.reshape(rows, cols)
+    levels = 2 ** (system_dim - 1).bit_length()
+    out = np.zeros((2, levels))
+    out[:, :system_dim] = p.reshape(2, system_dim)
     out = out.ravel()
     m = np.array([[1 - flip, flip], [flip, 1 - flip]])
     for q in range(out.size.bit_length() - 1):
         out = _apply_1q(m, out, q)
-    out = out.reshape(rows, levels)[:, :cols].ravel()
+    out = out.reshape(2, levels)[:, :system_dim].ravel()
     total = out.sum()
     if not total > 0.0:
         raise InvalidDistribution("probabilities have no weight to renormalize")
@@ -328,12 +327,16 @@ def spectral_run(
     rows: ``failed``, 1 where repetition 1 fell below the floor, the only one
     that can, else 0; ``p0`` of that repetition, else of the final one;
     ``energy``, <H> of the post-selected state; ``ground_weight``, its weight
-    in the ground eigenspace (degenerate levels clustered as in :func:`eigh`);
-    and, only when asked for, ``extended``, shape (G, 2N), the final
-    repetition's ancilla-major ``[|V h c'|^2, |V r c'|^2]`` (c' the
-    coefficients entering it). Failed rows read NaN in all but p0.
+    in the ground eigenspace (the lowest cluster of near-equal levels, summed,
+    so the basis within it does not matter); and, only when asked for,
+    ``extended``, shape (G, 2N), the final repetition's ancilla-major
+    ``[|V h c'|^2, |V r c'|^2]`` (c' the coefficients entering it). Failed
+    rows read NaN in all but p0. A repetition count beyond the float range
+    raises ValueError.
     """
     _check_count("repetitions", repetitions)
+    if repetitions > sys.float_info.max:  # (K - 1) log h^2 is taken in floats
+        raise ValueError(f"repetitions must be at most {sys.float_info.max:g}")
     taus, ets = np.broadcast_arrays(np.asarray(taus, float), np.asarray(trial_energies, float))
     taus, ets = taus.reshape(-1, 1), ets.reshape(-1, 1)
     bad = ~(np.isfinite(taus) & (taus >= 0))

@@ -182,6 +182,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "E_T < E0" in err
 
+    def test_repetitions_beyond_float_range_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--ham", "hydrogen", "--tau", 1, "--reps", 10**400, "--out", out) == 2
+        assert "repetitions" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_near_degenerate_two_neutron_couplings(self, tmp_path):
+        # a2 splits two levels by 5e-10, closer than the degeneracy tolerance
+        out = tmp_path / "d.json"
+        rc = run_cli(
+            "run", "--ham", "two-neutron", "--a1=1", "--a2=5e-10,0,0", "--tau", 1, "--out", out,
+        )
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert abs(sum(doc["extended_probs"].values()) - 1.0) < 1e-12
+        assert abs(sum(doc["normalized_probs"].values()) - 1.0) < 1e-12
+
     def test_basis_state_init(self, tmp_path):
         out = tmp_path / "b.json"
         rc = run_cli("run", "--ham", "hydrogen", "--tau", 60, "--init", "basis:1", "--out", out)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qitp.errors import NonFiniteFunctionValue, NonHermitianInput
 from qitp.linalg import (
@@ -12,7 +13,7 @@ from qitp.linalg import (
     max_abs,
 )
 
-from helpers import random_hermitian
+from helpers import haar_unitary, random_hermitian
 
 
 def fix_phases_loop(vectors):
@@ -89,6 +90,45 @@ class TestEigh:
             # differently by an ulp
             assert max_abs(got - want) <= 2 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("split", [5e-10, 9e-11])
+    def test_eigenvectors_stay_with_their_eigenvalues(self, split):
+        # two levels closer than the degeneracy tolerance, but not equal
+        w, v = eigh(np.diag([split, 0.0, 1.0]))
+        assert np.array_equal(w, [0.0, split, 1.0])
+        assert np.array_equal(v, np.eye(3)[:, [1, 0, 2]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 16),
+        log_scale=st.floats(-6, 6),
+        log_split=st.floats(-14, -8),
+        size=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_near_degenerate_spectra(self, n, log_scale, log_split, size, seed, data):
+        # Q diag(w) Q^dag with one pair or triple of levels split by 10**log_split
+        # of the scale: closer than the degeneracy tolerance or just outside it
+        size = min(size, n)
+        start = data.draw(st.integers(0, n - size))
+        rng = np.random.default_rng(seed)
+        levels = rng.uniform(-1.0, 1.0, n)
+        levels[start:start + size] = levels[start] + 10.0**log_split * np.arange(size)
+        q = haar_unitary(n, rng)
+        h = (q * (10.0**log_scale * levels)) @ q.conj().T
+        h = (h + h.conj().T) / 2
+        w, v = eigh(h)
+        assert np.all(np.diff(w) >= 0.0)
+        assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-12
+        assert max_abs(h @ v - v * w) <= 1e-12 * max_abs(h)
+        w2, v2 = eigh(h)
+        assert np.array_equal(w, w2) and np.array_equal(v, v2)
+        mags = np.abs(v)
+        pivots = np.argmax(mags >= mags.max(axis=0) - 1e-12, axis=0)
+        pinned = v[pivots, np.arange(n)]
+        assert np.all(pinned.real > 0.0)
+        assert np.all(np.abs(pinned.imag) <= 4 * np.finfo(float).eps * pinned.real)
+
 
 class TestHermitianOperator:
     def test_from_matrix_caches_spectrum(self):
@@ -106,6 +146,17 @@ class TestHermitianOperator:
         op = HermitianOperator.from_matrix(PAULI_Z)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+
+    def test_from_matrix_keeps_a_private_copy(self):
+        a = np.diag([1.0, 2.0]).astype(complex)
+        view = a[:]
+        op = HermitianOperator.from_matrix(a)
+        assert a.flags.writeable
+        a[0, 0] = 7.0
+        view[1, 1] = 50.0
+        assert np.array_equal(op.matrix, np.diag([1.0, 2.0]))
+        assert np.array_equal(op.eigenvalues, [1.0, 2.0])
+        assert np.array_equal(op.eigenvectors, np.eye(2))
 
 
 class TestMatrixFunction:

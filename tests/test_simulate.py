@@ -361,7 +361,7 @@ class TestChannels:
             assert max_abs(total - np.eye(2)) < 1e-12
 
     def test_readout_confusion_mixes_bits(self):
-        p = readout_confusion([1.0, 0.0, 0.0, 0.0], 0.1)
+        p = readout_confusion([1.0, 0.0, 0.0, 0.0], 0.1, system_dim=2)
         want = [0.81, 0.09, 0.09, 0.01]
         assert np.allclose(p, want, atol=1e-12)
 
@@ -398,16 +398,18 @@ class TestChannels:
         assert np.linalg.eigvalsh(out).min() > -1e-10
 
     def test_readout_confusion_matches_kronecker_oracle(self):
+        # the register layout: reservoir bit (x) the system padded to 2**m levels
         rng = np.random.default_rng(21)
-        for dim in range(1, 9):
-            k = max(1, int(np.ceil(np.log2(dim))))
-            p = rng.uniform(size=dim)
+        for dim in range(1, 9):  # 3, 5, 6 and 7 are padded into the register
+            levels = 2 ** (dim - 1).bit_length()
+            p = rng.uniform(size=2 * dim)
             p /= p.sum()
             flip = rng.uniform(0, 0.5)
-            work = np.zeros(2**k)
-            work[:dim] = p
-            want = readout_oracle(work, flip)[:dim]
-            assert max_abs(readout_confusion(p, flip) - want / want.sum()) < 1e-14
+            work = np.zeros((2, levels))
+            work[:, :dim] = p.reshape(2, dim)
+            want = readout_oracle(work.ravel(), flip).reshape(2, levels)[:, :dim].ravel()
+            got = readout_confusion(p, flip, system_dim=dim)
+            assert max_abs(got - want / want.sum()) < 1e-14
 
 
 class TestRunItp:
@@ -896,7 +898,7 @@ class TestReducedDensityLoop:
             return
         rec = run_itp(op, params, psi, repetitions, shots, seed, noise)
         if noise.readout_flip > 0.0:
-            extended = readout_confusion(extended, noise.readout_flip)
+            extended = readout_confusion(extended, noise.readout_flip, system_dim=op.dim)
         extended = extended / extended.sum()
         # 1e-12 relative, over an absolute floor: a small population is a sum
         # of O(1) terms that cancel, so either loop rounds it to about 1e-15
@@ -991,9 +993,16 @@ ERROR_CASES = [
      lambda op: spectral_run(op, 1.0, 0.0, np.ones(2), True)),
     ("spectral_run, repetitions=1.5", ValueError,
      lambda op: spectral_run(op, 1.0, 0.0, np.ones(2), 1.5)),
-    ("readout_confusion, flip 0.7", ValueError, lambda op: readout_confusion([0.5, 0.5], 0.7)),
-    ("readout_confusion, flip -0.1", ValueError, lambda op: readout_confusion([0.5, 0.5], -0.1)),
-    ("readout_confusion, flip nan", ValueError, lambda op: readout_confusion([0.5, 0.5], np.nan)),
+    ("spectral_run, repetitions=10**400", ValueError,
+     lambda op: spectral_run(op, 1.0, 0.0, np.ones(2), 10**400)),
+    ("run_itp pure, repetitions=10**400", ValueError,
+     lambda op: run_itp(op, repetitions=10**400, **_PURE)),
+    ("readout_confusion, flip 0.7", ValueError,
+     lambda op: readout_confusion([0.5, 0.5], 0.7, system_dim=1)),
+    ("readout_confusion, flip -0.1", ValueError,
+     lambda op: readout_confusion([0.5, 0.5], -0.1, system_dim=1)),
+    ("readout_confusion, flip nan", ValueError,
+     lambda op: readout_confusion([0.5, 0.5], np.nan, system_dim=1)),
     ("filter_profile, NaN energy", ValueError, lambda op: filter_profile([np.nan, 0.0], 1.0, 0.0)),
     ("filter_profile, NaN trial energy", ValueError,
      lambda op: filter_profile([1.0, 0.0], 1.0, np.nan)),
@@ -1006,15 +1015,17 @@ ERROR_CASES = [
     ("apply_channel, inf rho", InvalidDistribution,
      lambda op: apply_channel(np.full((2, 2), np.inf), NoiseParams())),
     ("readout_confusion, NaN probability", InvalidDistribution,
-     lambda op: readout_confusion([np.nan, 1.0], 0.1)),
+     lambda op: readout_confusion([np.nan, 1.0], 0.1, system_dim=1)),
     ("readout_confusion, NaN probability, no flip", InvalidDistribution,
-     lambda op: readout_confusion([np.nan, 1.0], 0.0)),
+     lambda op: readout_confusion([np.nan, 1.0], 0.0, system_dim=1)),
     ("readout_confusion, inf probability", InvalidDistribution,
-     lambda op: readout_confusion([np.inf, 1.0], 0.1)),
+     lambda op: readout_confusion([np.inf, 1.0], 0.1, system_dim=1)),
     ("readout_confusion, negative probability", InvalidDistribution,
-     lambda op: readout_confusion([-0.1, 1.1], 0.1)),
-    ("readout_confusion, all zero", InvalidDistribution, lambda op: readout_confusion([0.0, 0.0], 0.1)),
-    ("readout_confusion, empty", InvalidDistribution, lambda op: readout_confusion([], 0.1)),
+     lambda op: readout_confusion([-0.1, 1.1], 0.1, system_dim=1)),
+    ("readout_confusion, all zero", InvalidDistribution,
+     lambda op: readout_confusion([0.0, 0.0], 0.1, system_dim=1)),
+    ("readout_confusion, empty", InvalidDistribution,
+     lambda op: readout_confusion([], 0.1, system_dim=0)),
     ("NoiseParams, NaN damping", ValueError, lambda op: NoiseParams(np.nan)),
     ("sample_shots, negative shots", InvalidDistribution, lambda op: sample_shots([1.0], -1, 0)),
     ("sample_shots, NaN probability", InvalidDistribution,

@@ -114,14 +114,8 @@ class GaussianBasis:
 
 def default_hydrogen_basis() -> GaussianBasis:
     """The shipped STO-2G hydrogen parameters (config file, not hard-coded)."""
-    raw = json.loads(
-        resources.files("qitp.data").joinpath("sto2g_hydrogen.json").read_text()
-    )
-    return GaussianBasis(
-        exponents=tuple(raw["exponents"]),
-        coefficients=tuple(raw["coefficients"]),
-        slater_zeta=float(raw["slater_zeta"]),
-    )
+    raw = resources.files("qitp.data").joinpath("sto2g_hydrogen.json").read_text()
+    return GaussianBasis.from_dict(json.loads(raw))
 
 
 def _raw_hydrogen_matrices(basis: GaussianBasis, charge: float):

@@ -248,10 +248,10 @@ def readout_confusion(probs, flip: float, *, system_dim: int) -> np.ndarray:
     p = np.asarray(probs, dtype=float).ravel()
     if not (np.isfinite(p).all() and (p >= 0.0).all()):
         raise InvalidDistribution("probabilities must be finite and non-negative")
-    if flip == 0.0:
-        return p.copy()
     if p.size != 2 * system_dim:
         raise DimensionMismatch(f"{p.size} probabilities for system dim {system_dim}")
+    if flip == 0.0:
+        return p.copy()
     levels = 2 ** (system_dim - 1).bit_length()
     out = np.zeros((2, levels))
     out[:, :system_dim] = p.reshape(2, system_dim)
@@ -355,7 +355,11 @@ def spectral_run(
     failed = (p0_1 < POSTSELECT_FLOOR).astype(np.int64)
     with np.errstate(all="ignore"):  # -inf from log 0 or overflow is exact; failed rows: 0 / 0
         if repetitions > 1:
-            logs = np.log(entering) + (repetitions - 1) * log_h2
+            # shifted to a row maximum of 0 over the occupied levels, so a huge
+            # K leaves one finite term per row; unoccupied levels stay -inf
+            shifted = np.where(entering > 0, log_h2, -np.inf)
+            shifted -= shifted.max(axis=1, keepdims=True)
+            logs = np.log(entering) + (repetitions - 1) * shifted
             entering = np.exp(logs - logs.max(axis=1, keepdims=True))
             entering /= entering.sum(axis=1, keepdims=True)
         kept = entering * h2

@@ -461,33 +461,17 @@ def _interaction_blocks(x: float, y: float, z: float) -> list[tuple]:
     ]
 
 
-def _merge_steps(steps: list[tuple]) -> list[tuple]:
-    """Fuse adjacent same-axis ``(kind, qubits, angle)`` rotation steps on the
-    same qubit; drop identities.
-
-    Angles that land on 0 or +-2*pi modulo 4*pi disappear (a 2*pi rotation
-    is a pure phase, recovered by the final phase fit).
-    """
-    out: list[tuple] = []
-    for kind, qubits, angle in steps:
-        if out and out[-1][0] == kind != "cz" and out[-1][1] == qubits:
-            angle = _normalize_angle(out.pop()[2] + angle)
-        if kind == "cz" or min(abs(angle), abs(abs(angle) - 2 * math.pi)) > 1e-12:
-            out.append((kind, qubits, angle))
-    return out
-
-
 def kak_decompose(u) -> Circuit:
     """Compile a two-qubit unitary into {rx, rz, cz} with at most 3 CZs.
 
     The CZ count matches the canonical class of the input, the gate list is
     deterministic, and the circuit matrix reproduces the input including
     global phase. Each local 2x2 factor compiles in closed form (the Euler
-    step of :func:`decompose_1q`, without building a one-qubit circuit); the
-    steps are merged before any Gate is built, and one ``circuit_unitary``
-    call per decomposition fits the phase. Raises NotUnitary on bad input
-    and FidelityShortfall if the synthesized circuit misses (internal
-    consistency guard).
+    step of :func:`decompose_1q`, without building a one-qubit circuit) into
+    Gates in the order they act, and one ``circuit_unitary`` call per
+    decomposition fits the phase. Raises NotUnitary on bad input and
+    FidelityShortfall if the synthesized circuit misses (internal consistency
+    guard).
     """
     m = np.asarray(u, dtype=complex)
     _, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(m)  # checks unitarity
@@ -496,17 +480,16 @@ def kak_decompose(u) -> Circuit:
     blocks[0] = tuple(map(_mul2, blocks[0], (b0, b1)))
     blocks[-1] = tuple(map(_mul2, (a0, a1), blocks[-1]))
 
-    steps = []
+    gates = []
     for i, pair in enumerate(blocks):
         if i:
-            steps.append(("cz", (0, 1), None))
+            gates.append(Gate("cz", (0, 1)))
         for qubit, q in enumerate(pair):
-            if max(abs(q[1]), abs(q[2]), abs(q[3] - q[0])) < 1e-14:
-                continue  # identity up to phase
             _check_unitary2(q)
-            euler, _ = _euler_1q(q)
-            steps.extend((kind, (qubit,), angle) for kind, angle in euler)
-    gates = tuple(Gate(*step) for step in _merge_steps(steps))
+            for kind, angle in _euler_1q(q)[0]:
+                # a rotation by 0 or +-2*pi is a phase; the phase fit takes it
+                if min(abs(angle), abs(abs(angle) - 2 * math.pi)) > 1e-12:
+                    gates.append(Gate(kind, (qubit,), angle))
     overlap = complex(np.vdot(circuit_unitary(Circuit(2, gates)), m))  # tr(built^dag m)
     fidelity = abs(overlap) / 4.0
     if fidelity < 1.0 - 1e-8:

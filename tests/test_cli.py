@@ -188,6 +188,20 @@ class TestRunCommand:
         assert "repetitions" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_repetition_count_projects_onto_ground_state(self, tmp_path):
+        # K |log h^2| overflows every level at tau 60; the answer is still
+        # the ground projection
+        from qitp.hamiltonians import hydrogen_sto2g
+
+        out = tmp_path / "k.json"
+        rc = run_cli(
+            "run", "--ham", "hydrogen", "--tau", 60, "--et", "frac:1.5", "--reps", 2**1023,
+            "--out", out,
+        )
+        assert rc == 0
+        e0 = hydrogen_sto2g()[0].ground_energy
+        assert abs(json.loads(out.read_text())["energy"] - e0) <= 1e-12 * abs(e0)
+
     def test_near_degenerate_two_neutron_couplings(self, tmp_path):
         # a2 splits two levels by 5e-10, closer than the degeneracy tolerance
         out = tmp_path / "d.json"

@@ -1022,6 +1022,8 @@ ERROR_CASES = [
      lambda op: readout_confusion([np.inf, 1.0], 0.1, system_dim=1)),
     ("readout_confusion, negative probability", InvalidDistribution,
      lambda op: readout_confusion([-0.1, 1.1], 0.1, system_dim=1)),
+    ("readout_confusion, wrong length, no flip", DimensionMismatch,
+     lambda op: readout_confusion(np.ones(3), 0.0, system_dim=5)),
     ("readout_confusion, all zero", InvalidDistribution,
      lambda op: readout_confusion([0.0, 0.0], 0.1, system_dim=1)),
     ("readout_confusion, empty", InvalidDistribution,

@@ -11,7 +11,7 @@ from qitp import transpile
 from qitp.dilation import ItpParams, build_dilation
 from qitp.errors import FidelityShortfall, NotUnitary, ParseError
 from qitp.hamiltonians import hydrogen_sto2g
-from qitp.linalg import PAULI_X, PAULI_Y, PAULI_Z, max_abs
+from qitp.linalg import PAULI_X, PAULI_Y, PAULI_Z, HermitianOperator, max_abs
 from qitp.transpile import (
     Circuit,
     Gate,
@@ -24,7 +24,9 @@ from qitp.transpile import (
     process_fidelity,
 )
 
-from helpers import haar_unitary, rx_matrix, ry_matrix, rz_matrix, weyl_step_tables
+from helpers import (
+    haar_unitary, random_hermitian, rx_matrix, ry_matrix, rz_matrix, weyl_step_tables,
+)
 
 HYDROGEN_EXTENDED = np.array([0.00357, 0.17678, 0.53561, 0.28403])
 
@@ -174,6 +176,15 @@ def sbm_cz_count(u, tol=1e-9):
 
 
 @st.composite
+def dilation_cases(draw):
+    """A random 2x2 Hermitian H at scale 1e-3 to 1e3, tau in [1e-2, 32] and
+    an offset of E_T from E0 within three units."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = random_hermitian(2, rng, 10.0 ** draw(st.floats(-3.0, 3.0)))
+    return h, draw(st.floats(1e-2, 32.0)), draw(st.floats(-3.0, 3.0))
+
+
+@st.composite
 def interaction_cases(draw):
     """exp(i(x XX + y YY + z ZZ)) for any (x, y, z), not reduced to the Weyl
     chamber, between two random local pairs and times a random phase. Each
@@ -213,8 +224,6 @@ class TestGateAndCircuit:
         assert hash(g) == hash(Gate("rx", (0,), 1.0))
         cz = Gate("cz", np.array([1, 0]))
         assert cz.qubits == (1, 0) and all(type(q) is int for q in cz.qubits)
-        merged = transpile._merge_steps([("rx", (0,), 0.5), ("rx", (0,), 0.25)])
-        assert [Gate(*step) for step in merged] == [Gate("rx", [0], 0.75)]
 
     def test_global_phase_must_be_finite(self):
         for phase in (math.nan, math.inf, -math.inf):
@@ -575,6 +584,28 @@ class TestKakDecompose:
         c = kak_decompose(u)
         assert c.cz_count() == sbm_cz_count(u)
         assert max_abs(circuit_unitary(c) - u) < 1e-7
+
+    @settings(max_examples=200, deadline=None)
+    @given(dilation_cases())
+    def test_dilation_weyl_class_in_closed_form(self, case):
+        # U = Z(x)Q + X(x)R is a reservoir Ry(-2 theta_n) multiplexed on the
+        # eigenbasis of H, theta_n = arctan(exp((E_n - E_T) tau)): its Weyl
+        # class is (|theta_0 - theta_1| / 2, 0, 0), at most 2 CZs
+        h, tau, offset = case
+        e = np.linalg.eigvalsh(h)
+        et = e[0] + offset
+        with np.errstate(over="ignore"):
+            theta = np.arctan(np.exp((e - et) * tau))
+        x = abs(theta[0] - theta[1]) / 2
+        u = build_dilation(HermitianOperator.from_matrix(h), ItpParams(tau=tau, trial_energy=et))
+        assert np.abs(np.subtract(kak_coefficients(u.matrix)[2], (x, 0.0, 0.0))).max() <= 1e-8
+        czs = kak_decompose(u.matrix).cz_count()
+        if x == 0.0:
+            assert czs == 0
+        elif x == math.pi / 4:
+            assert czs == 1
+        elif 1e-7 < x < math.pi / 4 - 1e-7:
+            assert czs == 2
 
     def test_oracle_on_known_gates(self):
         cnot = np.eye(4)[[0, 1, 3, 2]]

@@ -95,17 +95,25 @@ def _parse_a2(text: str | None) -> np.ndarray:
     raise ConfigError("--a2 takes 3 (diagonal) or 9 (row-major) numbers")
 
 
-def _parse_trial(text: str) -> dict:
+def _fraction_energy(fraction: float, op) -> float:
+    """E_T = fraction * E0, the sweep protocol; the fraction must be finite and > 0."""
+    if not (np.isfinite(fraction) and fraction > 0):
+        raise ConfigError(f"fraction must be finite and > 0, got {fraction}")
+    return fraction * op.ground_energy
+
+
+def _trial_energy(text: str, op) -> float:
+    """The --et flag: 'auto' (E0), 'frac:<x>' (x * E0), or an absolute E_T."""
     if text == "auto":
-        return {"trial_mode": "ground_state_exact"}
+        return op.ground_energy
     if text.startswith("frac:"):
         try:
             fraction = float(text[5:])
         except ValueError as exc:
             raise ConfigError(f"bad --et fraction: {text!r}") from exc
-        return {"trial_mode": "fraction_of_ground", "fraction": fraction}
+        return _fraction_energy(fraction, op)
     try:
-        return {"trial_mode": "absolute", "trial_energy": float(text)}
+        return float(text)
     except ValueError as exc:
         raise ConfigError(f"--et must be 'auto', 'frac:<x>', or a number") from exc
 
@@ -240,7 +248,8 @@ def _record_to_csv(record, config_echo: dict) -> str:
 
 def cmd_run(args) -> int:
     op = _resolve_hamiltonian(args)
-    params = ItpParams(tau=args.tau, **_parse_trial(args.et))
+    et = _trial_energy(args.et, op)
+    params = ItpParams(args.tau, trial_energy=et)
     psi0 = _parse_initial_state(args.init, op.dim)
     noise = _parse_noise(args.noise)
     record = run_itp(
@@ -256,7 +265,7 @@ def cmd_run(args) -> int:
         "ham": args.ham,
         "tau": args.tau,
         "et": args.et,
-        "trial_energy": params.resolve_trial_energy(op),
+        "trial_energy": et,
         "init": args.init,
         "reps": args.reps,
         "shots": args.shots,
@@ -275,10 +284,8 @@ def cmd_sweep_et(args) -> int:
     op = _resolve_hamiltonian(args)
     fractions = _parse_floats(args.fractions) if args.fractions else []
     taus = _parse_floats(args.taus) if args.taus else []
-    if not all(f > 0 for f in fractions):
-        raise ConfigError("fractions must be positive")
+    ets = [_fraction_energy(f, op) for f in fractions]
     psi0 = _parse_initial_state(args.init, op.dim)
-    ets = [f * op.ground_energy for f in fractions]
     rows = spectral_run(op, np.reshape(taus, (-1, 1)), ets, psi0, 1)
     heads = [f"{_fmt(t)},{_fmt(f)},{_fmt(et)}" for t in taus for f, et in zip(fractions, ets)]
     lines = ["tau,et_fraction,et_value,p0,energy,fidelity_to_ground,failed"]
@@ -298,8 +305,8 @@ def cmd_transpile(args) -> int:
             file=sys.stderr,
         )
         return EXIT_TRANSPILE_SCOPE
-    params = ItpParams(tau=args.tau, **_parse_trial(args.et))
-    u = build_dilation(op, params)
+    et = _trial_energy(args.et, op)
+    u = build_dilation(op, ItpParams(args.tau, trial_energy=et))
     circuit = kak_decompose(u.matrix)
     fidelity = process_fidelity(u.matrix, circuit_unitary(circuit))
     Path(args.out).write_text(emit_circuit_text(circuit))
@@ -309,7 +316,7 @@ def cmd_transpile(args) -> int:
         "global_phase": circuit.global_phase,
         "gate_count": len(circuit.gates),
         "tau": args.tau,
-        "trial_energy": params.resolve_trial_energy(op),
+        "trial_energy": et,
     }
     report_path = args.report or (args.out + ".report.json")
     Path(report_path).write_text(json.dumps(report, indent=2) + "\n")

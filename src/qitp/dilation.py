@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidDistribution, UnitarityCheckFailed, ZeroVector
 from .linalg import HermitianOperator, matrix_function, max_abs
 
-TRIAL_MODES = ("absolute", "ground_state_exact", "fraction_of_ground")
+TRIAL_MODES = ("absolute", "ground_state_exact")
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,12 @@ class ItpParams:
     ``trial_mode`` selects how the shift E_T is obtained:
 
     - "absolute": use ``trial_energy`` as given,
-    - "ground_state_exact": E_T = E_0 from the spectrum,
-    - "fraction_of_ground": E_T = fraction * E_0 (the sweep protocol).
+    - "ground_state_exact": E_T = E_0 from the spectrum.
     """
 
     tau: float
     trial_energy: float = 0.0
     trial_mode: str = "absolute"
-    fraction: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.tau) or self.tau < 0:
@@ -52,17 +50,11 @@ class ItpParams:
             raise ValueError(f"trial_mode must be one of {TRIAL_MODES}")
         if not np.isfinite(self.trial_energy):
             raise ValueError("trial_energy must be finite")
-        if self.trial_mode == "fraction_of_ground" and not (
-            np.isfinite(self.fraction) and self.fraction > 0
-        ):
-            raise ValueError(f"fraction must be finite and > 0, got {self.fraction}")
 
     def resolve_trial_energy(self, op: HermitianOperator) -> float:
-        if self.trial_mode == "absolute":
-            return float(self.trial_energy)
         if self.trial_mode == "ground_state_exact":
             return op.ground_energy
-        return self.fraction * op.ground_energy
+        return float(self.trial_energy)
 
 
 def log_filter_squared(energies, tau, trial_energy) -> np.ndarray:
@@ -105,15 +97,13 @@ class DilationUnitary:
 
     ``matrix`` has block layout [[Q, R], [R, -Q]]; ``q_block`` and
     ``r_block`` are commuting Hermitian functions of the same Hamiltonian
-    with Q^2 + R^2 = I. ``trial_energy`` is the resolved E_T.
+    with Q^2 + R^2 = I.
     """
 
     system_dim: int
     matrix: np.ndarray
     q_block: np.ndarray
     r_block: np.ndarray
-    params: ItpParams
-    trial_energy: float
 
     @property
     def dim(self) -> int:
@@ -135,14 +125,7 @@ def build_dilation(op: HermitianOperator, params: ItpParams) -> DilationUnitary:
         raise UnitarityCheckFailed(f"||U^dag U - I||_max = {defect:.3e}")
     for a in (u, q, r):
         a.setflags(write=False)
-    return DilationUnitary(
-        system_dim=op.dim,
-        matrix=u,
-        q_block=q,
-        r_block=r,
-        params=params,
-        trial_energy=et,
-    )
+    return DilationUnitary(system_dim=op.dim, matrix=u, q_block=q, r_block=r)
 
 
 def classical_itp(

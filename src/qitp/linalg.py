@@ -161,10 +161,6 @@ class HermitianOperator:
     def ground_state(self) -> np.ndarray:
         return self.eigenvectors[:, 0]
 
-    def function(self, f) -> np.ndarray:
-        """Alias for :func:`matrix_function` on this operator."""
-        return matrix_function(self, f)
-
 
 def matrix_function(op: HermitianOperator, f) -> np.ndarray:
     """Apply a scalar map to an operator through its spectrum.

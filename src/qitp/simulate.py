@@ -230,17 +230,17 @@ def apply_channel(rho, noise: NoiseParams) -> np.ndarray:
     return out[:dim, :dim]
 
 
-def readout_confusion(probs, flip: float, *, system_dim: int) -> np.ndarray:
+def readout_confusion(probs, flip: float) -> np.ndarray:
     """Independent per-bit readout flips applied to an extended distribution.
 
-    ``probs`` is ancilla-major (index a*N + beta, length 2N for
-    ``system_dim`` N), read on the noisy register: the reservoir qubit,
+    ``probs`` is ancilla-major (index a*N + beta, length 2N, so N is half
+    its length), read on the noisy register: the reservoir qubit,
     leading, (x) the system padded to 2**m >= N levels, index a*2**m + beta.
     It is padded into that register, flipped on the reservoir bit and the m
     system bits, cropped, and renormalized (flips can leak into the padding
     levels), so the reservoir bit is never mixed with system padding. Raises
-    ValueError for a flip outside [0, 0.5], DimensionMismatch for a length
-    other than 2N, and InvalidDistribution for a NaN, infinite or negative
+    ValueError for a flip outside [0, 0.5], DimensionMismatch for an odd
+    length, and InvalidDistribution for a NaN, infinite or negative
     probability, or for no weight left to renormalize.
     """
     if not 0.0 <= flip <= 0.5:
@@ -248,18 +248,19 @@ def readout_confusion(probs, flip: float, *, system_dim: int) -> np.ndarray:
     p = np.asarray(probs, dtype=float).ravel()
     if not (np.isfinite(p).all() and (p >= 0.0).all()):
         raise InvalidDistribution("probabilities must be finite and non-negative")
-    if p.size != 2 * system_dim:
-        raise DimensionMismatch(f"{p.size} probabilities for system dim {system_dim}")
+    if p.size % 2:
+        raise DimensionMismatch(f"{p.size} probabilities: an extended distribution has even length")
+    n = p.size // 2
     if flip == 0.0:
         return p.copy()
-    levels = 2 ** (system_dim - 1).bit_length()
+    levels = 2 ** (n - 1).bit_length()
     out = np.zeros((2, levels))
-    out[:, :system_dim] = p.reshape(2, system_dim)
+    out[:, :n] = p.reshape(2, n)
     out = out.ravel()
     m = np.array([[1 - flip, flip], [flip, 1 - flip]])
     for q in range(out.size.bit_length() - 1):
         out = _apply_1q(m, out, q)
-    out = out.reshape(2, levels)[:, :system_dim].ravel()
+    out = out.reshape(2, levels)[:, :n].ravel()
     total = out.sum()
     if not total > 0.0:
         raise InvalidDistribution("probabilities have no weight to renormalize")
@@ -440,7 +441,7 @@ def run_itp(
     else:
         extended, energy = _run_density(op, params, psi0, repetitions, noise)
         if noise.readout_flip > 0.0:
-            extended = readout_confusion(extended, noise.readout_flip, system_dim=op.dim)
+            extended = readout_confusion(extended, noise.readout_flip)
     total = extended.sum()
     if abs(total - 1.0) > 1e-9:
         raise InvalidDistribution(f"extended probabilities sum to {total!r}")

@@ -10,7 +10,7 @@ import pytest
 from qitp import cli
 from qitp.cli import main
 from qitp.hamiltonians import load_hamiltonian, save_hamiltonian, two_neutron_sd, SpinCouplings
-from qitp.linalg import HermitianOperator
+from qitp.linalg import HermitianOperator, max_abs
 from qitp.transpile import circuit_unitary, parse_circuit_text
 
 from helpers import haar_unitary, random_hermitian, random_state
@@ -360,6 +360,70 @@ class TestSweepCommand:
                 assert a == "" or abs(float(a) - float(b)) <= 1e-10
 
 
+class TestScaleAndShift:
+    """The filter depends on (E - E_T) tau alone, so through the CLI output
+    files (s H, tau / s) with the same fractions, and (H + c I, E_T + c),
+    read as (H, tau, E_T), with the energy scaled by s or shifted by c.
+    Tolerances as in test_simulate.TestScaleAndShiftCovariance."""
+
+    TAUS = (0.5, 3.0, 20.0)
+
+    @staticmethod
+    def hamiltonian():
+        # E0 < 0, so fraction 1.3 puts E_T below it: tau 20 fails that row
+        return random_hermitian(5, np.random.default_rng(31)) - 3.0 * np.eye(5)
+
+    @staticmethod
+    def save(tmp_path, m):
+        path = tmp_path / "h.json"
+        save_hamiltonian(HermitianOperator.from_matrix(m, "dimensionless"), path)
+        return path
+
+    def sweep(self, tmp_path, m, taus, fractions):
+        out = tmp_path / "sweep.csv"
+        rc = run_cli("sweep-et", "--ham", self.save(tmp_path, m), "--fractions", fractions,
+                     "--taus", ",".join(map(repr, taus)), "--out", out)
+        assert rc == 0
+        return [row.split(",") for row in out.read_text().splitlines()[1:]]
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-3, 1e3, 1e12])
+    def test_scale(self, tmp_path, s):
+        h = self.hamiltonian()
+        want = self.sweep(tmp_path, h, self.TAUS, "0.5,1.0,1.3")
+        got = self.sweep(tmp_path, s * h, [t / s for t in self.TAUS], "0.5,1.0,1.3")
+        assert [row[6] for row in want] == ["0"] * 8 + ["1"]
+        for w, g in zip(want, got):
+            assert g[6] == w[6]
+            assert abs(float(g[3]) - float(w[3])) <= 1e-9 * float(w[3])
+            if w[6] == "0":
+                assert abs(float(g[4]) / s - float(w[4])) <= 1e-9 * max_abs(h)
+                assert abs(float(g[5]) - float(w[5])) <= 1e-9
+
+    @pytest.mark.parametrize("c", [-1e6, -2.5, 40.0, 1e6])
+    def test_shift(self, tmp_path, c):
+        h = self.hamiltonian()
+        shifted = h + c * np.eye(5)
+        scale = max_abs(h) + abs(c)
+        et = HermitianOperator.from_matrix(h, "dimensionless").ground_energy + 0.4
+        runs = []
+        for m, trial in ((h, et), (shifted, et + c)):
+            out = tmp_path / "run.json"
+            rc = run_cli("run", "--ham", self.save(tmp_path, m), "--tau", 3, "--reps", 2,
+                         "--et", repr(trial), "--out", out)
+            assert rc == 0
+            runs.append(json.loads(out.read_text()))
+        want, got = runs
+        assert abs(got["postselect_prob"] / want["postselect_prob"] - 1.0) <= 1e-6
+        assert abs(got["energy"] - c - want["energy"]) <= 1e-9 * scale
+        want = self.sweep(tmp_path, h, self.TAUS, "1")
+        got = self.sweep(tmp_path, shifted, self.TAUS, "1")
+        for w, g in zip(want, got):
+            assert g[6] == w[6] == "0"
+            assert abs(float(g[3]) - float(w[3])) <= 1e-6 * float(w[3])
+            assert abs(float(g[5]) - float(w[5])) <= 1e-6
+            assert abs(float(g[4]) - c - float(w[4])) <= 1e-9 * scale
+
+
 class TestTranspileCommand:
     def test_hydrogen_circuit_and_report(self, tmp_path):
         out = tmp_path / "c.qasm"
@@ -403,6 +467,20 @@ class TestExtremeTrialEnergies:
         result = cli_process(argv, tmp_path, "-W", "error::RuntimeWarning")
         assert result.returncode == 2
         assert result.stderr == "error: fraction must be finite and > 0, got inf\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fraction", ["0", "-1", "nan", "inf"])
+    def test_bad_fraction_has_one_message_in_every_command(self, tmp_path, capsys, fraction):
+        # every command resolves E_T = x E0 through one check
+        commands = (
+            ("run", "--tau", 1, "--et", f"frac:{fraction}", "--out", tmp_path / "r.json"),
+            ("transpile", "--tau", 1, "--et", f"frac:{fraction}", "--out", tmp_path / "c.qasm"),
+            ("sweep-et", "--fractions", fraction, "--out", tmp_path / "s.csv"),
+        )
+        for command, *flags in commands:
+            assert run_cli(command, "--ham", "hydrogen", *flags) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: fraction must be finite and > 0, got {float(fraction)}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_exponent_writes_flagged_row(self, tmp_path):

@@ -11,7 +11,7 @@ from qitp.dilation import (
     itp_filter,
 )
 from qitp.errors import DimensionMismatch, ZeroVector
-from qitp.linalg import HermitianOperator, max_abs
+from qitp.linalg import HermitianOperator, matrix_function, max_abs
 
 from helpers import random_hermitian, random_state
 
@@ -33,25 +33,12 @@ class TestItpParams:
         with pytest.raises(ValueError):
             ItpParams(tau=1.0, trial_mode="guess")
 
-    def test_rejects_nonpositive_fraction(self):
-        with pytest.raises(ValueError):
-            ItpParams(tau=1.0, trial_mode="fraction_of_ground", fraction=0.0)
-
-    def test_rejects_nonfinite_fraction(self):
-        for fraction in (np.inf, -np.inf, np.nan):
-            with pytest.raises(ValueError, match="fraction must be finite and > 0"):
-                ItpParams(tau=1.0, trial_mode="fraction_of_ground", fraction=fraction)
-
     def test_trial_energy_resolution(self):
         op = op_from(np.diag([-2.0, 3.0]))
         assert ItpParams(1.0, trial_energy=0.7).resolve_trial_energy(op) == 0.7
         assert (
             ItpParams(1.0, trial_mode="ground_state_exact").resolve_trial_energy(op)
             == -2.0
-        )
-        assert (
-            ItpParams(1.0, trial_mode="fraction_of_ground", fraction=0.5).resolve_trial_energy(op)
-            == -1.0
         )
 
 
@@ -211,7 +198,7 @@ class TestLimits:
             residuals = []
             for tau in taus:
                 q = itp_filter(op, ItpParams(tau=tau, trial_energy=et))
-                ref = INV_SQRT2 * op.function(lambda e: np.exp(-(e - et) * tau / 2.0))
+                ref = INV_SQRT2 * matrix_function(op, lambda e: np.exp(-(e - et) * tau / 2.0))
                 residuals.append(max_abs(q - ref))
             for a, b in zip(residuals, residuals[1:]):
                 assert 3.5 <= a / b <= 4.5

@@ -361,7 +361,7 @@ class TestChannels:
             assert max_abs(total - np.eye(2)) < 1e-12
 
     def test_readout_confusion_mixes_bits(self):
-        p = readout_confusion([1.0, 0.0, 0.0, 0.0], 0.1, system_dim=2)
+        p = readout_confusion([1.0, 0.0, 0.0, 0.0], 0.1)
         want = [0.81, 0.09, 0.09, 0.01]
         assert np.allclose(p, want, atol=1e-12)
 
@@ -408,7 +408,7 @@ class TestChannels:
             work = np.zeros((2, levels))
             work[:, :dim] = p.reshape(2, dim)
             want = readout_oracle(work.ravel(), flip).reshape(2, levels)[:, :dim].ravel()
-            got = readout_confusion(p, flip, system_dim=dim)
+            got = readout_confusion(p, flip)
             assert max_abs(got - want / want.sum()) < 1e-14
 
 
@@ -519,14 +519,14 @@ def itp_cases(draw, dims=st.integers(1, 8), max_repetitions=4):
     dim = draw(dims)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     op = op_from(random_hermitian(dim, rng))
-    mode = draw(st.sampled_from(TRIAL_MODES))
+    mode = draw(st.sampled_from(TRIAL_MODES + ("fraction",)))
     extra = {}
     if mode == "absolute":
         # inside the spectrum of a dim-64 draw, around all of a dim-8 one
         extra["trial_energy"] = draw(st.floats(-10.0, 10.0))
-    elif mode == "fraction_of_ground":
-        # a fraction above 1 puts E_T below a negative ground energy
-        extra["fraction"] = draw(st.floats(0.05, 3.0))
+    elif mode == "fraction":
+        # E_T = f E0, the sweep protocol; f above 1 puts E_T below a negative E0
+        mode, extra["trial_energy"] = "absolute", draw(st.floats(0.05, 3.0)) * op.ground_energy
     params = ItpParams(tau=draw(st.floats(0.0, 1e3)), trial_mode=mode, **extra)
     repetitions = draw(st.integers(1, max_repetitions))
     return op, params, random_state(dim, rng), repetitions
@@ -898,7 +898,7 @@ class TestReducedDensityLoop:
             return
         rec = run_itp(op, params, psi, repetitions, shots, seed, noise)
         if noise.readout_flip > 0.0:
-            extended = readout_confusion(extended, noise.readout_flip, system_dim=op.dim)
+            extended = readout_confusion(extended, noise.readout_flip)
         extended = extended / extended.sum()
         # 1e-12 relative, over an absolute floor: a small population is a sum
         # of O(1) terms that cancel, so either loop rounds it to about 1e-15
@@ -936,7 +936,7 @@ class TestNoisyRegisterLayout:
         rng = np.random.default_rng(dim)
         op = op_from(random_hermitian(dim, rng))
         psi = random_state(dim, rng)
-        params = ItpParams(tau=0.9, trial_mode="fraction_of_ground", fraction=0.8)
+        params = ItpParams(tau=0.9, trial_energy=0.8 * op.ground_energy)
         g, lam = rng.uniform(0.05, 0.4, size=2)
         levels = 2 ** (dim - 1).bit_length()
         ext, rho = padded_register_loop(op, params, psi, repetitions, NoiseParams(g, lam))
@@ -998,11 +998,11 @@ ERROR_CASES = [
     ("run_itp pure, repetitions=10**400", ValueError,
      lambda op: run_itp(op, repetitions=10**400, **_PURE)),
     ("readout_confusion, flip 0.7", ValueError,
-     lambda op: readout_confusion([0.5, 0.5], 0.7, system_dim=1)),
+     lambda op: readout_confusion([0.5, 0.5], 0.7)),
     ("readout_confusion, flip -0.1", ValueError,
-     lambda op: readout_confusion([0.5, 0.5], -0.1, system_dim=1)),
+     lambda op: readout_confusion([0.5, 0.5], -0.1)),
     ("readout_confusion, flip nan", ValueError,
-     lambda op: readout_confusion([0.5, 0.5], np.nan, system_dim=1)),
+     lambda op: readout_confusion([0.5, 0.5], np.nan)),
     ("filter_profile, NaN energy", ValueError, lambda op: filter_profile([np.nan, 0.0], 1.0, 0.0)),
     ("filter_profile, NaN trial energy", ValueError,
      lambda op: filter_profile([1.0, 0.0], 1.0, np.nan)),
@@ -1015,19 +1015,19 @@ ERROR_CASES = [
     ("apply_channel, inf rho", InvalidDistribution,
      lambda op: apply_channel(np.full((2, 2), np.inf), NoiseParams())),
     ("readout_confusion, NaN probability", InvalidDistribution,
-     lambda op: readout_confusion([np.nan, 1.0], 0.1, system_dim=1)),
+     lambda op: readout_confusion([np.nan, 1.0], 0.1)),
     ("readout_confusion, NaN probability, no flip", InvalidDistribution,
-     lambda op: readout_confusion([np.nan, 1.0], 0.0, system_dim=1)),
+     lambda op: readout_confusion([np.nan, 1.0], 0.0)),
     ("readout_confusion, inf probability", InvalidDistribution,
-     lambda op: readout_confusion([np.inf, 1.0], 0.1, system_dim=1)),
+     lambda op: readout_confusion([np.inf, 1.0], 0.1)),
     ("readout_confusion, negative probability", InvalidDistribution,
-     lambda op: readout_confusion([-0.1, 1.1], 0.1, system_dim=1)),
+     lambda op: readout_confusion([-0.1, 1.1], 0.1)),
     ("readout_confusion, wrong length, no flip", DimensionMismatch,
-     lambda op: readout_confusion(np.ones(3), 0.0, system_dim=5)),
+     lambda op: readout_confusion(np.ones(3), 0.0)),
     ("readout_confusion, all zero", InvalidDistribution,
-     lambda op: readout_confusion([0.0, 0.0], 0.1, system_dim=1)),
+     lambda op: readout_confusion([0.0, 0.0], 0.1)),
     ("readout_confusion, empty", InvalidDistribution,
-     lambda op: readout_confusion([], 0.1, system_dim=0)),
+     lambda op: readout_confusion([], 0.1)),
     ("NoiseParams, NaN damping", ValueError, lambda op: NoiseParams(np.nan)),
     ("sample_shots, negative shots", InvalidDistribution, lambda op: sample_shots([1.0], -1, 0)),
     ("sample_shots, NaN probability", InvalidDistribution,
@@ -1039,7 +1039,7 @@ ERROR_CASES = [
     ("apply_step, NaN amplitude", InvalidDistribution,
      lambda op: apply_step([np.nan, 0.0, 0.0, 0.0], build_dilation(op, ItpParams(1.0)))),
     ("apply_step, DilationUnitary of another dim", DimensionMismatch,
-     lambda op: apply_step(np.ones(3), qitp.DilationUnitary(2, np.eye(4), None, None, None, 0.0))),
+     lambda op: apply_step(np.ones(3), qitp.DilationUnitary(2, np.eye(4), None, None))),
     ("postselect_ancilla0, NaN amplitude", InvalidDistribution,
      lambda op: postselect_ancilla0([np.nan, 0.0, 0.0, 0.0])),
     ("postselect_ancilla0, odd size", DimensionMismatch, lambda op: postselect_ancilla0([1, 0, 0])),

@@ -10,14 +10,12 @@ from .dilation import (
     DilationUnitary,
     ItpParams,
     build_dilation,
-    classical_itp,
     filter_profile,
     itp_filter,
 )
 from .hamiltonians import (
     GaussianBasis,
     SpinCouplings,
-    contracted_energy,
     default_hydrogen_basis,
     gaussian_kinetic,
     gaussian_nuclear,
@@ -71,8 +69,6 @@ __all__ = [
     "basis_labels",
     "build_dilation",
     "circuit_unitary",
-    "classical_itp",
-    "contracted_energy",
     "decompose_1q",
     "default_hydrogen_basis",
     "eigh",

@@ -96,10 +96,14 @@ def _parse_a2(text: str | None) -> np.ndarray:
 
 
 def _fraction_energy(fraction: float, op) -> float:
-    """E_T = fraction * E0, the sweep protocol; the fraction must be finite and > 0."""
+    """E_T = fraction * E0, the sweep protocol; the fraction must be finite and
+    > 0, and the product finite."""
     if not (np.isfinite(fraction) and fraction > 0):
         raise ConfigError(f"fraction must be finite and > 0, got {fraction}")
-    return fraction * op.ground_energy
+    et = fraction * op.ground_energy
+    if not np.isfinite(et):
+        raise ConfigError(f"fraction {fraction} times E0 = {op.ground_energy} overflows")
+    return et
 
 
 def _trial_energy(text: str, op) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDistribution, UnitarityCheckFailed, ZeroVector
+from .errors import UnitarityCheckFailed
 from .linalg import HermitianOperator, matrix_function, max_abs
 
 TRIAL_MODES = ("absolute", "ground_state_exact")
@@ -126,46 +126,3 @@ def build_dilation(op: HermitianOperator, params: ItpParams) -> DilationUnitary:
     for a in (u, q, r):
         a.setflags(write=False)
     return DilationUnitary(system_dim=op.dim, matrix=u, q_block=q, r_block=r)
-
-
-def classical_itp(
-    op: HermitianOperator, params: ItpParams, psi
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference imaginary-time propagation exp(-(H - E_T) tau) |psi>.
-
-    Returns ``(unnormalized, normalized)``. The normalized state is computed
-    in log space (stable for any tau); the unnormalized vector is the direct
-    matrix-function application and raises ZeroVector when it underflows.
-    A NaN or infinite amplitude raises InvalidDistribution.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (op.dim,):
-        raise DimensionMismatch(
-            f"state has shape {psi.shape}, operator dim is {op.dim}"
-        )
-    if not np.isfinite(psi).all():
-        raise InvalidDistribution("state has non-finite amplitudes")
-    et = params.resolve_trial_energy(op)
-    exponents = -(op.eigenvalues - et) * params.tau
-    v = op.eigenvectors
-    coeffs = v.conj().T @ psi
-
-    with np.errstate(over="ignore", under="ignore"):
-        unnormalized = v @ (np.exp(exponents) * coeffs)
-
-    # Stable normalized state: factor out the dominant exponent among the
-    # populated eigencomponents before exponentiating.
-    populated = np.abs(coeffs) > 0
-    if not np.any(populated):
-        raise ZeroVector("input state has zero norm")
-    shift = np.max(exponents[populated])
-    scaled = np.zeros_like(coeffs)
-    scaled[populated] = np.exp(exponents[populated] - shift) * coeffs[populated]
-    norm = np.linalg.norm(scaled)
-    if norm == 0.0:
-        raise ZeroVector("propagated state underflowed to zero")
-    normalized = v @ (scaled / norm)
-
-    if np.linalg.norm(unnormalized) < 1e-300:
-        raise ZeroVector("propagated state norm below 1e-300")
-    return unnormalized, normalized

@@ -22,10 +22,6 @@ class NonFiniteFunctionValue(QitpError):
     """A scalar function produced NaN/Inf on the operator spectrum."""
 
 
-class ZeroVector(QitpError):
-    """A vector that must be normalizable has (numerically) zero norm."""
-
-
 class UnitarityCheckFailed(QitpError):
     """A constructed dilation is not unitary to working precision."""
 

@@ -78,8 +78,9 @@ class GaussianBasis:
     """Two-Gaussian expansion of a 1s Slater orbital.
 
     ``exponents`` are for zeta = 1 and are scaled by zeta^2 when the
-    Hamiltonian is built; ``coefficients`` enter only the contracted-energy
-    diagnostic, not the two-dimensional model space itself.
+    Hamiltonian is built; ``coefficients`` are the fit's contraction, carried
+    in configs and provenance, and do not enter the two-dimensional model
+    space.
     """
 
     exponents: tuple[float, float]
@@ -118,15 +119,10 @@ def default_hydrogen_basis() -> GaussianBasis:
     return GaussianBasis.from_dict(json.loads(raw))
 
 
-def _raw_hydrogen_matrices(basis: GaussianBasis, charge: float):
+def _raw_hydrogen_matrices(basis: GaussianBasis):
     a = basis.scaled_exponents()
     s = np.array([[gaussian_overlap(x, y) for y in a] for x in a])
-    h = np.array(
-        [
-            [gaussian_kinetic(x, y) + gaussian_nuclear(x, y, charge) for y in a]
-            for x in a
-        ]
-    )
+    h = np.array([[gaussian_kinetic(x, y) + gaussian_nuclear(x, y) for y in a] for x in a])
     return h, s
 
 
@@ -166,7 +162,6 @@ def orthonormalize(h_raw, s, method: str = "canonical") -> tuple[np.ndarray, np.
 def hydrogen_sto2g(
     basis: GaussianBasis | None = None,
     *,
-    charge: float = 1.0,
     orthogonalization: str = "canonical",
 ) -> tuple[HermitianOperator, np.ndarray, np.ndarray]:
     """Hydrogen Hamiltonian on the orthonormalized primitive pair.
@@ -178,19 +173,10 @@ def hydrogen_sto2g(
     """
     if basis is None:
         basis = default_hydrogen_basis()
-    h_raw, s = _raw_hydrogen_matrices(basis, charge)
+    h_raw, s = _raw_hydrogen_matrices(basis)
     h_orth, x = orthonormalize(h_raw, s, orthogonalization)
     op = HermitianOperator.from_matrix(h_orth, units="hartree")
     return op, s, x
-
-
-def contracted_energy(basis: GaussianBasis | None = None, charge: float = 1.0) -> float:
-    """Rayleigh quotient of the fixed contracted function (diagnostic only)."""
-    if basis is None:
-        basis = default_hydrogen_basis()
-    h_raw, s = _raw_hydrogen_matrices(basis, charge)
-    d = np.asarray(basis.coefficients, dtype=float)
-    return float(d @ h_raw @ d) / float(d @ s @ d)
 
 
 @dataclass(frozen=True)
@@ -264,24 +250,21 @@ def save_hamiltonian(
 
 
 def load_hamiltonian(source) -> HermitianOperator:
-    """Load a Hamiltonian from a JSON file path, JSON text, or a dict.
+    """Load a Hamiltonian from a dict (the document) or a JSON file path.
 
-    Validates the schema, the dimension range (1..64) and finite entries
-    (NaN/Infinity raise ParseError); :func:`eigh` rejects a matrix that is
-    not Hermitian within 1e-10 of its largest entry with NonHermitianInput.
+    Any source that is not a dict is a path, whatever its characters; an
+    unreadable file or invalid JSON raises ParseError. Validates the schema,
+    the dimension range (1..64) and finite entries (NaN/Infinity raise
+    ParseError); :func:`eigh` rejects a matrix that is not Hermitian within
+    1e-10 of its largest entry with NonHermitianInput.
     """
     if isinstance(source, dict):
         doc = source
     else:
-        if isinstance(source, Path) or (
-            isinstance(source, str) and not source.lstrip().startswith("{")
-        ):
-            try:
-                text = Path(source).read_text()
-            except OSError as exc:
-                raise ParseError(f"cannot read {source}: {exc}") from exc
-        else:
-            text = str(source)
+        try:
+            text = Path(source).read_text()
+        except OSError as exc:
+            raise ParseError(f"cannot read {source}: {exc}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -2,8 +2,8 @@
 
 Everything here operates on plain ``numpy`` arrays. The one structured type
 is :class:`HermitianOperator`, which caches the spectral decomposition of a
-validated Hermitian matrix; all operator functions (propagators, filters)
-are built through that spectrum.
+validated Hermitian matrix; all operator functions (the dilation's filter
+blocks) are built through that spectrum.
 
 Eigendecompositions are the solver's eigenpairs with each eigenvector's
 phase pinned, so equal inputs give bitwise-equal outputs. Within a cluster of
@@ -79,17 +79,18 @@ def _fix_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.conj(phases)
 
 
-def _degenerate_clusters(eigenvalues: np.ndarray, scale: float):
-    """Split ascending eigenvalues into clusters of near-equal values.
+def _ground_cluster_end(eigenvalues: np.ndarray, scale: float) -> int:
+    """Index one past the lowest cluster of near-equal values in a spectrum.
 
-    A cluster ends where the next gap exceeds ``DEGENERACY_TOL * max(scale,
-    |E|)`` of the value below it, ``scale`` being ``max_abs(H)``; a zero
-    matrix is one cluster. Returns ``(start, stop)`` index pairs.
+    The cluster ends at the first gap in the ascending eigenvalues that
+    exceeds ``DEGENERACY_TOL * max(scale, |E|)`` of the value below it,
+    ``scale`` being ``max_abs(H)``; a spectrum without such a gap (a zero
+    matrix, a single level) is one cluster.
     """
     w = np.asarray(eigenvalues)
     gaps = np.diff(w) > DEGENERACY_TOL * np.maximum(scale, np.abs(w[:-1]))
-    edges = [0, *(np.flatnonzero(gaps) + 1).tolist(), w.size]
-    return list(zip(edges[:-1], edges[1:]))
+    # a sentinel gap after the last value ends the cluster there
+    return int(np.argmax(np.append(gaps, True))) + 1
 
 
 def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -165,16 +166,12 @@ class HermitianOperator:
 def matrix_function(op: HermitianOperator, f) -> np.ndarray:
     """Apply a scalar map to an operator through its spectrum.
 
-    Returns ``V diag(f(E_n)) V^dagger``. ``f`` may be a numpy ufunc or any
-    scalar callable; it must be finite on the spectrum.
+    Returns ``V diag(f(E_n)) V^dagger``. ``f`` receives the eigenvalue array
+    and must return values that broadcast to its shape (ValueError
+    otherwise), all finite (NonFiniteFunctionValue otherwise).
     """
     w = op.eigenvalues
-    try:
-        fw = np.asarray(f(w), dtype=complex)
-        if fw.shape != w.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        fw = np.array([f(e) for e in w], dtype=complex)
+    fw = np.broadcast_to(np.asarray(f(w), dtype=complex), w.shape)
     if not np.all(np.isfinite(fw)):
         raise NonFiniteFunctionValue("function produced NaN/Inf on the spectrum")
     v = op.eigenvectors

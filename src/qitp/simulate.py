@@ -44,7 +44,7 @@ from .errors import (
     NonRealExpectation,
     PostselectionImpossible,
 )
-from .linalg import HermitianOperator, _apply_1q, _degenerate_clusters, max_abs
+from .linalg import HermitianOperator, _apply_1q, _ground_cluster_end, max_abs
 
 POSTSELECT_FLOOR = 1e-14
 
@@ -366,7 +366,7 @@ def spectral_run(
         kept = entering * h2
         p0 = np.where(failed, p0_1, kept.sum(axis=1))
         weights = np.where(failed[:, None], np.nan, kept / p0[:, None])
-    _, ground_end = _degenerate_clusters(w, max_abs(op.matrix))[0]
+    ground_end = _ground_cluster_end(w, max_abs(op.matrix))
     ext = None
     if extended:
         a = np.sqrt(entering) * np.exp(1j * np.angle(c))

@@ -1,14 +1,15 @@
 """Shared generators for the test suite: seeded Hermitian and Haar samples,
 numpy rotation matrices as oracles for the transpiler's scalar forms, the
-Weyl-chamber step tables rebuilt from their Clifford pairs, and the
-renormalizing repetition loop that spectral_run evaluates in closed form."""
+Weyl-chamber step tables rebuilt from their Clifford pairs, the classical
+imaginary-time propagator, and the renormalizing repetition loop that
+spectral_run evaluates in closed form."""
 
 import math
 
 import numpy as np
 
 from qitp.dilation import filter_profile
-from qitp.linalg import _degenerate_clusters, max_abs
+from qitp.linalg import _ground_cluster_end, max_abs
 from qitp.simulate import POSTSELECT_FLOOR, SpectralRows, normalized_state
 
 
@@ -81,6 +82,19 @@ def weyl_step_tables():
     return swaps, negations
 
 
+def classical_itp(op, params, psi) -> np.ndarray:
+    """The normalized state exp(-(H - E_T) tau) |psi> / norm, computed in log
+    space: the largest exponent among the populated eigencomponents is
+    factored out before exponentiating, so it is stable for any tau."""
+    exponents = -(op.eigenvalues - params.resolve_trial_energy(op)) * params.tau
+    coeffs = op.eigenvectors.conj().T @ np.asarray(psi, dtype=complex)
+    populated = coeffs != 0
+    kept = exponents[populated]
+    scaled = np.zeros_like(coeffs)
+    scaled[populated] = np.exp(kept - kept.max()) * coeffs[populated]
+    return op.eigenvectors @ (scaled / np.linalg.norm(scaled))
+
+
 def spectral_loop(op, taus, trial_energies, psi0, repetitions):
     """The noiseless repetition loop, one renormalization per repetition, as
     the oracle for :func:`qitp.simulate.spectral_run` (with ``extended``).
@@ -106,7 +120,7 @@ def spectral_loop(op, taus, trial_energies, psi0, repetitions):
         c[ok] /= np.sqrt(p[ok])[:, None]
     done = (failed == 0)[:, None]
     weights = np.where(done, np.abs(c) ** 2, np.nan)
-    _, ground_end = _degenerate_clusters(w, max_abs(op.matrix))[0]
+    ground_end = _ground_cluster_end(w, max_abs(op.matrix))
     r = filter_profile(-w, taus, -ets)
     ext = np.concatenate([(h * entering) @ v.T, (r * entering) @ v.T], axis=1)
     ext = np.where(done, np.abs(ext) ** 2, np.nan)

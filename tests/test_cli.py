@@ -483,6 +483,22 @@ class TestExtremeTrialEnergies:
             assert err == f"error: fraction must be finite and > 0, got {float(fraction)}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_fraction_product_names_the_fraction(self, tmp_path, capsys):
+        # a valid fraction whose product with E0 = -3 leaves the float range
+        ham = tmp_path / "v.json"
+        assert run_cli("ham", "two-neutron", "--a1", 1.0, "--out", ham) == 0
+        e0 = load_hamiltonian(ham).ground_energy
+        commands = (
+            ("run", "--ham", "two-neutron", "--tau", 1, "--et", "frac:1.7e308",
+             "--out", tmp_path / "r.json"),
+            ("sweep-et", "--ham", ham, "--fractions=1.7e308", "--out", tmp_path / "s.csv"),
+        )
+        for argv in commands:
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: fraction 1.7e+308 times E0 = {e0} overflows\n"
+        assert list(tmp_path.iterdir()) == [ham]
+
     def test_overflowing_exponent_writes_flagged_row(self, tmp_path):
         argv = ("sweep-et", "--ham", "hydrogen", "--fractions", "1e308", "--taus", "5",
                 "--out", "sweep.csv")

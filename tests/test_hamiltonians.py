@@ -14,7 +14,6 @@ from qitp.errors import (
 from qitp.hamiltonians import (
     GaussianBasis,
     SpinCouplings,
-    contracted_energy,
     default_hydrogen_basis,
     gaussian_kinetic,
     gaussian_nuclear,
@@ -175,8 +174,12 @@ class TestHydrogen:
         assert max_abs(x - x.T) < 1e-12
 
     def test_variational_bound_and_contracted_energy(self):
-        op, _, _ = hydrogen_sto2g()
-        e_contracted = contracted_energy()
+        basis = default_hydrogen_basis()
+        op, s, _ = hydrogen_sto2g(basis)
+        a = basis.scaled_exponents()
+        h = np.array([[gaussian_kinetic(x, y) + gaussian_nuclear(x, y) for y in a] for x in a])
+        d = np.asarray(basis.coefficients)
+        e_contracted = (d @ h @ d) / (d @ s @ d)
         # the 2-dim variational minimum lies below the fixed contraction,
         # and both sit above the exact hydrogen energy -0.5
         assert op.ground_energy <= e_contracted + 1e-12
@@ -275,8 +278,13 @@ class TestSerialization:
         assert reloaded.units == op.units
 
     def test_parse_errors(self, tmp_path):
+        def saved(text):
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+            return path
+
         with pytest.raises(ParseError):
-            load_hamiltonian("{not json")
+            load_hamiltonian(saved("{not json"))
         with pytest.raises(ParseError):
             load_hamiltonian({"dim": 2, "matrix": [[[1, 0]]]})
         # An entry must be exactly one [re, im] pair; extra or missing
@@ -301,7 +309,7 @@ class TestSerialization:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ParseError):
-                    load_hamiltonian(text)
+                    load_hamiltonian(saved(text))
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):
@@ -312,6 +320,16 @@ class TestSerialization:
             load_hamiltonian(
                 {"dim": 3, "units": "mev", "matrix": [[[1.0, 0.0]]]}
             )
+
+    def test_path_starting_with_brace_is_a_file(self, tmp_path, monkeypatch):
+        # a relative str path whose first character is "{" names a file, not
+        # JSON text
+        op, _, _ = hydrogen_sto2g()
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "{run}").mkdir()
+        save_hamiltonian(op, tmp_path / "{run}" / "v.json")
+        reloaded = load_hamiltonian("{run}/v.json")
+        assert np.array_equal(reloaded.matrix, op.matrix)
 
     def test_complex_entries_survive(self, tmp_path):
         m = np.array([[1.0, 0.25j], [-0.25j, 2.0]])

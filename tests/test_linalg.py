@@ -201,6 +201,17 @@ class TestMatrixFunction:
 
     def test_non_finite_function_value(self):
         op = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
+        # 1/e with inf at e = 0, without a divide-by-zero warning
+        inverse = lambda e: np.divide(1.0, e, out=np.full_like(e, np.inf), where=e != 0)
         with pytest.raises(NonFiniteFunctionValue):
-            matrix_function(op, lambda e: 1.0 / e if e != 0 else np.inf)
+            matrix_function(op, inverse)
+
+    def test_wrong_shape_result_raises_value_error(self):
+        op = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            matrix_function(op, lambda e: np.ones(3))
+        with pytest.raises(ValueError):
+            matrix_function(op, lambda e: np.ones((2, 2)))
+        # a scalar broadcasts to every eigenvalue
+        assert max_abs(matrix_function(op, lambda e: 2.0) - 2.0 * np.eye(2)) < 1e-15
 

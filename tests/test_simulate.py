@@ -20,7 +20,7 @@ from qitp.errors import (
     SingularOverlap,
 )
 from qitp.hamiltonians import hydrogen_sto2g
-from qitp.linalg import HermitianOperator, PAULI_Z, _degenerate_clusters, max_abs
+from qitp.linalg import HermitianOperator, PAULI_Z, _ground_cluster_end, max_abs
 from qitp.simulate import (
     POSTSELECT_FLOOR,
     NoiseParams,
@@ -596,7 +596,7 @@ def grid_cases(draw):
     psi = random_state(dim, rng)
     if draw(st.booleans()):
         # no weight in the ground eigenspace
-        _, stop = _degenerate_clusters(op.eigenvalues, max_abs(op.matrix))[0]
+        stop = _ground_cluster_end(op.eigenvalues, max_abs(op.matrix))
         ground = op.eigenvectors[:, :stop]
         psi = psi - ground @ (ground.conj().T @ psi)
         assume(np.linalg.norm(psi) > 1e-6)
@@ -678,7 +678,7 @@ def closed_form_cases(draw):
         psi[rng.random(dim) < 0.5] = 0.0  # the eigenbasis is exact: zero coefficients
         assume(np.any(psi))
     elif draw(st.booleans()):
-        _, stop = _degenerate_clusters(op.eigenvalues, max_abs(op.matrix))[0]
+        stop = _ground_cluster_end(op.eigenvalues, max_abs(op.matrix))
         ground = op.eigenvectors[:, :stop]
         psi = psi - ground @ (ground.conj().T @ psi)
         assume(np.linalg.norm(psi) > 1e-6)
@@ -1056,10 +1056,6 @@ ERROR_CASES = [
     ("itp_filter, NaN trial energy", ValueError,
      lambda op: qitp.itp_filter(op, ItpParams(1.0, trial_energy=np.nan))),
     ("build_dilation, inf tau", ValueError, lambda op: build_dilation(op, ItpParams(np.inf))),
-    ("classical_itp, NaN amplitude", InvalidDistribution,
-     lambda op: qitp.classical_itp(op, ItpParams(1.0), np.array([np.nan, 1.0]))),
-    ("classical_itp, state of wrong dim", DimensionMismatch,
-     lambda op: qitp.classical_itp(op, ItpParams(1.0), np.ones(3))),
     ("HermitianOperator, not Hermitian", NonHermitianInput,
      lambda op: qitp.HermitianOperator.from_matrix([[0.0, 1.0], [0.0, 0.0]])),
     ("eigh, NaN entry", NonHermitianInput, lambda op: qitp.eigh(np.diag([np.nan, 1.0]))),
@@ -1081,9 +1077,8 @@ ERROR_CASES = [
      lambda op: qitp.GaussianBasis((1.0, 1.0), (1.0, 1.0), np.nan)),
     ("GaussianBasis, NaN coefficient", ValueError,
      lambda op: qitp.GaussianBasis((1.0, 1.0), (np.nan, 1.0))),
-    ("contracted_energy, NaN charge", ValueError, lambda op: qitp.contracted_energy(charge=np.nan)),
-    ("hydrogen_sto2g, default basis, NaN charge", ValueError,
-     lambda op: hydrogen_sto2g(qitp.default_hydrogen_basis(), charge=np.nan)),
+    ("GaussianBasis, default exponents, zero coefficients", ValueError,
+     lambda op: qitp.GaussianBasis(qitp.default_hydrogen_basis().exponents, (0.0, 0.0))),
     ("hydrogen_sto2g, unknown orthogonalization", ValueError,
      lambda op: hydrogen_sto2g(orthogonalization="qr")),
     ("orthonormalize, singular overlap", SingularOverlap,

@@ -79,9 +79,7 @@ def _resolve_hamiltonian(args):
         a2 = _parse_a2(getattr(args, "a2", None))
         op = two_neutron_sd(SpinCouplings(a1=getattr(args, "a1", 1.0), a2=a2))
         return op
-    if not Path(source).exists():
-        raise ConfigError(f"Hamiltonian file not found: {source}")
-    return load_hamiltonian(Path(source))
+    return load_hamiltonian(source)
 
 
 def _parse_a2(text: str | None) -> np.ndarray:
@@ -150,55 +148,30 @@ def _parse_noise(text: str | None) -> NoiseParams | None:
     if text is None:
         return None
     g, lam, eps = _parse_floats(text, 3)
-    try:
-        return NoiseParams(amplitude_damping=g, dephasing=lam, readout_flip=eps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return NoiseParams(amplitude_damping=g, dephasing=lam, readout_flip=eps)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_builder_config(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read builder config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"builder config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("builder config must be a JSON object")
-    return doc
-
-
 def cmd_ham(args) -> int:
-    config = _load_builder_config(args.config) if args.config else None
     if args.builder == "hydrogen-sto2g":
-        if config is None:
-            default = default_hydrogen_basis()
-            basis = GaussianBasis(
-                tuple(_parse_floats(args.exponents, 2)) if args.exponents else default.exponents,
-                tuple(_parse_floats(args.coefficients, 2))
-                if args.coefficients
-                else default.coefficients,
-                args.zeta,
-            )
-        else:
-            basis = GaussianBasis.from_dict(config)
+        exponents = (
+            tuple(_parse_floats(args.exponents, 2))
+            if args.exponents
+            else default_hydrogen_basis().exponents
+        )
+        basis = GaussianBasis(exponents, args.zeta)
         op, _, _ = hydrogen_sto2g(basis, orthogonalization=args.orthogonalization)
         provenance = {
             "builder": "hydrogen-sto2g",
             "exponents": list(basis.exponents),
-            "coefficients": list(basis.coefficients),
             "slater_zeta": basis.slater_zeta,
             "orthogonalization": args.orthogonalization,
         }
     else:
-        if config is None:
-            couplings = SpinCouplings(a1=args.a1, a2=_parse_a2(args.a2))
-        else:
-            couplings = SpinCouplings.from_dict(config)
+        couplings = SpinCouplings(a1=args.a1, a2=_parse_a2(args.a2))
         op = two_neutron_sd(couplings)
         provenance = {
             "builder": "two-neutron",
@@ -340,15 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ham.add_argument("builder", choices=["hydrogen-sto2g", "two-neutron"])
     p_ham.add_argument("--zeta", type=float, default=1.0)
     p_ham.add_argument("--exponents", help="two comma-separated Gaussian exponents")
-    p_ham.add_argument("--coefficients", help="two comma-separated contraction coefficients")
     p_ham.add_argument(
         "--orthogonalization", choices=["canonical", "lowdin"], default="canonical"
     )
     p_ham.add_argument("--a1", type=float, default=1.0, help="vector coupling (MeV)")
     p_ham.add_argument("--a2", help="tensor coupling: 3 or 9 comma-separated MeV values")
-    p_ham.add_argument(
-        "--config", help="JSON file with the builder's fields (overrides the flags)"
-    )
     p_ham.add_argument("--out", required=True)
 
     p_run = sub.add_parser("run", help="run the imaginary-time loop")

@@ -55,10 +55,6 @@ class InvalidDistribution(QitpError):
     """A probability vector is negative, non-finite, or not normalized."""
 
 
-class InvalidFactorization(QitpError):
-    """A density matrix cannot be factored/embedded into qubit registers."""
-
-
 class SingularOverlap(QitpError):
     """An overlap matrix is numerically singular."""
 

@@ -1,8 +1,9 @@
 """Benchmark Hamiltonians: hydrogen in a two-Gaussian basis, two-neutron spins.
 
 Hydrogen: the radial 1s problem expanded over the two *primitive* scaled
-Gaussians of the STO-2G fit. All integrals are closed forms for normalized
-nucleus-centered 1s Gaussians:
+Gaussians of the STO-2G fit. Only the fit's exponents define that space; its
+contraction coefficients pick one vector inside it and are not used. All
+integrals are closed forms for normalized nucleus-centered 1s Gaussians:
 
     S(a, b) = (2 sqrt(ab) / (a + b))^(3/2)
     T(a, b) = 3ab / (a + b) * S(a, b)
@@ -75,25 +76,21 @@ def gaussian_nuclear(alpha: float, beta: float, charge: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class GaussianBasis:
-    """Two-Gaussian expansion of a 1s Slater orbital.
+    """The two primitive Gaussians of a 1s Slater orbital's STO-2G fit, which
+    span the hydrogen model space.
 
     ``exponents`` are for zeta = 1 and are scaled by zeta^2 when the
-    Hamiltonian is built; ``coefficients`` are the fit's contraction, carried
-    in configs and provenance, and do not enter the two-dimensional model
-    space.
+    Hamiltonian is built.
     """
 
     exponents: tuple[float, float]
-    coefficients: tuple[float, float]
     slater_zeta: float = 1.0
 
     def __post_init__(self):
-        if len(self.exponents) != 2 or len(self.coefficients) != 2:
+        if len(self.exponents) != 2:
             raise ValueError("basis needs exactly two primitives")
         if not all(0 < a < np.inf for a in self.exponents):
             raise ValueError("exponents must be positive and finite")
-        if not np.all(np.isfinite(self.coefficients)) or not any(self.coefficients):
-            raise ValueError("contraction coefficients must be finite, not all zero")
         if not 0 < self.slater_zeta < np.inf:
             raise ValueError("slater_zeta must be positive and finite")
 
@@ -106,7 +103,6 @@ class GaussianBasis:
         try:
             return cls(
                 exponents=tuple(float(a) for a in doc["exponents"]),
-                coefficients=tuple(float(c) for c in doc["coefficients"]),
                 slater_zeta=float(doc.get("slater_zeta", 1.0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -199,14 +195,6 @@ class SpinCouplings:
         if not np.isfinite(self.a1) or not np.all(np.isfinite(a2)):
             raise ValueError("couplings must be finite")
         object.__setattr__(self, "a2", a2)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SpinCouplings":
-        try:
-            a2 = doc.get("a2", [[0.0] * 3] * 3)
-            return cls(a1=float(doc["a1"]), a2=np.asarray(a2, dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad spin-coupling config: {exc}") from exc
 
 
 def two_neutron_sd(couplings: SpinCouplings) -> HermitianOperator:

@@ -38,9 +38,9 @@ import numpy as np
 
 from .dilation import DilationUnitary, ItpParams, build_dilation, filter_profile, log_filter_squared
 from .errors import (
+    DimensionError,
     DimensionMismatch,
     InvalidDistribution,
-    InvalidFactorization,
     NonRealExpectation,
     PostselectionImpossible,
 )
@@ -206,12 +206,12 @@ def apply_channel(rho, noise: NoiseParams) -> np.ndarray:
     Dimensions that are not a power of two are padded into the smallest
     qubit register; both channels only move weight toward lower indices, so
     the embedded block is closed and the trace is preserved exactly. Raises
-    InvalidFactorization for a matrix that is not square and
+    DimensionError for a matrix that is not square and
     InvalidDistribution for a NaN or infinite entry.
     """
     r = np.asarray(rho, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
-        raise InvalidFactorization(f"density matrix must be square, got {r.shape}")
+        raise DimensionError(f"density matrix must be square, got {r.shape}")
     if not np.isfinite(r).all():
         raise InvalidDistribution("density matrix has non-finite entries")
     dim = r.shape[0]

@@ -64,45 +64,6 @@ class TestHamCommand:
         direct = two_neutron_sd(SpinCouplings(a1=0.5, a2=np.diag([0.1, 0.1, 0.4])))
         assert np.array_equal(op.matrix, direct.matrix)
 
-    def test_builder_config_file(self, tmp_path):
-        config = tmp_path / "basis.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "exponents": [0.151623, 0.851819],
-                    "coefficients": [0.678914, 0.430129],
-                    "slater_zeta": 1.0,
-                }
-            )
-        )
-        from_config = tmp_path / "a.json"
-        from_flags = tmp_path / "b.json"
-        assert run_cli("ham", "hydrogen-sto2g", "--config", config, "--out", from_config) == 0
-        assert run_cli("ham", "hydrogen-sto2g", "--out", from_flags) == 0
-        assert from_config.read_bytes() == from_flags.read_bytes()
-
-        spin_config = tmp_path / "spin.json"
-        spin_config.write_text(json.dumps({"a1": 1.0}))
-        out = tmp_path / "s.json"
-        assert run_cli("ham", "two-neutron", "--config", spin_config, "--out", out) == 0
-        op = load_hamiltonian(out)
-        assert np.allclose(op.eigenvalues, [-3.0, 1.0, 1.0, 1.0])
-
-        spin_config.write_text(
-            json.dumps({"a1": 0.5, "a2": [[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.4]]})
-        )
-        from_config = tmp_path / "c.json"
-        from_flags = tmp_path / "d.json"
-        assert run_cli("ham", "two-neutron", "--config", spin_config, "--out", from_config) == 0
-        assert run_cli(
-            "ham", "two-neutron", "--a1", 0.5, "--a2", "0.1,0.1,0.4", "--out", from_flags
-        ) == 0
-        assert from_config.read_bytes() == from_flags.read_bytes()
-
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        assert run_cli("ham", "hydrogen-sto2g", "--config", bad, "--out", out) == 2
-
 
 class TestRunCommand:
     def test_hydrogen_reference_probabilities(self, tmp_path):
@@ -171,6 +132,19 @@ class TestRunCommand:
         assert run_cli("run", "--ham", "hydrogen", "--tau", 1, "--et", "bogus", "--out", out) == 2
         assert run_cli("run", "--ham", "hydrogen", "--tau", 1, "--init", "basis:7", "--out", out) == 2
         assert run_cli("run", "--ham", "hydrogen", "--tau", 1, "--noise", "2,0,0", "--out", out) == 2
+        assert capsys.readouterr().err.endswith("error: amplitude_damping must be in [0, 1]\n")
+
+    def test_missing_ham_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        commands = (
+            ("run", "--tau", 1, "--out", tmp_path / "r.json"),
+            ("sweep-et", "--out", tmp_path / "s.csv"),
+            ("transpile", "--tau", 1, "--out", tmp_path / "c.qasm"),
+        )
+        for command, *rest in commands:
+            assert run_cli(command, "--ham", missing, *rest) == 2
+            assert str(missing) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_postselection_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "p.json"

@@ -1014,6 +1014,8 @@ ERROR_CASES = [
      lambda op: apply_channel(np.diag([np.nan, 1.0]), NoiseParams(0.1, 0.1))),
     ("apply_channel, inf rho", InvalidDistribution,
      lambda op: apply_channel(np.full((2, 2), np.inf), NoiseParams())),
+    ("apply_channel, not square", DimensionError,
+     lambda op: apply_channel(np.ones((2, 3)), NoiseParams())),
     ("readout_confusion, NaN probability", InvalidDistribution,
      lambda op: readout_confusion([np.nan, 1.0], 0.1)),
     ("readout_confusion, NaN probability, no flip", InvalidDistribution,
@@ -1071,14 +1073,11 @@ ERROR_CASES = [
     ("gaussian_nuclear, NaN charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, np.nan)),
     ("gaussian_nuclear, inf charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, np.inf)),
     ("gaussian_nuclear, NaN exponent", ValueError, lambda op: qitp.gaussian_nuclear(np.nan, 1.0)),
-    ("GaussianBasis, NaN exponent", ValueError,
-     lambda op: qitp.GaussianBasis((np.nan, 1.0), (1.0, 1.0))),
-    ("GaussianBasis, NaN slater_zeta", ValueError,
-     lambda op: qitp.GaussianBasis((1.0, 1.0), (1.0, 1.0), np.nan)),
-    ("GaussianBasis, NaN coefficient", ValueError,
-     lambda op: qitp.GaussianBasis((1.0, 1.0), (np.nan, 1.0))),
-    ("GaussianBasis, default exponents, zero coefficients", ValueError,
-     lambda op: qitp.GaussianBasis(qitp.default_hydrogen_basis().exponents, (0.0, 0.0))),
+    ("GaussianBasis, NaN exponent", ValueError, lambda op: qitp.GaussianBasis((np.nan, 1.0))),
+    ("GaussianBasis, NaN slater_zeta", ValueError, lambda op: qitp.GaussianBasis((1.0, 1.0), np.nan)),
+    ("GaussianBasis, three exponents", ValueError, lambda op: qitp.GaussianBasis((1.0, 1.0, 1.0))),
+    ("GaussianBasis, default exponents, zero slater_zeta", ValueError,
+     lambda op: qitp.GaussianBasis(qitp.default_hydrogen_basis().exponents, 0.0)),
     ("hydrogen_sto2g, unknown orthogonalization", ValueError,
      lambda op: hydrogen_sto2g(orthogonalization="qr")),
     ("orthonormalize, singular overlap", SingularOverlap,

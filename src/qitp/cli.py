@@ -2,11 +2,17 @@
 
 Subcommands:
 
-    qitp ham hydrogen-sto2g --out h.json
-    qitp ham two-neutron --a1 1.0 --a2 0,0,0,0,0,0,0,0,0 --out v.json
+    qitp ham hydrogen-sto2g --zeta 1.2 --orthogonalization lowdin --out h.json
+    qitp ham two-neutron --a1 1.0 --a2 0.1,0.1,0.4 --out v.json
     qitp run --ham hydrogen --tau 60 --et auto --shots 8192 --out run.json
-    qitp sweep-et --ham hydrogen --fractions 0.5,0.8,1.0 --taus 5,10,20 --out sweep.csv
-    qitp transpile --ham hydrogen --tau 60 --et auto --out circuit.qasm
+    qitp sweep-et --ham v.json --fractions 0.5,0.8,1.0 --taus 5,10,20 --out sweep.csv
+    qitp transpile --ham h.json --tau 60 --et auto --out circuit.qasm
+
+``--ham`` takes a Hamiltonian JSON path or a preset equal to its builder's
+defaults: ``hydrogen`` (the shipped STO-2G basis, canonical
+orthogonalization) or ``two-neutron`` (a1 = 1 MeV, a2 = 0). Other builder
+parameters reach ``run``, ``sweep-et`` and ``transpile`` only through a file
+written by ``qitp ham``.
 
 All outputs are deterministic given (config, seed): running a command twice
 produces byte-identical files. Exit codes: 0 success, 2 configuration
@@ -55,52 +61,42 @@ EXIT_POSTSELECTION = 3
 EXIT_TRANSPILE_SCOPE = 4
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _parse_floats(text: str, count: int | None = None) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
     if count is not None and len(values) != count:
-        raise ConfigError(f"expected {count} comma-separated numbers, got {text!r}")
+        raise ValueError(f"expected {count} comma-separated numbers, got {text!r}")
     return values
 
 
-def _resolve_hamiltonian(args):
+def _resolve_hamiltonian(source: str):
     """The --ham flag: a builder preset name or a Hamiltonian JSON path."""
-    source = args.ham
     if source == "hydrogen":
-        op, _, _ = hydrogen_sto2g()
-        return op
+        return hydrogen_sto2g()[0]
     if source == "two-neutron":
-        a2 = _parse_a2(getattr(args, "a2", None))
-        op = two_neutron_sd(SpinCouplings(a1=getattr(args, "a1", 1.0), a2=a2))
-        return op
+        return two_neutron_sd(SpinCouplings(a1=1.0, a2=np.zeros((3, 3))))
     return load_hamiltonian(source)
 
 
-def _parse_a2(text: str | None) -> np.ndarray:
-    if text is None:
-        return np.zeros((3, 3))
+def _parse_a2(text: str) -> np.ndarray:
     values = _parse_floats(text)
     if len(values) == 3:
         return np.diag(values)
     if len(values) == 9:
         return np.array(values).reshape(3, 3)
-    raise ConfigError("--a2 takes 3 (diagonal) or 9 (row-major) numbers")
+    raise ValueError("--a2 takes 3 (diagonal) or 9 (row-major) numbers")
 
 
 def _fraction_energy(fraction: float, op) -> float:
     """E_T = fraction * E0, the sweep protocol; the fraction must be finite and
     > 0, and the product finite."""
     if not (np.isfinite(fraction) and fraction > 0):
-        raise ConfigError(f"fraction must be finite and > 0, got {fraction}")
+        raise ValueError(f"fraction must be finite and > 0, got {fraction}")
     et = fraction * op.ground_energy
     if not np.isfinite(et):
-        raise ConfigError(f"fraction {fraction} times E0 = {op.ground_energy} overflows")
+        raise ValueError(f"fraction {fraction} times E0 = {op.ground_energy} overflows")
     return et
 
 
@@ -112,12 +108,12 @@ def _trial_energy(text: str, op) -> float:
         try:
             fraction = float(text[5:])
         except ValueError as exc:
-            raise ConfigError(f"bad --et fraction: {text!r}") from exc
+            raise ValueError(f"bad --et fraction: {text!r}") from exc
         return _fraction_energy(fraction, op)
     try:
         return float(text)
     except ValueError as exc:
-        raise ConfigError(f"--et must be 'auto', 'frac:<x>', or a number") from exc
+        raise ValueError(f"--et must be 'auto', 'frac:<x>', or a number") from exc
 
 
 def _parse_initial_state(text: str, dim: int) -> np.ndarray:
@@ -127,9 +123,9 @@ def _parse_initial_state(text: str, dim: int) -> np.ndarray:
         try:
             k = int(text[6:])
         except ValueError as exc:
-            raise ConfigError(f"bad --init basis index: {text!r}") from exc
+            raise ValueError(f"bad --init basis index: {text!r}") from exc
         if not 0 <= k < dim:
-            raise ConfigError(f"basis index {k} out of range for dim {dim}")
+            raise ValueError(f"basis index {k} out of range for dim {dim}")
         state = np.zeros(dim, dtype=complex)
         state[k] = 1.0
         return state
@@ -137,11 +133,11 @@ def _parse_initial_state(text: str, dim: int) -> np.ndarray:
         try:
             amps = np.array([complex(part) for part in text[7:].split(",")])
         except ValueError as exc:
-            raise ConfigError(f"bad --init amplitudes: {text!r}") from exc
+            raise ValueError(f"bad --init amplitudes: {text!r}") from exc
         if amps.size != dim:
-            raise ConfigError(f"expected {dim} amplitudes, got {amps.size}")
+            raise ValueError(f"expected {dim} amplitudes, got {amps.size}")
         return normalized_state(amps)
-    raise ConfigError("--init must be 'uniform', 'basis:<k>', or 'custom:<amps>'")
+    raise ValueError("--init must be 'uniform', 'basis:<k>', or 'custom:<amps>'")
 
 
 def _parse_noise(text: str | None) -> NoiseParams | None:
@@ -155,30 +151,32 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_ham(args) -> int:
-    if args.builder == "hydrogen-sto2g":
-        exponents = (
-            tuple(_parse_floats(args.exponents, 2))
-            if args.exponents
-            else default_hydrogen_basis().exponents
-        )
-        basis = GaussianBasis(exponents, args.zeta)
-        op, _, _ = hydrogen_sto2g(basis, orthogonalization=args.orthogonalization)
-        provenance = {
-            "builder": "hydrogen-sto2g",
-            "exponents": list(basis.exponents),
-            "slater_zeta": basis.slater_zeta,
-            "orthogonalization": args.orthogonalization,
-        }
-    else:
-        couplings = SpinCouplings(a1=args.a1, a2=_parse_a2(args.a2))
-        op = two_neutron_sd(couplings)
-        provenance = {
-            "builder": "two-neutron",
-            "a1": couplings.a1,
-            "a2": [[float(v) for v in row] for row in couplings.a2],
-        }
+def cmd_ham_hydrogen(args) -> int:
+    exponents = (
+        tuple(_parse_floats(args.exponents, 2))
+        if args.exponents is not None
+        else default_hydrogen_basis().exponents
+    )
+    basis = GaussianBasis(exponents, args.zeta)
+    op, _, _ = hydrogen_sto2g(basis, orthogonalization=args.orthogonalization)
+    provenance = {
+        "builder": "hydrogen-sto2g",
+        "exponents": list(basis.exponents),
+        "slater_zeta": basis.slater_zeta,
+        "orthogonalization": args.orthogonalization,
+    }
     save_hamiltonian(op, args.out, provenance)
+    return EXIT_OK
+
+
+def cmd_ham_two_neutron(args) -> int:
+    couplings = SpinCouplings(a1=args.a1, a2=_parse_a2(args.a2))
+    provenance = {
+        "builder": "two-neutron",
+        "a1": couplings.a1,
+        "a2": [[float(v) for v in row] for row in couplings.a2],
+    }
+    save_hamiltonian(two_neutron_sd(couplings), args.out, provenance)
     return EXIT_OK
 
 
@@ -205,7 +203,7 @@ def _record_to_json(record, config_echo: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _record_to_csv(record, config_echo: dict) -> str:
+def _record_to_csv(record) -> str:
     lines = [
         f"# tool=qitp version={__version__}",
         f"# postselect_prob={_fmt(record.postselect_prob)}",
@@ -224,7 +222,7 @@ def _record_to_csv(record, config_echo: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    op = _resolve_hamiltonian(args)
+    op = _resolve_hamiltonian(args.ham)
     et = _trial_energy(args.et, op)
     params = ItpParams(args.tau, trial_energy=et)
     psi0 = _parse_initial_state(args.init, op.dim)
@@ -253,12 +251,12 @@ def cmd_run(args) -> int:
     if args.format == "json":
         Path(args.out).write_text(_record_to_json(record, config_echo))
     else:
-        Path(args.out).write_text(_record_to_csv(record, config_echo))
+        Path(args.out).write_text(_record_to_csv(record))
     return EXIT_OK
 
 
 def cmd_sweep_et(args) -> int:
-    op = _resolve_hamiltonian(args)
+    op = _resolve_hamiltonian(args.ham)
     fractions = _parse_floats(args.fractions) if args.fractions else []
     taus = _parse_floats(args.taus) if args.taus else []
     ets = [_fraction_energy(f, op) for f in fractions]
@@ -274,7 +272,7 @@ def cmd_sweep_et(args) -> int:
 
 
 def cmd_transpile(args) -> int:
-    op = _resolve_hamiltonian(args)
+    op = _resolve_hamiltonian(args.ham)
     if op.dim != 2:
         print(
             f"transpile supports the two-qubit extended space only "
@@ -310,15 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ham = sub.add_parser("ham", help="build a Hamiltonian JSON file")
-    p_ham.add_argument("builder", choices=["hydrogen-sto2g", "two-neutron"])
-    p_ham.add_argument("--zeta", type=float, default=1.0)
-    p_ham.add_argument("--exponents", help="two comma-separated Gaussian exponents")
-    p_ham.add_argument(
+    builders = p_ham.add_subparsers(dest="builder", required=True)
+    p_hyd = builders.add_parser("hydrogen-sto2g", help="hydrogen in the STO-2G primitives")
+    p_hyd.add_argument("--zeta", type=float, default=1.0)
+    p_hyd.add_argument("--exponents", help="two comma-separated Gaussian exponents")
+    p_hyd.add_argument(
         "--orthogonalization", choices=["canonical", "lowdin"], default="canonical"
     )
-    p_ham.add_argument("--a1", type=float, default=1.0, help="vector coupling (MeV)")
-    p_ham.add_argument("--a2", help="tensor coupling: 3 or 9 comma-separated MeV values")
-    p_ham.add_argument("--out", required=True)
+    p_hyd.add_argument("--out", required=True)
+    p_hyd.set_defaults(func=cmd_ham_hydrogen)
+    p_nn = builders.add_parser("two-neutron", help="two-neutron spin interaction")
+    p_nn.add_argument("--a1", type=float, default=1.0, help="vector coupling (MeV)")
+    p_nn.add_argument(
+        "--a2", default="0,0,0", help="tensor coupling: 3 or 9 comma-separated MeV values"
+    )
+    p_nn.add_argument("--out", required=True)
+    p_nn.set_defaults(func=cmd_ham_two_neutron)
 
     p_run = sub.add_parser("run", help="run the imaginary-time loop")
     p_run.add_argument("--ham", required=True, help="'hydrogen', 'two-neutron', or a JSON path")
@@ -329,19 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--shots", type=int, default=0)
     p_run.add_argument("--seed", type=int, default=42)
     p_run.add_argument("--noise", help="gamma,lambda,epsilon per-step channel strengths")
-    p_run.add_argument("--a1", type=float, default=1.0)
-    p_run.add_argument("--a2")
     p_run.add_argument("--format", choices=["json", "csv"], default="json")
     p_run.add_argument("--out", required=True)
+    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep-et", help="trial-energy robustness sweep")
     p_sweep.add_argument("--ham", required=True)
     p_sweep.add_argument("--fractions", default="0.5,0.8,0.9,1.0,1.1,1.2,1.5")
     p_sweep.add_argument("--taus", default="5,10,20")
     p_sweep.add_argument("--init", default="uniform")
-    p_sweep.add_argument("--a1", type=float, default=1.0)
-    p_sweep.add_argument("--a2")
     p_sweep.add_argument("--out", required=True)
+    p_sweep.set_defaults(func=cmd_sweep_et)
 
     p_trans = sub.add_parser("transpile", help="compile the dilation to {rx, rz, cz}")
     p_trans.add_argument("--ham", required=True)
@@ -349,16 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trans.add_argument("--et", default="auto")
     p_trans.add_argument("--out", required=True)
     p_trans.add_argument("--report", help="report JSON path (default: <out>.report.json)")
+    p_trans.set_defaults(func=cmd_transpile)
 
     return parser
-
-
-_COMMANDS = {
-    "ham": cmd_ham,
-    "run": cmd_run,
-    "sweep-et": cmd_sweep_et,
-    "transpile": cmd_transpile,
-}
 
 
 # The argument tree, built on first use and shared by every main call.
@@ -368,7 +364,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except PostselectionImpossible as exc:
         print(
             f"error: post-selection impossible ({exc}); this is the failure mode "
@@ -377,7 +373,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_POSTSELECTION
-    except (ConfigError, QitpError, OSError, ValueError) as exc:
+    except (QitpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

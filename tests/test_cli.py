@@ -9,7 +9,14 @@ import pytest
 
 from qitp import cli
 from qitp.cli import main
-from qitp.hamiltonians import load_hamiltonian, save_hamiltonian, two_neutron_sd, SpinCouplings
+from qitp.hamiltonians import (
+    GaussianBasis,
+    SpinCouplings,
+    hydrogen_sto2g,
+    load_hamiltonian,
+    save_hamiltonian,
+    two_neutron_sd,
+)
 from qitp.linalg import HermitianOperator, max_abs
 from qitp.transpile import circuit_unitary, parse_circuit_text
 
@@ -64,6 +71,82 @@ class TestHamCommand:
         direct = two_neutron_sd(SpinCouplings(a1=0.5, a2=np.diag([0.1, 0.1, 0.4])))
         assert np.array_equal(op.matrix, direct.matrix)
 
+    def test_exponents_and_lowdin_flags(self, tmp_path):
+        out = tmp_path / "h.json"
+        rc = run_cli("ham", "hydrogen-sto2g", "--zeta", 1.1, "--exponents", "0.2,0.9",
+                     "--orthogonalization", "lowdin", "--out", out)
+        assert rc == 0
+        assert json.loads(out.read_text())["provenance"] == {
+            "builder": "hydrogen-sto2g",
+            "exponents": [0.2, 0.9],
+            "slater_zeta": 1.1,
+            "orthogonalization": "lowdin",
+        }
+        direct, _, _ = hydrogen_sto2g(GaussianBasis((0.2, 0.9), 1.1), orthogonalization="lowdin")
+        assert np.array_equal(load_hamiltonian(out).matrix, direct.matrix)
+
+
+class TestFlagSurface:
+    """Each builder parameter has one way in: its own `qitp ham` builder."""
+
+    @pytest.mark.parametrize("argv", [
+        ("ham", "hydrogen-sto2g", "--a1", "3"),
+        ("ham", "hydrogen-sto2g", "--a2", "1,2,3"),
+        ("ham", "two-neutron", "--zeta", "2"),
+        ("ham", "two-neutron", "--exponents", "0.2,0.9"),
+        ("ham", "two-neutron", "--orthogonalization", "lowdin"),
+        ("run", "--ham", "hydrogen", "--tau", "1", "--a1", "7"),
+        ("run", "--ham", "two-neutron", "--tau", "1", "--a2", "1,2,3"),
+        ("sweep-et", "--ham", "hydrogen", "--a2", "1,2,3"),
+        ("sweep-et", "--ham", "two-neutron", "--a1", "7"),
+    ])
+    def test_flag_outside_its_builder_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "x.out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("ham", "two-neutron", "--a2=1,,2,3"),
+        ("ham", "hydrogen-sto2g", "--exponents", ""),
+        ("run", "--ham", "hydrogen", "--tau", "1", "--noise", "0.1,,0.2,0.3"),
+        ("sweep-et", "--ham", "hydrogen", "--taus", "5,,10"),
+        ("sweep-et", "--ham", "hydrogen", "--fractions", "1,"),
+    ])
+    def test_blank_list_field_exits_2(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", tmp_path / "x.out") == 2
+        assert "expected comma-separated numbers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("preset, builder", [
+        ("hydrogen", "hydrogen-sto2g"),
+        ("two-neutron", "two-neutron"),
+    ])
+    def test_preset_matches_default_builder_file(self, tmp_path, capsys, preset, builder):
+        ham = tmp_path / "ham.json"
+        assert run_cli("ham", builder, "--out", ham) == 0
+        commands = (
+            ("run", "--tau", 2, "--shots", 500, "--noise", "0.1,0.05,0.02", "--out", "run.json"),
+            ("run", "--tau", 2, "--shots", 500, "--format", "csv", "--out", "run.csv"),
+            ("sweep-et", "--out", "sweep.csv"),
+            ("transpile", "--tau", 2, "--out", "c.qasm"),
+        )
+
+        def outcome(source, workdir):
+            workdir.mkdir()
+            codes = [run_cli(command, "--ham", source, *rest, workdir / out)
+                     for command, *rest, out in commands]
+            files = {path.name: path.read_bytes() for path in workdir.iterdir()}
+            return codes, capsys.readouterr().err, files
+
+        got = outcome(preset, tmp_path / "preset")
+        want = outcome(ham, tmp_path / "file")
+        # the run JSON echoes --ham; nothing else may differ
+        echo = json.dumps(str(ham)).encode(), json.dumps(preset).encode()
+        want[2]["run.json"] = want[2]["run.json"].replace(*echo)
+        assert got == want
+
 
 class TestRunCommand:
     def test_hydrogen_reference_probabilities(self, tmp_path):
@@ -82,11 +165,9 @@ class TestRunCommand:
         # couplings with a non-degenerate ground state that overlaps the
         # uniform initial state (the spin-exchange ground branch, not the
         # singlet, which is orthogonal to it)
-        out = tmp_path / "nn.json"
-        rc = run_cli(
-            "run", "--ham", "two-neutron", "--a1=-0.5", "--a2=-1.5,-1.5,1.5",
-            "--tau", 10, "--et", "auto", "--out", out,
-        )
+        ham, out = tmp_path / "v.json", tmp_path / "nn.json"
+        assert run_cli("ham", "two-neutron", "--a1=-0.5", "--a2=-1.5,-1.5,1.5", "--out", ham) == 0
+        rc = run_cli("run", "--ham", ham, "--tau", 10, "--et", "auto", "--out", out)
         assert rc == 0
         doc = json.loads(out.read_text())
         op = two_neutron_sd(SpinCouplings(a1=-0.5, a2=np.diag([-1.5, -1.5, 1.5])))
@@ -165,8 +246,6 @@ class TestRunCommand:
     def test_huge_repetition_count_projects_onto_ground_state(self, tmp_path):
         # K |log h^2| overflows every level at tau 60; the answer is still
         # the ground projection
-        from qitp.hamiltonians import hydrogen_sto2g
-
         out = tmp_path / "k.json"
         rc = run_cli(
             "run", "--ham", "hydrogen", "--tau", 60, "--et", "frac:1.5", "--reps", 2**1023,
@@ -178,10 +257,9 @@ class TestRunCommand:
 
     def test_near_degenerate_two_neutron_couplings(self, tmp_path):
         # a2 splits two levels by 5e-10, closer than the degeneracy tolerance
-        out = tmp_path / "d.json"
-        rc = run_cli(
-            "run", "--ham", "two-neutron", "--a1=1", "--a2=5e-10,0,0", "--tau", 1, "--out", out,
-        )
+        ham, out = tmp_path / "v.json", tmp_path / "d.json"
+        assert run_cli("ham", "two-neutron", "--a1=1", "--a2=5e-10,0,0", "--out", ham) == 0
+        rc = run_cli("run", "--ham", ham, "--tau", 1, "--out", out)
         assert rc == 0
         doc = json.loads(out.read_text())
         assert abs(sum(doc["extended_probs"].values()) - 1.0) < 1e-12
@@ -217,8 +295,6 @@ class TestSweepCommand:
         header, row = out.read_text().splitlines()
         assert header == "tau,et_fraction,et_value,p0,energy,fidelity_to_ground,failed"
         cells = row.split(",")
-        from qitp.hamiltonians import hydrogen_sto2g
-
         e0 = hydrogen_sto2g()[0].ground_energy
         assert abs(float(cells[4]) - e0) < 1e-6
         assert float(cells[5]) > 1 - 1e-9
@@ -291,7 +367,6 @@ class TestSweepCommand:
         assert len(a.read_text().splitlines()) == 1 + 21
 
     def test_energy_bracketed_for_trial_at_or_above_ground(self, tmp_path):
-        from qitp.hamiltonians import hydrogen_sto2g
         from qitp.simulate import energy_expectation
 
         op, _, _ = hydrogen_sto2g()

@@ -113,15 +113,19 @@ class DilationUnitary:
 def build_dilation(op: HermitianOperator, params: ItpParams) -> DilationUnitary:
     """Construct the dilation unitary for one imaginary-time step.
 
-    Raises UnitarityCheckFailed if the assembled matrix deviates from
-    unitarity by more than 1e-10 in max-entry norm (numerical breakdown).
+    Raises UnitarityCheckFailed if ``U^dag U - I``, whose N x N blocks are
+    ``Q^dag Q + R^dag R - I`` and ``+-(Q^dag R - R^dag Q)``, reaches 1e-10 in
+    max-entry norm or is NaN (numerical breakdown).
     """
     et = params.resolve_trial_energy(op)
     q = matrix_function(op, lambda e: filter_profile(e, params.tau, et))
     r = matrix_function(op, lambda e: filter_profile(-e, params.tau, -et))
-    u = np.block([[q, r], [r, -q]])
-    defect = max_abs(u.conj().T @ u - np.eye(2 * op.dim))
-    if defect >= 1e-10:
+    n = op.dim
+    u = np.empty((2 * n, 2 * n), dtype=complex)
+    u[:n, :n], u[:n, n:], u[n:, :n], u[n:, n:] = q, r, r, -q
+    qh, rh = q.conj().T, r.conj().T
+    defect = float(np.maximum(max_abs(qh @ q + rh @ r - np.eye(n)), max_abs(qh @ r - rh @ q)))
+    if not defect < 1e-10:
         raise UnitarityCheckFailed(f"||U^dag U - I||_max = {defect:.3e}")
     for a in (u, q, r):
         a.setflags(write=False)

@@ -15,9 +15,9 @@ distribution. The register is the reservoir qubit, leading, (x) the system
 padded to 2**m >= N levels: index a * 2**m + beta. Channels on distinct
 qubits commute and only the reservoir-0 block is kept, so each repetition is
 one N x N update ``rho <- E_sys(Q rho Q + g R rho R) / p0`` (g the damping),
-never the 2N x 2N register. Both noise maps act qubit by qubit, never as a
-Kronecker product with identities: the channel updates each qubit's 2x2
-density blocks in closed form, and the flips apply a 2x2 map to one bit of
+never the 2N x 2N register. Neither noise map forms a Kronecker product
+with identities: the channel is per-qubit transfers, then one weight built
+per run (multiplied entrywise), and the flips apply a 2x2 map to one bit of
 the register index (``_apply_1q``). For N not a power of two this layout
 differs from padding the extended index a * N + beta itself, where no bit
 is the reservoir. This is a qualitative stand-in for hardware relaxation.
@@ -198,10 +198,12 @@ class NoiseParams:
 def apply_channel(rho, noise: NoiseParams) -> np.ndarray:
     """Apply per-qubit amplitude damping, then dephasing, to a density matrix.
 
-    Each qubit's 2x2 blocks are updated in closed form, with g the damping
-    and lam the dephasing strength: ``rho00 += g * rho11``,
-    ``rho11 *= 1 - g``, and both coherences ``rho01, rho10`` are scaled by
-    ``sqrt(1 - g) * (1 - 2 * lam)``. The input is not modified.
+    With g the damping and lam the dephasing, each qubit's 2x2 blocks take
+    ``rho00 += g * rho11``, ``rho11 *= 1 - g`` and ``rho01, rho10 *= c``,
+    ``c = sqrt(1 - g) * (1 - 2 * lam)``: every transfer ``rho00 += g * rho11``
+    first (exact, as other qubits scale its source and target alike), then
+    one entrywise product with ``[[1, c], [c, 1 - g]]`` (x) ... (x) itself.
+    The input is not modified.
 
     Dimensions that are not a power of two are padded into the smallest
     qubit register; both channels only move weight toward lower indices, so
@@ -214,20 +216,29 @@ def apply_channel(rho, noise: NoiseParams) -> np.ndarray:
         raise DimensionError(f"density matrix must be square, got {r.shape}")
     if not np.isfinite(r).all():
         raise InvalidDistribution("density matrix has non-finite entries")
-    dim = r.shape[0]
+    return _channel(noise, r.shape[0])(r)
+
+
+def _channel(noise: NoiseParams, dim: int):
+    """The unchecked map of :func:`apply_channel` on dim x dim input, its weight built once."""
     k = (dim - 1).bit_length()
-    out = np.zeros((2**k, 2**k), dtype=complex)
-    out[:dim, :dim] = r
-    g, lam = noise.amplitude_damping, noise.dephasing
-    c = np.sqrt(1 - g) * (1 - 2 * lam)
-    for q in range(k):
-        # View axes: (row hi, row q, row lo + column hi, column q, column lo).
-        t = out.reshape(2**q, 2, 2 ** (k - 1), 2, 2 ** (k - q - 1))
-        t[:, 0, :, 0] += g * t[:, 1, :, 1]
-        t[:, 1, :, 1] *= 1 - g
-        t[:, 0, :, 1] *= c
-        t[:, 1, :, 0] *= c
-    return out[:dim, :dim]
+    g = noise.amplitude_damping
+    c = np.sqrt(1 - g) * (1 - 2 * noise.dephasing)
+    m, weight = np.array([[1.0, c], [c, 1.0 - g]]), np.ones((1, 1))
+    for _ in range(k):  # weight <- weight (x) m, by broadcasting
+        weight = (weight[:, None, :, None] * m[:, None]).reshape(2 * len(weight), -1)
+    weight = weight[:dim, :dim]
+
+    def channel(rho: np.ndarray) -> np.ndarray:
+        out = np.zeros((2**k, 2**k), dtype=complex)
+        out[:dim, :dim] = rho
+        for q in range(k):
+            # View axes: (row hi, row q, row lo + column hi, column q, column lo).
+            t = out.reshape(2**q, 2, 2 ** (k - 1), 2, 2 ** (k - q - 1))
+            t[:, 0, :, 0] += g * t[:, 1, :, 1]
+        return out[:dim, :dim] * weight
+
+    return channel
 
 
 def readout_confusion(probs, flip: float) -> np.ndarray:
@@ -376,6 +387,11 @@ def spectral_run(
     return SpectralRows(p0, weights @ w, weights[:, :ground_end].sum(axis=1), failed, ext)
 
 
+def _postselection_failed(rep: int, p0: float) -> PostselectionImpossible:
+    msg = f"repetition {rep}: reservoir-0 probability {p0:.3e} below {POSTSELECT_FLOOR:g}"
+    return PostselectionImpossible(msg, probability=p0, repetition=rep)
+
+
 def _run_density(op, params, psi0, repetitions, noise):
     """The noisy repetition loop, one N x N density block per repetition.
 
@@ -391,18 +407,15 @@ def _run_density(op, params, psi0, repetitions, noise):
     if state.size != op.dim:
         raise DimensionMismatch(f"state dim {state.size} != operator dim {op.dim}")
     rho = np.outer(state, state.conj())
+    channel = _channel(noise, op.dim)
     for rep in range(1, repetitions + 1):
         lost = r @ rho @ r
-        kept = apply_channel(q @ rho @ q + g * lost, noise)
+        kept = channel(q @ rho @ q + g * lost)
         p0 = float(np.real(np.trace(kept)))
         if p0 < POSTSELECT_FLOOR:
-            raise PostselectionImpossible(
-                f"repetition {rep}: reservoir-0 probability {p0:.3e}",
-                probability=p0,
-                repetition=rep,
-            )
+            raise _postselection_failed(rep, p0)
         if rep == repetitions:
-            dropped = (1 - g) * np.diag(apply_channel(lost, noise))
+            dropped = (1 - g) * np.diag(channel(lost))
             extended_probs = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
         rho = kept / p0
     energy = float(np.real(np.sum(rho * op.matrix.T)))
@@ -434,9 +447,7 @@ def run_itp(
         et = params.resolve_trial_energy(op)
         rows = spectral_run(op, params.tau, et, psi0, repetitions, extended=True)
         if rows.failed[0]:
-            rep, p0 = int(rows.failed[0]), float(rows.p0[0])
-            msg = f"repetition {rep}: reservoir-0 probability {p0:.3e} below {POSTSELECT_FLOOR:g}"
-            raise PostselectionImpossible(msg, probability=p0, repetition=rep)
+            raise _postselection_failed(int(rows.failed[0]), float(rows.p0[0]))
         extended, energy = rows.extended[0], float(rows.energy[0])
     else:
         extended, energy = _run_density(op, params, psi0, repetitions, noise)

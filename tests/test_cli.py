@@ -237,6 +237,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "E_T < E0" in err
 
+    def test_postselection_failure_message_on_both_paths(self, tmp_path, capsys):
+        errors = []
+        for noise in ((), ("--noise", "0,0.01,0")):
+            out = tmp_path / "p.json"
+            argv = ("run", "--ham", "two-neutron", "--tau", 50, "--et", -100, *noise, "--out", out)
+            assert run_cli(*argv) == 3
+            errors.append(capsys.readouterr().err)
+            assert "repetition 1" in errors[-1] and "below 1e-14" in errors[-1]
+            assert not out.exists()
+        assert errors[0] == errors[1]
+
     def test_repetitions_beyond_float_range_exit_code(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run_cli("run", "--ham", "hydrogen", "--tau", 1, "--reps", 10**400, "--out", out) == 2

@@ -9,9 +9,10 @@ from qitp.dilation import (
     filter_profile,
     itp_filter,
 )
+from qitp.errors import UnitarityCheckFailed
 from qitp.linalg import HermitianOperator, matrix_function, max_abs
 
-from helpers import classical_itp, random_hermitian, random_state
+from helpers import classical_itp, haar_unitary, random_hermitian, random_state
 
 # frozen from a 40-digit mpmath evaluation of 1/sqrt(1 + e^40)
 H_AT_1_TAU20 = 2.0611536224385578e-9
@@ -151,6 +152,31 @@ class TestBuildDilation:
             op = op_from(random_hermitian(dim, rng))
             u = build_dilation(op, ItpParams(tau=2.0, trial_mode="ground_state_exact"))
             assert max_abs(u.q_block @ u.q_block + u.r_block @ u.r_block - np.eye(dim)) < 1e-12
+
+    @pytest.mark.parametrize("dim, columns", [
+        (1, "scaled by 2"), (3, "not orthogonal"), (64, "scaled by 1 + 1e-9"), (3, "NaN")
+    ])
+    def test_non_unitary_eigenvectors_raise(self, dim, columns):
+        # the dataclass constructor skips eigh, so the eigenvectors can be any matrix
+        rng = np.random.default_rng(dim)
+        w = np.sort(rng.uniform(-2.0, 2.0, dim))
+        v = haar_unitary(dim, rng)
+        if columns == "scaled by 2":
+            v = 2.0 * v
+        elif columns == "not orthogonal":
+            v[:, 1] += 1e-6 * v[:, 0]
+        elif columns == "scaled by 1 + 1e-9":
+            v = (1 + 1e-9) * v
+        else:
+            v[0, 0] = np.nan
+        op = HermitianOperator(v @ np.diag(w) @ v.conj().T, w, v)
+        params = ItpParams(tau=1.5, trial_energy=0.1)
+        if columns == "not orthogonal":  # the off-diagonal blocks of U^dag U miss 0 too
+            q = matrix_function(op, lambda e: filter_profile(e, 1.5, 0.1))
+            r = matrix_function(op, lambda e: filter_profile(-e, 1.5, -0.1))
+            assert max_abs(q.conj().T @ r - r.conj().T @ q) > 1e-10
+        with pytest.raises(UnitarityCheckFailed):
+            build_dilation(op, params)
 
 
 @st.composite

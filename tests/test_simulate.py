@@ -18,6 +18,7 @@ from qitp.errors import (
     ParseError,
     PostselectionImpossible,
     SingularOverlap,
+    UnitarityCheckFailed,
 )
 from qitp.hamiltonians import hydrogen_sto2g
 from qitp.linalg import HermitianOperator, PAULI_Z, _ground_cluster_end, max_abs
@@ -1058,6 +1059,8 @@ ERROR_CASES = [
     ("itp_filter, NaN trial energy", ValueError,
      lambda op: qitp.itp_filter(op, ItpParams(1.0, trial_energy=np.nan))),
     ("build_dilation, inf tau", ValueError, lambda op: build_dilation(op, ItpParams(np.inf))),
+    ("build_dilation, eigenvectors not unitary", UnitarityCheckFailed,
+     lambda op: build_dilation(HermitianOperator(op.matrix, op.eigenvalues, 2 * op.eigenvectors), ItpParams(1.0))),
     ("HermitianOperator, not Hermitian", NonHermitianInput,
      lambda op: qitp.HermitianOperator.from_matrix([[0.0, 1.0], [0.0, 0.0]])),
     ("eigh, NaN entry", NonHermitianInput, lambda op: qitp.eigh(np.diag([np.nan, 1.0]))),

@@ -16,7 +16,8 @@ written by ``qitp ham``.
 
 All outputs are deterministic given (config, seed): running a command twice
 produces byte-identical files. Exit codes: 0 success, 2 configuration
-error, 3 post-selection impossible (trial energy below the ground energy),
+error, 3 post-selection impossible (trial energy below the ground energy, or
+an initial state with almost no weight at or below the trial energy),
 4 transpile scope error (system is not a single qubit).
 """
 
@@ -333,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--reps", type=int, default=1)
     p_run.add_argument("--shots", type=int, default=0)
     p_run.add_argument("--seed", type=int, default=42)
-    p_run.add_argument("--noise", help="gamma,lambda,epsilon per-step channel strengths")
+    p_run.add_argument(
+        "--noise", help="gamma,lambda,epsilon: damping and dephasing per step, readout flip once"
+    )
     p_run.add_argument("--format", choices=["json", "csv"], default="json")
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=cmd_run)
@@ -367,9 +370,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except PostselectionImpossible as exc:
         print(
-            f"error: post-selection impossible ({exc}); this is the failure mode "
-            f"of a trial energy below the ground energy (E_T < E0), where the "
-            f"reservoir-0 probability tends to 0",
+            f"error: post-selection impossible ({exc}); the filter suppresses every "
+            f"level above the trial energy, so the reservoir-0 probability tends to 0 "
+            f"when the trial energy is below the ground energy (E_T < E0) or when the "
+            f"initial state has almost no weight on the levels at or below E_T",
             file=sys.stderr,
         )
         return EXIT_POSTSELECTION

@@ -118,7 +118,7 @@ def build_dilation(op: HermitianOperator, params: ItpParams) -> DilationUnitary:
     max-entry norm or is NaN (numerical breakdown).
     """
     et = params.resolve_trial_energy(op)
-    q = matrix_function(op, lambda e: filter_profile(e, params.tau, et))
+    q = itp_filter(op, params)
     r = matrix_function(op, lambda e: filter_profile(-e, params.tau, -et))
     n = op.dim
     u = np.empty((2 * n, 2 * n), dtype=complex)

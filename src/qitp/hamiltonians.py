@@ -98,28 +98,11 @@ class GaussianBasis:
         z2 = self.slater_zeta**2
         return (z2 * self.exponents[0], z2 * self.exponents[1])
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GaussianBasis":
-        try:
-            return cls(
-                exponents=tuple(float(a) for a in doc["exponents"]),
-                slater_zeta=float(doc.get("slater_zeta", 1.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad Gaussian basis config: {exc}") from exc
-
 
 def default_hydrogen_basis() -> GaussianBasis:
     """The shipped STO-2G hydrogen parameters (config file, not hard-coded)."""
-    raw = resources.files("qitp.data").joinpath("sto2g_hydrogen.json").read_text()
-    return GaussianBasis.from_dict(json.loads(raw))
-
-
-def _raw_hydrogen_matrices(basis: GaussianBasis):
-    a = basis.scaled_exponents()
-    s = np.array([[gaussian_overlap(x, y) for y in a] for x in a])
-    h = np.array([[gaussian_kinetic(x, y) + gaussian_nuclear(x, y) for y in a] for x in a])
-    return h, s
+    doc = json.loads(resources.files("qitp.data").joinpath("sto2g_hydrogen.json").read_text())
+    return GaussianBasis(tuple(doc["exponents"]), doc["slater_zeta"])
 
 
 def orthonormalize(h_raw, s, method: str = "canonical") -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +152,9 @@ def hydrogen_sto2g(
     """
     if basis is None:
         basis = default_hydrogen_basis()
-    h_raw, s = _raw_hydrogen_matrices(basis)
+    a = basis.scaled_exponents()
+    s = np.array([[gaussian_overlap(x, y) for y in a] for x in a])
+    h_raw = np.array([[gaussian_kinetic(x, y) + gaussian_nuclear(x, y) for y in a] for x in a])
     h_orth, x = orthonormalize(h_raw, s, orthogonalization)
     op = HermitianOperator.from_matrix(h_orth, units="hartree")
     return op, s, x
@@ -209,54 +194,40 @@ def two_neutron_sd(couplings: SpinCouplings) -> HermitianOperator:
         v += couplings.a1 * np.kron(PAULI_VECTOR[k], PAULI_VECTOR[k])
     for j in range(3):
         for k in range(3):
-            if couplings.a2[j, k] != 0.0:
-                v += couplings.a2[j, k] * np.kron(PAULI_VECTOR[j], PAULI_VECTOR[k])
+            v += couplings.a2[j, k] * np.kron(PAULI_VECTOR[j], PAULI_VECTOR[k])
     return HermitianOperator.from_matrix(v, units="mev")
 
 
-def hamiltonian_to_dict(op: HermitianOperator, provenance: dict | None = None) -> dict:
-    """The Hamiltonian JSON schema: dim, units, matrix as [re, im] pairs."""
+def save_hamiltonian(op: HermitianOperator, path, provenance: dict | None = None) -> None:
+    """Write the Hamiltonian JSON schema (dim, units, matrix as [re, im]
+    pairs, optional provenance); OSError if the path cannot be written."""
     doc = {
         "dim": op.dim,
         "units": op.units,
-        "matrix": [
-            [[float(z.real), float(z.imag)] for z in row] for row in op.matrix
-        ],
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix],
     }
     if provenance is not None:
         doc["provenance"] = provenance
-    return doc
-
-
-def save_hamiltonian(
-    op: HermitianOperator, path, provenance: dict | None = None
-) -> None:
-    """Write the JSON schema of :func:`hamiltonian_to_dict`; OSError if the
-    path cannot be written."""
-    doc = hamiltonian_to_dict(op, provenance)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_hamiltonian(source) -> HermitianOperator:
-    """Load a Hamiltonian from a dict (the document) or a JSON file path.
+def load_hamiltonian(path) -> HermitianOperator:
+    """Load a Hamiltonian from a JSON file written by :func:`save_hamiltonian`.
 
-    Any source that is not a dict is a path, whatever its characters; an
-    unreadable file or invalid JSON raises ParseError. Validates the schema,
-    the dimension range (1..64) and finite entries (NaN/Infinity raise
-    ParseError); :func:`eigh` rejects a matrix that is not Hermitian within
-    1e-10 of its largest entry with NonHermitianInput.
+    ``path`` is a path, whatever its characters; an unreadable file or
+    invalid JSON raises ParseError. Validates the schema, the dimension range
+    (1..64) and finite entries (NaN/Infinity raise ParseError); :func:`eigh`
+    rejects a matrix that is not Hermitian within 1e-10 of its largest entry
+    with NonHermitianInput.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {source}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("Hamiltonian document must be a JSON object")
     for key in ("dim", "units", "matrix"):

@@ -143,7 +143,7 @@ class HermitianOperator:
     def from_matrix(cls, matrix, units: str = "dimensionless") -> "HermitianOperator":
         if units not in cls.VALID_UNITS:
             raise ValueError(f"units must be one of {cls.VALID_UNITS}, got {units!r}")
-        m = _as_square_complex(matrix).copy()  # never the caller's array
+        m = np.array(matrix, dtype=complex)  # a copy: never the caller's array
         w, v = eigh(m)
         m.setflags(write=False)
         w.setflags(write=False)

@@ -101,9 +101,9 @@ def postselect_ancilla0(state) -> tuple[np.ndarray, float]:
     """Condition on the reservoir qubit measuring 0.
 
     Returns the renormalized system block and the success probability p0.
-    Raises PostselectionImpossible when p0 < 1e-14 (the failure mode of a
-    trial energy below the true ground energy: the kept branch dies out) and
-    InvalidDistribution for a NaN or infinite amplitude.
+    Raises PostselectionImpossible when p0 < 1e-14 (the kept branch dies out:
+    a trial energy below the ground energy, or a state with almost no weight
+    at or below it) and InvalidDistribution for a NaN or infinite amplitude.
     """
     v = _finite_state(state)
     if v.size % 2:
@@ -180,7 +180,8 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Per-step channel strengths: damping, dephasing, readout flip."""
+    """Noise strengths: amplitude damping and dephasing act after every step,
+    the readout flip once, on the reported distribution."""
 
     amplitude_damping: float = 0.0
     dephasing: float = 0.0
@@ -247,12 +248,12 @@ def readout_confusion(probs, flip: float) -> np.ndarray:
     ``probs`` is ancilla-major (index a*N + beta, length 2N, so N is half
     its length), read on the noisy register: the reservoir qubit,
     leading, (x) the system padded to 2**m >= N levels, index a*2**m + beta.
-    It is padded into that register, flipped on the reservoir bit and the m
-    system bits, cropped, and renormalized (flips can leak into the padding
-    levels), so the reservoir bit is never mixed with system padding. Raises
-    ValueError for a flip outside [0, 0.5], DimensionMismatch for an odd
-    length, and InvalidDistribution for a NaN, infinite or negative
-    probability, or for no weight left to renormalize.
+    At every flip, 0 included, it is padded into that register, flipped on
+    the reservoir bit and the m system bits, cropped, and renormalized (flips
+    can leak into the padding levels), so the reservoir bit is never mixed
+    with system padding. Raises ValueError for a flip outside [0, 0.5],
+    DimensionMismatch for an odd length, and InvalidDistribution for a NaN,
+    infinite or negative probability, or for no weight left to renormalize.
     """
     if not 0.0 <= flip <= 0.5:
         raise ValueError("readout_flip must be in [0, 0.5]")
@@ -262,8 +263,6 @@ def readout_confusion(probs, flip: float) -> np.ndarray:
     if p.size % 2:
         raise DimensionMismatch(f"{p.size} probabilities: an extended distribution has even length")
     n = p.size // 2
-    if flip == 0.0:
-        return p.copy()
     levels = 2 ** (n - 1).bit_length()
     out = np.zeros((2, levels))
     out[:, :n] = p.reshape(2, n)
@@ -414,10 +413,9 @@ def _run_density(op, params, psi0, repetitions, noise):
         p0 = float(np.real(np.trace(kept)))
         if p0 < POSTSELECT_FLOOR:
             raise _postselection_failed(rep, p0)
-        if rep == repetitions:
-            dropped = (1 - g) * np.diag(channel(lost))
-            extended_probs = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
         rho = kept / p0
+    dropped = (1 - g) * np.diag(channel(lost))
+    extended_probs = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
     energy = float(np.real(np.sum(rho * op.matrix.T)))
     return extended_probs, energy
 

@@ -71,6 +71,18 @@ class TestHamCommand:
         direct = two_neutron_sd(SpinCouplings(a1=0.5, a2=np.diag([0.1, 0.1, 0.4])))
         assert np.array_equal(op.matrix, direct.matrix)
 
+    def test_nine_value_a2_is_the_row_major_matrix(self, tmp_path, capsys):
+        a2 = np.array([[0.1, 0.2, 0.0], [0.2, 0.3, 0.05], [0.0, 0.05, -0.4]])
+        out = tmp_path / "v.json"
+        values = ",".join(map(repr, a2.ravel().tolist()))
+        assert run_cli("ham", "two-neutron", "--a1", 0.5, f"--a2={values}", "--out", out) == 0
+        direct = two_neutron_sd(SpinCouplings(a1=0.5, a2=a2))
+        assert np.array_equal(load_hamiltonian(out).matrix, direct.matrix)
+        bad = tmp_path / "bad.json"
+        assert run_cli("ham", "two-neutron", "--a2", "1,2,3,4", "--out", bad) == 2
+        assert "--a2 takes 3 (diagonal) or 9 (row-major) numbers" in capsys.readouterr().err
+        assert not bad.exists()
+
     def test_exponents_and_lowdin_flags(self, tmp_path):
         out = tmp_path / "h.json"
         rc = run_cli("ham", "hydrogen-sto2g", "--zeta", 1.1, "--exponents", "0.2,0.9",
@@ -215,6 +227,20 @@ class TestRunCommand:
         assert run_cli("run", "--ham", "hydrogen", "--tau", 1, "--noise", "2,0,0", "--out", out) == 2
         assert capsys.readouterr().err.endswith("error: amplitude_damping must be in [0, 1]\n")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--noise", "0.1,0.2", "expected 3 comma-separated numbers, got '0.1,0.2'"),
+        ("--et", "frac:x", "bad --et fraction: 'frac:x'"),
+        ("--init", "basis:x", "bad --init basis index: 'basis:x'"),
+        ("--init", "custom:1,zz", "bad --init amplitudes: 'custom:1,zz'"),
+        ("--init", "custom:1", "expected 2 amplitudes, got 1"),
+        ("--init", "bogus", "--init must be 'uniform', 'basis:<k>', or 'custom:<amps>'"),
+    ])
+    def test_bad_flag_text_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.json"
+        assert run_cli("run", "--ham", "hydrogen", "--tau", 1, flag, value, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_ham_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         commands = (
@@ -236,6 +262,18 @@ class TestRunCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "E_T < E0" in err
+
+    def test_postselection_failure_at_the_ground_energy_names_the_initial_state(
+        self, tmp_path, capsys
+    ):
+        # E_T = E0 = -3 exactly, but the uniform state misses the singlet
+        # ground state, so p0 is about 1.9e-174
+        out = tmp_path / "p.json"
+        assert run_cli("run", "--ham", "two-neutron", "--tau", 50, "--et", "auto", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "repetition 1" in err and "below 1e-14" in err
+        assert "initial state has almost no weight on the levels at or below E_T" in err
+        assert not out.exists()
 
     def test_postselection_failure_message_on_both_paths(self, tmp_path, capsys):
         errors = []

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qitp.errors import (
     SingularOverlap,
 )
 from qitp.hamiltonians import (
+    PAULI_VECTOR,
     GaussianBasis,
     SpinCouplings,
     default_hydrogen_basis,
@@ -237,28 +239,58 @@ class TestTwoNeutron:
         a2[0, 1] = 1.0
         with pytest.raises(ValueError):
             SpinCouplings(a1=0.0, a2=a2)
+        for a2 in (np.zeros((2, 2)), np.zeros(9), np.zeros((3, 3, 1))):
+            with pytest.raises(ValueError, match="a2 must be 3x3"):
+                SpinCouplings(a1=0.0, a2=a2)
+
+    def test_zero_tensor_terms_leave_the_matrix_bitwise_equal(self):
+        # every a2 term is added, zeros too: the sum must equal, sign bits
+        # included, the one that skips the zero entries
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            a2 = rng.standard_normal((3, 3)) * (rng.uniform(size=(3, 3)) < 0.5)
+            a2 = np.where(rng.uniform(size=(3, 3)) < 0.5, -a2, a2)  # -0.0 entries too
+            a2 = np.where(np.triu(np.ones((3, 3), dtype=bool)), a2, a2.T)
+            a1 = rng.standard_normal()
+            want = np.zeros((4, 4), dtype=complex)
+            for k in range(3):
+                want += a1 * np.kron(PAULI_VECTOR[k], PAULI_VECTOR[k])
+            for j in range(3):
+                for k in range(3):
+                    if a2[j, k] != 0.0:
+                        want += a2[j, k] * np.kron(PAULI_VECTOR[j], PAULI_VECTOR[k])
+            got = two_neutron_sd(SpinCouplings(a1=a1, a2=a2)).matrix
+            assert np.array_equal(got.view(float), want.view(float))
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def saved(tmp_path, doc) -> Path:
+    """Write a Hamiltonian document (a dict, or raw text) to a file and return its path."""
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
 
 
 class TestSerialization:
-    def test_identity_document(self):
+    def test_identity_document(self, tmp_path):
         doc = {
             "dim": 2,
             "units": "dimensionless",
             "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
         }
-        op = load_hamiltonian(doc)
+        op = load_hamiltonian(saved(tmp_path, doc))
         assert np.allclose(op.eigenvalues, [1.0, 1.0])
 
-    def test_non_hermitian_document_rejected(self):
+    def test_non_hermitian_document_rejected(self, tmp_path):
         doc = {
             "dim": 2,
             "units": "dimensionless",
             "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]],
         }
         with pytest.raises(NonHermitianInput):
-            load_hamiltonian(doc)
+            load_hamiltonian(saved(tmp_path, doc))
 
-    def test_hermiticity_tolerance(self):
+    def test_hermiticity_tolerance(self, tmp_path):
         # the eigensolver's 1e-10 check is the only one on this path
         for defect, ok in ((5e-11, True), (2e-10, False)):
             doc = {
@@ -267,10 +299,10 @@ class TestSerialization:
                 "matrix": [[[0.0, 0.0], [1.0 + defect, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
             }
             if ok:
-                assert np.allclose(load_hamiltonian(doc).eigenvalues, [-1.0, 1.0])
+                assert np.allclose(load_hamiltonian(saved(tmp_path, doc)).eigenvalues, [-1.0, 1.0])
             else:
                 with pytest.raises(NonHermitianInput):
-                    load_hamiltonian(doc)
+                    load_hamiltonian(saved(tmp_path, doc))
 
     def test_round_trip_is_bitwise_exact(self, tmp_path):
         op, _, _ = hydrogen_sto2g()
@@ -281,24 +313,23 @@ class TestSerialization:
         assert reloaded.units == op.units
 
     def test_parse_errors(self, tmp_path):
-        def saved(text):
-            path = tmp_path / "doc.json"
-            path.write_text(text)
-            return path
-
         with pytest.raises(ParseError):
-            load_hamiltonian(saved("{not json"))
-        with pytest.raises(ParseError):
-            load_hamiltonian({"dim": 2, "matrix": [[[1, 0]]]})
+            load_hamiltonian(saved(tmp_path, "{not json"))
+        for doc in ({"dim": 2, "matrix": [[[1, 0]]]}, {"dim": 2, "units": "mev"}):
+            with pytest.raises(ParseError, match="missing required key"):
+                load_hamiltonian(saved(tmp_path, doc))
         # An entry must be exactly one [re, im] pair; extra or missing
         # elements are not silently dropped.
         for entry in ([1, 0, 5], [1]):
             with pytest.raises(ParseError):
-                load_hamiltonian({"dim": 1, "units": "mev", "matrix": [[entry]]})
+                load_hamiltonian(saved(tmp_path, {"dim": 1, "units": "mev", "matrix": [[entry]]}))
         with pytest.raises(ParseError):
             load_hamiltonian(
-                {"dim": 1, "units": "eV", "matrix": [[[1.0, 0.0]]]}
+                saved(tmp_path, {"dim": 1, "units": "eV", "matrix": [[[1.0, 0.0]]]})
             )
+        # a JSON document that is not an object
+        with pytest.raises(ParseError, match="must be a JSON object"):
+            load_hamiltonian(saved(tmp_path, "[1, 2]"))
         missing = tmp_path / "missing.json"
         with pytest.raises(ParseError):
             load_hamiltonian(missing)
@@ -312,16 +343,18 @@ class TestSerialization:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ParseError):
-                    load_hamiltonian(saved(text))
+                    load_hamiltonian(saved(tmp_path, text))
 
-    def test_dimension_errors(self):
+    def test_dimension_errors(self, tmp_path):
         with pytest.raises(DimensionError):
-            load_hamiltonian({"dim": 0, "units": "mev", "matrix": []})
-        with pytest.raises(DimensionError):
-            load_hamiltonian({"dim": True, "units": "mev", "matrix": [[[1.0, 0.0]]]})
+            load_hamiltonian(saved(tmp_path, {"dim": 0, "units": "mev", "matrix": []}))
         with pytest.raises(DimensionError):
             load_hamiltonian(
-                {"dim": 3, "units": "mev", "matrix": [[[1.0, 0.0]]]}
+                saved(tmp_path, {"dim": True, "units": "mev", "matrix": [[[1.0, 0.0]]]})
+            )
+        with pytest.raises(DimensionError):
+            load_hamiltonian(
+                saved(tmp_path, {"dim": 3, "units": "mev", "matrix": [[[1.0, 0.0]]]})
             )
 
     def test_path_starting_with_brace_is_a_file(self, tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qitp.errors import NonFiniteFunctionValue, NonHermitianInput
+from qitp.errors import DimensionError, NonFiniteFunctionValue, NonHermitianInput
 from qitp.linalg import (
     HermitianOperator,
     PAULI_X,
@@ -157,6 +157,17 @@ class TestHermitianOperator:
         assert np.array_equal(op.matrix, np.diag([1.0, 2.0]))
         assert np.array_equal(op.eigenvalues, [1.0, 2.0])
         assert np.array_equal(op.eigenvectors, np.eye(2))
+
+    def test_from_matrix_checks_shape_dimension_and_finiteness(self):
+        for bad in (np.eye(65), np.zeros((0, 0)), np.ones((2, 3))):
+            with pytest.raises(DimensionError):
+                HermitianOperator.from_matrix(bad)
+        # the shape is checked before the entries
+        with pytest.raises(DimensionError):
+            HermitianOperator.from_matrix(np.full((65, 65), np.nan))
+        with pytest.raises(NonHermitianInput):
+            HermitianOperator.from_matrix(np.diag([1.0, np.nan]))
+        assert HermitianOperator.from_matrix(np.eye(64)).dim == 64
 
 
 class TestMatrixFunction:

@@ -366,6 +366,13 @@ class TestChannels:
         want = [0.81, 0.09, 0.09, 0.01]
         assert np.allclose(p, want, atol=1e-12)
 
+    def test_readout_confusion_at_flip_zero_renormalizes(self):
+        # flip 0 takes the same path as every other flip: a renormalized copy
+        got = readout_confusion([0.25, 0.25, 0.0, 0.0], 0.0)
+        assert np.array_equal(got, [0.5, 0.5, 0.0, 0.0])
+        with pytest.raises(InvalidDistribution, match="no weight"):
+            readout_confusion([0.0, 0.0], 0.0)
+
     def test_channel_matches_kronecker_oracle(self):
         rng = np.random.default_rng(20)
         for dim in range(1, 9):  # 1, 3, 5, 6 and 7 are padded into the register
@@ -1032,6 +1039,8 @@ ERROR_CASES = [
     ("readout_confusion, empty", InvalidDistribution,
      lambda op: readout_confusion([], 0.1)),
     ("NoiseParams, NaN damping", ValueError, lambda op: NoiseParams(np.nan)),
+    ("NoiseParams, dephasing 1.5", ValueError, lambda op: NoiseParams(dephasing=1.5)),
+    ("NoiseParams, readout flip 0.6", ValueError, lambda op: NoiseParams(readout_flip=0.6)),
     ("sample_shots, negative shots", InvalidDistribution, lambda op: sample_shots([1.0], -1, 0)),
     ("sample_shots, NaN probability", InvalidDistribution,
      lambda op: sample_shots([np.nan, 1.0], 1, 0)),
@@ -1088,8 +1097,7 @@ ERROR_CASES = [
     ("SpinCouplings, NaN a1", ValueError, lambda op: qitp.SpinCouplings(np.nan, np.zeros((3, 3)))),
     ("two_neutron_sd, asymmetric a2", ValueError,
      lambda op: qitp.two_neutron_sd(qitp.SpinCouplings(1.0, np.triu(np.ones((3, 3)))))),
-    ("load_hamiltonian, no matrix", ParseError,
-     lambda op: qitp.load_hamiltonian({"dim": 2, "units": "mev"})),
+    ("load_hamiltonian, empty file", ParseError, lambda op: qitp.load_hamiltonian(os.devnull)),
     ("save_hamiltonian, path is a directory", OSError, lambda op: qitp.save_hamiltonian(op, os.curdir)),
     ("Circuit, float qubit count", ValueError, lambda op: qitp.Circuit(1.5)),
     ("Gate, NaN angle", ValueError, lambda op: qitp.Gate("rx", (0,), np.nan)),

@@ -216,6 +216,10 @@ class TestGateAndCircuit:
         for qubits in ((0.0,), 0, "0"):
             with pytest.raises(ValueError):
                 Gate("rx", qubits, 1.0)
+        with pytest.raises(ValueError, match="cz takes no angle"):
+            Gate("cz", (0, 1), 0.5)
+        with pytest.raises(ValueError, match="rx acts on exactly one qubit"):
+            Gate("rx", (0, 1), 0.5)
 
     def test_gate_qubits_normalized_to_int_tuple(self):
         g = Gate("rx", [0], 1.0)
@@ -261,6 +265,7 @@ class TestGateAndCircuit:
     def test_single_cz(self):
         c = Circuit(2, [Gate("cz", (0, 1))])
         assert np.allclose(np.diag(circuit_unitary(c)), [1, 1, 1, -1])
+        assert np.array_equal(Gate("cz", (0, 1)).matrix(), np.diag([1, 1, 1, -1]))
 
     def test_rz_inverse_pair(self):
         c = Circuit(1, [Gate("rz", (0,), 0.37), Gate("rz", (0,), -0.37)])
@@ -815,6 +820,13 @@ class TestQasmRoundTrip:
         ):
             with pytest.raises(ParseError):
                 parse_circuit_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)
+        for body, message in (
+            ("// global_phase: 0.5.5\nqreg q[1];\n", "bad global phase"),
+            ("// global_phase: 0.5\n", "missing qreg declaration"),
+            ("qreg r[1];\n", "bad qreg declaration"),
+        ):
+            with pytest.raises(ParseError, match=message):
+                parse_circuit_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body)
 
     def test_parse_accepts_phaseless_header(self):
         c = parse_circuit_text(
@@ -823,3 +835,11 @@ class TestQasmRoundTrip:
         assert c.qubit_count == 3
         assert c.global_phase == 0.0
         assert c.gates == (Gate("rx", (2,), 0.5),)
+
+    def test_parse_skips_blank_lines(self):
+        text = (
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+            '\nrx(0.5) q[1];\n  \ncz q[0],q[1];\n\n'
+        )
+        c = parse_circuit_text(text)
+        assert c.gates == (Gate("rx", (1,), 0.5), Gate("cz", (0, 1)))

@@ -1100,7 +1100,15 @@ ERROR_CASES = [
     ("load_hamiltonian, empty file", ParseError, lambda op: qitp.load_hamiltonian(os.devnull)),
     ("save_hamiltonian, path is a directory", OSError, lambda op: qitp.save_hamiltonian(op, os.curdir)),
     ("Circuit, float qubit count", ValueError, lambda op: qitp.Circuit(1.5)),
+    ("Circuit, text global phase", ValueError, lambda op: qitp.Circuit(2, [], "0.1")),
+    ("Circuit, bool global phase", ValueError, lambda op: qitp.Circuit(2, [], True)),
+    ("Circuit, gates not iterable", ValueError, lambda op: qitp.Circuit(2, 5)),
     ("Gate, NaN angle", ValueError, lambda op: qitp.Gate("rx", (0,), np.nan)),
+    ("Gate, text angle", ValueError, lambda op: qitp.Gate("rx", (0,), "0.1")),
+    ("Gate, bool angle", ValueError, lambda op: qitp.Gate("rx", (0,), True)),
+    ("Gate, angle beyond the float range", ValueError, lambda op: qitp.Gate("rz", (0,), 10**400)),
+    ("Gate, bool qubit", ValueError, lambda op: qitp.Gate("rx", (True,), 0.1)),
+    ("Gate, bool cz qubit", ValueError, lambda op: qitp.Gate("cz", (0, True))),
     ("circuit_unitary, 11 qubits", DimensionError, lambda op: qitp.circuit_unitary(qitp.Circuit(11))),
     ("emit_circuit_text, gate off the register", ValueError,
      lambda op: qitp.emit_circuit_text(qitp.Circuit(1, [qitp.Gate("rz", (1,), 0.5)]))),
@@ -1113,6 +1121,8 @@ ERROR_CASES = [
      lambda op: qitp.process_fidelity(np.eye(2), np.eye(4))),
     ("process_fidelity, not square", DimensionMismatch,
      lambda op: qitp.process_fidelity(np.ones((2, 3)), np.ones((2, 3)))),
+    ("process_fidelity, 0x0", DimensionMismatch,
+     lambda op: qitp.process_fidelity(np.zeros((0, 0)), np.zeros((0, 0)))),
     ("process_fidelity, NaN entry", NotUnitary,
      lambda op: qitp.process_fidelity(np.full((2, 2), np.nan), np.eye(2))),
     ("process_fidelity, infinite entry", NotUnitary,

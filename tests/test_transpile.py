@@ -184,6 +184,36 @@ def dilation_cases(draw):
     return h, draw(st.floats(1e-2, 32.0)), draw(st.floats(-3.0, 3.0))
 
 
+CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+
+@st.composite
+def synthesis_cases(draw):
+    """A Haar draw, or a unitary of one Weyl class between random local pairs
+    (a local product, the CZ class, a z = 0 point) times a random phase, or
+    the hydrogen dilation at E_T = E0 (`--et auto`) and tau in [0.5, 60].
+
+    Each class sits on its face or clear of the others: a dilation whose
+    class lies within _WEYL_TOL of the local one (E_T far from E0 at large
+    tau) is synthesized as local and misses by up to that tolerance."""
+    kind = draw(st.sampled_from(["haar", "local", "cz", "z0", "hydrogen"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "haar":
+        return haar_unitary(4, rng)
+    if kind == "hydrogen":
+        op, _, _ = hydrogen_sto2g()
+        tau = draw(st.floats(0.5, 60.0))
+        return build_dilation(op, ItpParams(tau, trial_mode="ground_state_exact")).matrix
+    core = {
+        "local": np.eye(4),
+        "cz": CZ,
+        "z0": interaction(rng.uniform(0.15, 0.7), rng.uniform(0.01, 0.15), 0.0),
+    }[kind]
+    before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return np.exp(1j * rng.uniform(-math.pi, math.pi)) * after @ core @ before
+
+
 @st.composite
 def interaction_cases(draw):
     """exp(i(x XX + y YY + z ZZ)) for any (x, y, z), not reduced to the Weyl
@@ -253,6 +283,20 @@ class TestGateAndCircuit:
             c.gates.append(Gate("rx", (3,), 0.1))
         assert c.gates == (Gate("rx", (0,), 0.5),)
         assert parse_circuit_text(emit_circuit_text(c)) == c
+
+    def test_gate_is_frozen_and_replace_checks_again(self):
+        g = Gate("rx", (0,), 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.angle = math.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.qubits = (True,)
+        assert dataclasses.replace(g, angle=0.25) == Gate("rx", (0,), 0.25)
+        assert dataclasses.replace(g, angle=7.0 * math.pi) == Gate("rx", (0,), 7.0 * math.pi)
+        for change in ({"angle": math.nan}, {"angle": True}, {"angle": "0.1"},
+                       {"qubits": (True,)}, {"qubits": (0, 1)}, {"kind": "cz"}):
+            with pytest.raises(ValueError):
+                dataclasses.replace(g, **change)
+        assert g == Gate("rx", (0,), 0.5)
 
     def test_angle_normalized_into_range(self):
         g = Gate("rz", (0,), 7.0 * math.pi)
@@ -611,6 +655,22 @@ class TestKakDecompose:
             assert czs == 1
         elif 1e-7 < x < math.pi / 4 - 1e-7:
             assert czs == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(synthesis_cases())
+    def test_trailing_rz_moves_through_cz(self, u):
+        # a local before a CZ ends in rx or nothing: its trailing rz commutes
+        # through the diagonal CZ into the next local, two gates fewer per CZ
+        # than an Euler triple per local would take
+        c = kak_decompose(u)
+        assert len(c.gates) <= {0: 6, 1: 11, 2: 16, 3: 21}[c.cz_count()]
+        last = {}
+        for g in c.gates:
+            if g.kind == "cz":
+                assert "rz" not in (last.get(0), last.get(1))
+            for q in g.qubits:
+                last[q] = g.kind
+        assert max_abs(circuit_unitary(c) - u) <= 1e-12
 
     def test_oracle_on_known_gates(self):
         cnot = np.eye(4)[[0, 1, 3, 2]]

@@ -8,7 +8,7 @@ tau = 60 / Hartree already lands on the variational ground state.
 
 import numpy as np
 
-from qitp import ItpParams, hydrogen_sto2g, run_itp
+from qitp import ItpParams, basis_labels, hydrogen_sto2g, run_itp
 
 op, overlap, transform = hydrogen_sto2g()
 print("two-Gaussian hydrogen model (canonical orthonormal basis)")
@@ -25,7 +25,7 @@ record = run_itp(op, params, psi0, shots=8192, seed=42)
 print("one imaginary-time step at tau = 60 / Hartree, E_T = E0")
 print("  extended occupations (reservoir digit first):")
 for label, prob, count in zip(
-    record.basis_labels(), record.extended_probs, record.shot_counts
+    basis_labels(record.system_dim), record.extended_probs, record.shot_counts
 ):
     print(f"    |{label}>  p = {prob:.5f}   {count:5d} / 8192 shots")
 print(f"  reservoir-0 probability  : {record.postselect_prob:.5f}")

@@ -45,6 +45,7 @@ from .hamiltonians import (
 )
 from .simulate import (
     NoiseParams,
+    basis_labels,
     normalized_state,
     run_itp,
     spectral_run,
@@ -141,13 +142,6 @@ def _parse_initial_state(text: str, dim: int) -> np.ndarray:
     raise ValueError("--init must be 'uniform', 'basis:<k>', or 'custom:<amps>'")
 
 
-def _parse_noise(text: str | None) -> NoiseParams | None:
-    if text is None:
-        return None
-    g, lam, eps = _parse_floats(text, 3)
-    return NoiseParams(amplitude_damping=g, dephasing=lam, readout_flip=eps)
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -182,7 +176,7 @@ def cmd_ham_two_neutron(args) -> int:
 
 
 def _record_to_json(record, config_echo: dict) -> str:
-    ext_labels = record.basis_labels()
+    ext_labels = basis_labels(record.system_dim)
     sys_labels = [str(i) for i in range(record.system_dim)]
     doc = {
         "tool": "qitp",
@@ -199,20 +193,20 @@ def _record_to_json(record, config_echo: dict) -> str:
         "shot_counts": {
             label: int(c) for label, c in zip(ext_labels, record.shot_counts)
         },
-        "repetitions_completed": record.repetitions_completed,
+        "repetitions_completed": config_echo["reps"],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _record_to_csv(record) -> str:
+def _record_to_csv(record, reps: int) -> str:
     lines = [
         f"# tool=qitp version={__version__}",
         f"# postselect_prob={_fmt(record.postselect_prob)}",
         f"# energy={_fmt(record.energy)}",
-        f"# repetitions_completed={record.repetitions_completed}",
+        f"# repetitions_completed={reps}",
         "label,extended_prob,normalized_prob,shot_count",
     ]
-    labels = record.basis_labels()
+    labels = basis_labels(record.system_dim)
     n = record.system_dim
     for i, label in enumerate(labels):
         norm = _fmt(record.normalized_probs[i]) if i < n else ""
@@ -227,7 +221,7 @@ def cmd_run(args) -> int:
     et = _trial_energy(args.et, op)
     params = ItpParams(args.tau, trial_energy=et)
     psi0 = _parse_initial_state(args.init, op.dim)
-    noise = _parse_noise(args.noise)
+    noise = None if args.noise is None else NoiseParams(*_parse_floats(args.noise, 3))
     record = run_itp(
         op,
         params,
@@ -252,7 +246,7 @@ def cmd_run(args) -> int:
     if args.format == "json":
         Path(args.out).write_text(_record_to_json(record, config_echo))
     else:
-        Path(args.out).write_text(_record_to_csv(record))
+        Path(args.out).write_text(_record_to_csv(record, args.reps))
     return EXIT_OK
 
 

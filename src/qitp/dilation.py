@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnitarityCheckFailed
-from .linalg import HermitianOperator, matrix_function, max_abs
+from .linalg import HermitianOperator, _is_finite_real, matrix_function, max_abs
 
 TRIAL_MODES = ("absolute", "ground_state_exact")
 
@@ -44,11 +44,11 @@ class ItpParams:
     trial_mode: str = "absolute"
 
     def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau < 0:
+        if not _is_finite_real(self.tau) or self.tau < 0:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if self.trial_mode not in TRIAL_MODES:
             raise ValueError(f"trial_mode must be one of {TRIAL_MODES}")
-        if not np.isfinite(self.trial_energy):
+        if not _is_finite_real(self.trial_energy):
             raise ValueError("trial_energy must be finite")
 
     def resolve_trial_energy(self, op: HermitianOperator) -> float:

@@ -44,6 +44,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _is_finite_real,
     eigh,
     max_abs,
 )
@@ -54,7 +55,7 @@ PAULI_VECTOR = (PAULI_X, PAULI_Y, PAULI_Z)
 def gaussian_overlap(alpha: float, beta: float) -> float:
     """Overlap of two normalized 1s Gaussians; symmetric, in (0, 1]. Raises
     ValueError unless both exponents are positive and finite."""
-    if not (0 < alpha < np.inf and 0 < beta < np.inf):
+    if not (_is_finite_real(alpha) and _is_finite_real(beta) and alpha > 0 and beta > 0):
         raise ValueError("Gaussian exponents must be positive and finite")
     return float((2.0 * np.sqrt(alpha * beta) / (alpha + beta)) ** 1.5)
 
@@ -68,7 +69,7 @@ def gaussian_kinetic(alpha: float, beta: float) -> float:
 def gaussian_nuclear(alpha: float, beta: float, charge: float = 1.0) -> float:
     """Nuclear attraction <g_a| -Z/r |g_b> in Hartree; negative, linear in Z.
     Raises ValueError unless the charge and exponents are positive and finite."""
-    if not 0 < charge < np.inf:
+    if not (_is_finite_real(charge) and charge > 0):
         raise ValueError("nuclear charge must be positive and finite")
     s = gaussian_overlap(alpha, beta)
     return -charge * 2.0 * np.sqrt((alpha + beta) / np.pi) * s
@@ -89,9 +90,9 @@ class GaussianBasis:
     def __post_init__(self):
         if len(self.exponents) != 2:
             raise ValueError("basis needs exactly two primitives")
-        if not all(0 < a < np.inf for a in self.exponents):
+        if not all(_is_finite_real(a) and a > 0 for a in self.exponents):
             raise ValueError("exponents must be positive and finite")
-        if not 0 < self.slater_zeta < np.inf:
+        if not (_is_finite_real(self.slater_zeta) and self.slater_zeta > 0):
             raise ValueError("slater_zeta must be positive and finite")
 
     def scaled_exponents(self) -> tuple[float, float]:
@@ -177,7 +178,7 @@ class SpinCouplings:
             raise ValueError(f"a2 must be 3x3, got {a2.shape}")
         if max_abs(a2 - a2.T) > 1e-12:
             raise ValueError("a2 must be symmetric within 1e-12")
-        if not np.isfinite(self.a1) or not np.all(np.isfinite(a2)):
+        if not _is_finite_real(self.a1) or not np.all(np.isfinite(a2)):
             raise ValueError("couplings must be finite")
         object.__setattr__(self, "a2", a2)
 

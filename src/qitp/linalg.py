@@ -15,6 +15,7 @@ eigenspace weight) depend only on the cluster. Tolerances scale with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,20 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+_BOOLS = (bool, np.bool_)
+
+
+def _is_finite_real(x) -> bool:
+    """Whether x is a finite real number; a bool, None, text or an int
+    beyond the float range is not."""
+    if isinstance(x, _BOOLS):
+        return False
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _apply_1q(m: np.ndarray, t: np.ndarray, qubit: int) -> np.ndarray:
     """Apply the 2x2 matrix ``m`` to bit ``qubit`` of the first index of ``t``.
 
@@ -51,19 +66,6 @@ def _apply_1q(m: np.ndarray, t: np.ndarray, qubit: int) -> np.ndarray:
     without forming the Kronecker product.
     """
     return (m @ t.reshape(2**qubit, 2, -1)).reshape(t.shape)
-
-
-def _as_square_complex(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
-        raise DimensionError(
-            f"dimension {m.shape[0]} outside supported range 1..{MAX_DIM}"
-        )
-    if not np.all(np.isfinite(m)):
-        raise NonHermitianInput("matrix has non-finite entries")
-    return m
 
 
 def _fix_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:
@@ -106,7 +108,15 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     if the underlying solver breaks down. The Hermiticity and reconstruction
     tolerances are relative to ``max_abs(matrix)``.
     """
-    m = _as_square_complex(matrix)
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
+        raise DimensionError(
+            f"dimension {m.shape[0]} outside supported range 1..{MAX_DIM}"
+        )
+    if not np.all(np.isfinite(m)):
+        raise NonHermitianInput("matrix has non-finite entries")
     scale = max_abs(m)
     if max_abs(m - m.conj().T) > HERMITICITY_TOL * scale:
         raise NonHermitianInput(

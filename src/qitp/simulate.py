@@ -44,7 +44,7 @@ from .errors import (
     NonRealExpectation,
     PostselectionImpossible,
 )
-from .linalg import HermitianOperator, _apply_1q, _ground_cluster_end, max_abs
+from .linalg import HermitianOperator, _apply_1q, _ground_cluster_end, _is_finite_real, max_abs
 
 POSTSELECT_FLOOR = 1e-14
 
@@ -188,11 +188,12 @@ class NoiseParams:
     readout_flip: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.amplitude_damping <= 1.0:
+        g, lam, eps = self.amplitude_damping, self.dephasing, self.readout_flip
+        if not (_is_finite_real(g) and 0.0 <= g <= 1.0):
             raise ValueError("amplitude_damping must be in [0, 1]")
-        if not 0.0 <= self.dephasing <= 1.0:
+        if not (_is_finite_real(lam) and 0.0 <= lam <= 1.0):
             raise ValueError("dephasing must be in [0, 1]")
-        if not 0.0 <= self.readout_flip <= 0.5:
+        if not (_is_finite_real(eps) and 0.0 <= eps <= 0.5):
             raise ValueError("readout_flip must be in [0, 0.5]")
 
 
@@ -296,12 +297,6 @@ class ExperimentRecord:
     normalized_probs: np.ndarray
     energy: float
     shot_counts: np.ndarray
-    shots: int
-    seed: int
-    repetitions_completed: int
-
-    def basis_labels(self) -> list[str]:
-        return basis_labels(self.system_dim)
 
 
 def basis_labels(system_dim: int) -> list[str]:
@@ -468,9 +463,6 @@ def run_itp(
         normalized_probs=normalized,
         energy=energy,
         shot_counts=counts,
-        shots=shots,
-        seed=seed,
-        repetitions_completed=repetitions,
     )
 
 

@@ -16,8 +16,10 @@ Qubit 0 is the most significant bit of the state index, so a dilation
 unitary transpiles with the reservoir on q[0] and the system on q[1].
 
 Circuits carry an explicit global phase and reproduce their target matrix
-exactly, not just up to phase. They serialize to an OpenQASM-2.0 subset
-with a byte-stable emit/parse round trip.
+including it, not just up to phase: to machine precision, except that a
+Weyl coordinate within ``_WEYL_TOL`` of a chamber face is synthesized on
+the face (see :func:`kak_decompose`). They serialize to an OpenQASM-2.0
+subset with a byte-stable emit/parse round trip.
 
 The interaction comes from one table of local pairs, one CZ between each
 two (:func:`_interaction_blocks`). Tolerances are module constants; no
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DimensionMismatch, FidelityShortfall, NotUnitary, ParseError
-from .linalg import _apply_1q, max_abs
+from .linalg import _apply_1q, _is_finite_real, max_abs
 
 GATE_KINDS = ("rx", "rz", "cz")
 
@@ -108,20 +110,6 @@ def _unitary_defect2(q) -> float:
     )
 
 
-_BOOLS = (bool, np.bool_)
-
-
-def _is_finite_real(x) -> bool:
-    """Whether x is a finite real number; a bool, None, text or an int
-    beyond the float range is not."""
-    if isinstance(x, _BOOLS):
-        return False
-    try:
-        return math.isfinite(x)
-    except (TypeError, OverflowError):
-        return False
-
-
 def _normalize_angle(theta: float) -> float:
     """Fold into (-2*pi, 2*pi]; rotations are 4*pi periodic."""
     theta = math.fmod(theta, _FOUR_PI)
@@ -170,11 +158,6 @@ class Gate:
         _set(self, "kind", kind)
         _set(self, "qubits", qubits)
         _set(self, "angle", angle)
-
-    def matrix(self) -> np.ndarray:
-        if self.kind == "cz":
-            return np.diag([1, 1, 1, -1]).astype(complex)
-        return np.array(_rotation(self.kind, self.angle), dtype=complex).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -508,14 +491,20 @@ def kak_decompose(u) -> Circuit:
 
     The CZ count matches the canonical class of the input, the gate list is
     deterministic, and the circuit matrix reproduces the input including
-    global phase. Each local 2x2 factor compiles in closed form (the Euler
-    step of :func:`decompose_1q`, without building a one-qubit circuit) into
-    Gates in the order they act. A local followed by a CZ leaves its trailing
-    rz to the next local on that qubit (CZ is diagonal, so the rz commutes
-    through it): at most 6, 11, 16 or 21 gates for 0 to 3 CZs. One
-    ``circuit_unitary`` call per decomposition fits the phase. Raises
-    NotUnitary on bad input and FidelityShortfall if the synthesized circuit
-    misses (internal consistency guard).
+    global phase. A Weyl coordinate within ``_WEYL_TOL`` = 1e-9 of a chamber
+    face (the local class, the CZ class, z = 0, y = z = 0) is snapped onto
+    it: the circuit has that face's CZ count and misses the input by up to
+    about 1e-9 (max entry), not machine precision, while its process
+    fidelity reads 1. The snap keeps a one-qubit dilation, whose y and z
+    are rounding noise, at 2 CZs or fewer rather than 3. Each local 2x2
+    factor compiles in closed form (the Euler step of :func:`decompose_1q`,
+    without building a one-qubit circuit) into Gates in the order they act.
+    A local followed by a CZ leaves its trailing rz to the next local on
+    that qubit (CZ is diagonal, so the rz commutes through it): at most 6,
+    11, 16 or 21 gates for 0 to 3 CZs. One ``circuit_unitary`` call per
+    decomposition fits the phase. Raises NotUnitary on bad input and
+    FidelityShortfall if the synthesized circuit misses (internal
+    consistency guard).
     """
     m = np.asarray(u, dtype=complex)
     _, (a0, a1), (x, y, z), (b0, b1) = kak_coefficients(m)  # checks unitarity

@@ -26,6 +26,7 @@ import math
 import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -138,25 +139,21 @@ def run_case(name: str, workdir: Path) -> dict[str, str]:
     inputs, commands = CASES[name]
     for file, text in inputs.items():
         (workdir / file).write_text(text)
-    session = []
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"  # argparse wraps its usage line to this width
-    try:
+    session, cwd = [], os.getcwd()
+    # argparse wraps its usage line to the terminal's width
+    with mock.patch.dict(os.environ, COLUMNS="80"):
         os.chdir(workdir)
-        for argv in commands:
-            stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse rejects the command line
-                    code = exc.code
-            session.append({"argv": argv, "exit": code, "stderr": stderr.getvalue()})
-    finally:
-        os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+        try:
+            for argv in commands:
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejects the command line
+                        code = exc.code
+                session.append({"argv": argv, "exit": code, "stderr": stderr.getvalue()})
+        finally:
+            os.chdir(cwd)
     record = {p.name: p.read_text() for p in sorted(workdir.iterdir()) if p.name not in inputs}
     record[SESSION] = json.dumps(session, indent=2) + "\n"
     return record

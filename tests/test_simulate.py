@@ -427,7 +427,7 @@ class TestRunItp:
         assert np.allclose(rec.extended_probs, HYDROGEN_EXTENDED, atol=5e-3)
         assert np.allclose(rec.normalized_probs, HYDROGEN_NORMALIZED, atol=2e-3)
         assert abs(rec.energy - op.ground_energy) < 1e-9
-        assert rec.basis_labels() == ["00", "01", "10", "11"]
+        assert basis_labels(rec.system_dim) == ["00", "01", "10", "11"]
 
     def test_hydrogen_oracle_equivalence(self):
         # simulator output equals the spectral closed form to working precision
@@ -470,7 +470,6 @@ class TestRunItp:
         assert abs(rec.postselect_prob - kept.sum()) < 1e-12
         assert max_abs(rec.normalized_probs * rec.postselect_prob - kept) < 1e-12
         assert rec.shot_counts.sum() == 1000
-        assert rec.repetitions_completed == 3
 
     def test_postselection_failure_reports_repetition(self):
         op = op_from(np.diag([0.0, 1.0]))
@@ -1041,6 +1040,8 @@ ERROR_CASES = [
     ("NoiseParams, NaN damping", ValueError, lambda op: NoiseParams(np.nan)),
     ("NoiseParams, dephasing 1.5", ValueError, lambda op: NoiseParams(dephasing=1.5)),
     ("NoiseParams, readout flip 0.6", ValueError, lambda op: NoiseParams(readout_flip=0.6)),
+    ("NoiseParams, text damping", ValueError, lambda op: NoiseParams("0.1")),
+    ("NoiseParams, bool damping", ValueError, lambda op: NoiseParams(True)),
     ("sample_shots, negative shots", InvalidDistribution, lambda op: sample_shots([1.0], -1, 0)),
     ("sample_shots, NaN probability", InvalidDistribution,
      lambda op: sample_shots([np.nan, 1.0], 1, 0)),
@@ -1062,9 +1063,13 @@ ERROR_CASES = [
     ("basis_labels, -1", ValueError, lambda op: basis_labels(-1)),
     ("basis_labels, True", ValueError, lambda op: basis_labels(True)),
     ("basis_labels, 2.0", ValueError, lambda op: basis_labels(2.0)),
-    ("ExperimentRecord.basis_labels, system_dim 0", ValueError,
-     lambda op: qitp.ExperimentRecord(0, *[None] * 8).basis_labels()),
+    ("basis_labels, record system_dim 0", ValueError,
+     lambda op: basis_labels(qitp.ExperimentRecord(0, *[None] * 5).system_dim)),
     ("ItpParams, negative tau", ValueError, lambda op: ItpParams(tau=-1.0)),
+    ("ItpParams, text tau", ValueError, lambda op: ItpParams("1")),
+    ("ItpParams, None tau", ValueError, lambda op: ItpParams(None)),
+    ("ItpParams, bool tau", ValueError, lambda op: ItpParams(True)),
+    ("ItpParams, text trial energy", ValueError, lambda op: ItpParams(1.0, trial_energy="x")),
     ("itp_filter, NaN trial energy", ValueError,
      lambda op: qitp.itp_filter(op, ItpParams(1.0, trial_energy=np.nan))),
     ("build_dilation, inf tau", ValueError, lambda op: build_dilation(op, ItpParams(np.inf))),
@@ -1078,6 +1083,7 @@ ERROR_CASES = [
      lambda op: qitp.matrix_function(op, lambda e: np.full_like(e, np.inf))),
     ("gaussian_overlap, NaN exponent", ValueError, lambda op: qitp.gaussian_overlap(np.nan, 1.0)),
     ("gaussian_overlap, inf exponent", ValueError, lambda op: qitp.gaussian_overlap(1.0, np.inf)),
+    ("gaussian_overlap, text exponent", ValueError, lambda op: qitp.gaussian_overlap("1", 2.0)),
     ("gaussian_kinetic, NaN exponent", ValueError, lambda op: qitp.gaussian_kinetic(np.nan, 1.0)),
     ("gaussian_kinetic, inf exponent", ValueError, lambda op: qitp.gaussian_kinetic(np.inf, 1.0)),
     ("gaussian_kinetic, exponents summing to 0", ValueError,
@@ -1085,9 +1091,12 @@ ERROR_CASES = [
     ("gaussian_nuclear, NaN charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, np.nan)),
     ("gaussian_nuclear, inf charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, np.inf)),
     ("gaussian_nuclear, NaN exponent", ValueError, lambda op: qitp.gaussian_nuclear(np.nan, 1.0)),
+    ("gaussian_nuclear, text charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, "1")),
+    ("gaussian_nuclear, bool charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, True)),
     ("GaussianBasis, NaN exponent", ValueError, lambda op: qitp.GaussianBasis((np.nan, 1.0))),
     ("GaussianBasis, NaN slater_zeta", ValueError, lambda op: qitp.GaussianBasis((1.0, 1.0), np.nan)),
     ("GaussianBasis, three exponents", ValueError, lambda op: qitp.GaussianBasis((1.0, 1.0, 1.0))),
+    ("GaussianBasis, text exponent", ValueError, lambda op: qitp.GaussianBasis(("1", 2.0))),
     ("GaussianBasis, default exponents, zero slater_zeta", ValueError,
      lambda op: qitp.GaussianBasis(qitp.default_hydrogen_basis().exponents, 0.0)),
     ("hydrogen_sto2g, unknown orthogonalization", ValueError,
@@ -1095,6 +1104,7 @@ ERROR_CASES = [
     ("orthonormalize, singular overlap", SingularOverlap,
      lambda op: qitp.orthonormalize(np.eye(2), np.ones((2, 2)))),
     ("SpinCouplings, NaN a1", ValueError, lambda op: qitp.SpinCouplings(np.nan, np.zeros((3, 3)))),
+    ("SpinCouplings, text a1", ValueError, lambda op: qitp.SpinCouplings("1", np.zeros((3, 3)))),
     ("two_neutron_sd, asymmetric a2", ValueError,
      lambda op: qitp.two_neutron_sd(qitp.SpinCouplings(1.0, np.triu(np.ones((3, 3)))))),
     ("load_hamiltonian, empty file", ParseError, lambda op: qitp.load_hamiltonian(os.devnull)),

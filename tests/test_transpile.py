@@ -301,15 +301,14 @@ class TestGateAndCircuit:
     def test_angle_normalized_into_range(self):
         g = Gate("rz", (0,), 7.0 * math.pi)
         assert -2 * math.pi < g.angle <= 2 * math.pi
-        assert max_abs(g.matrix() - rz_matrix(7.0 * math.pi)) < 1e-12
+        assert max_abs(circuit_unitary(Circuit(1, [g])) - rz_matrix(7.0 * math.pi)) < 1e-12
 
     def test_empty_circuit_is_identity(self):
         assert max_abs(circuit_unitary(Circuit(2)) - np.eye(4)) == 0.0
 
     def test_single_cz(self):
         c = Circuit(2, [Gate("cz", (0, 1))])
-        assert np.allclose(np.diag(circuit_unitary(c)), [1, 1, 1, -1])
-        assert np.array_equal(Gate("cz", (0, 1)).matrix(), np.diag([1, 1, 1, -1]))
+        assert np.array_equal(circuit_unitary(c), np.diag([1, 1, 1, -1]))
 
     def test_rz_inverse_pair(self):
         c = Circuit(1, [Gate("rz", (0,), 0.37), Gate("rz", (0,), -0.37)])
@@ -334,7 +333,8 @@ class TestGateAndCircuit:
                         diag[idx] = -1.0
                 return np.diag(diag)
             (q,) = gate.qubits
-            return np.kron(np.kron(np.eye(2**q), gate.matrix()), np.eye(2 ** (n - 1 - q)))
+            rotation = {"rx": rx_matrix, "rz": rz_matrix}[gate.kind](gate.angle)
+            return np.kron(np.kron(np.eye(2**q), rotation), np.eye(2 ** (n - 1 - q)))
 
         rng = np.random.default_rng(23)
         circuits = [
@@ -552,6 +552,27 @@ class TestKakDecompose:
         state = built @ np.array([1, 1, 0, 0]) / np.sqrt(2)
         probs = np.abs(state) ** 2
         assert max_abs(probs - HYDROGEN_EXTENDED) < 5e-3
+
+    @pytest.mark.parametrize("point, czs", [
+        ((5e-10, 0.0, 0.0), 0),  # the local class
+        ((math.pi / 4 - 5e-10, 0.0, 0.0), 1),  # the CZ class
+        ((0.3, 0.2, 5e-10), 2),  # the z = 0 face
+        ((0.3, 5e-10, 0.0), 2),  # the y = z = 0 edge
+    ])
+    def test_coordinate_near_a_face_snaps_onto_it(self, point, czs):
+        """A Weyl coordinate within _WEYL_TOL = 1e-9 of a chamber face is
+        synthesized on the face: the face's CZ count, and a circuit that
+        misses the input by up to about that distance, not to machine
+        precision, while the process fidelity still reads 1."""
+        rng = np.random.default_rng(37)
+        before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+        after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+        for u in (interaction(*point), after @ interaction(*point) @ before):
+            c = kak_decompose(u)
+            built = circuit_unitary(c)
+            assert c.cz_count() == czs
+            assert max_abs(built - u) <= transpile._WEYL_TOL
+            assert process_fidelity(u, built) >= 1 - 1e-15
 
     def test_tau_zero_dilation_is_local(self):
         op, _, _ = hydrogen_sto2g()

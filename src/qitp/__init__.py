@@ -14,9 +14,7 @@ from .dilation import (
     itp_filter,
 )
 from .hamiltonians import (
-    GaussianBasis,
     SpinCouplings,
-    default_hydrogen_basis,
     gaussian_kinetic,
     gaussian_nuclear,
     gaussian_overlap,
@@ -59,7 +57,6 @@ __all__ = [
     "DilationUnitary",
     "ExperimentRecord",
     "Gate",
-    "GaussianBasis",
     "HermitianOperator",
     "ItpParams",
     "NoiseParams",
@@ -70,7 +67,6 @@ __all__ = [
     "build_dilation",
     "circuit_unitary",
     "decompose_1q",
-    "default_hydrogen_basis",
     "eigh",
     "emit_circuit_text",
     "energy_expectation",

@@ -9,7 +9,7 @@ Subcommands:
     qitp transpile --ham h.json --tau 60 --et auto --out circuit.qasm
 
 ``--ham`` takes a Hamiltonian JSON path or a preset equal to its builder's
-defaults: ``hydrogen`` (the shipped STO-2G basis, canonical
+defaults: ``hydrogen`` (the STO-2G exponents at zeta = 1, canonical
 orthogonalization) or ``two-neutron`` (a1 = 1 MeV, a2 = 0). Other builder
 parameters reach ``run``, ``sweep-et`` and ``transpile`` only through a file
 written by ``qitp ham``.
@@ -35,9 +35,8 @@ from . import __version__
 from .dilation import ItpParams, build_dilation
 from .errors import PostselectionImpossible, QitpError
 from .hamiltonians import (
-    GaussianBasis,
+    STO2G_EXPONENTS,
     SpinCouplings,
-    default_hydrogen_basis,
     hydrogen_sto2g,
     load_hamiltonian,
     save_hamiltonian,
@@ -147,17 +146,12 @@ def _fmt(x: float) -> str:
 
 
 def cmd_ham_hydrogen(args) -> int:
-    exponents = (
-        tuple(_parse_floats(args.exponents, 2))
-        if args.exponents is not None
-        else default_hydrogen_basis().exponents
-    )
-    basis = GaussianBasis(exponents, args.zeta)
-    op, _, _ = hydrogen_sto2g(basis, orthogonalization=args.orthogonalization)
+    exponents = STO2G_EXPONENTS if args.exponents is None else _parse_floats(args.exponents, 2)
+    op, _, _ = hydrogen_sto2g(exponents, args.zeta, orthogonalization=args.orthogonalization)
     provenance = {
         "builder": "hydrogen-sto2g",
-        "exponents": list(basis.exponents),
-        "slater_zeta": basis.slater_zeta,
+        "exponents": list(exponents),
+        "slater_zeta": args.zeta,
         "orthogonalization": args.orthogonalization,
     }
     save_hamiltonian(op, args.out, provenance)

@@ -7,7 +7,7 @@ integrals are closed forms for normalized nucleus-centered 1s Gaussians:
 
     S(a, b) = (2 sqrt(ab) / (a + b))^(3/2)
     T(a, b) = 3ab / (a + b) * S(a, b)
-    V(a, b) = -Z * 2 sqrt((a + b) / pi) * S(a, b)
+    V(a, b) = -2 sqrt((a + b) / pi) * S(a, b)     (Z = 1)
 
 The non-orthogonal pair is orthonormalized before use. The default is the
 canonical transform X = V_S s^(-1/2) (overlap eigenbasis, ascending), which
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +49,8 @@ from .linalg import (
 )
 
 PAULI_VECTOR = (PAULI_X, PAULI_Y, PAULI_Z)
+# The STO-2G fit of a 1s Slater orbital at zeta = 1 (Hehre, Stewart & Pople, 1969).
+STO2G_EXPONENTS = (0.151623, 0.851819)
 
 
 def gaussian_overlap(alpha: float, beta: float) -> float:
@@ -66,44 +67,10 @@ def gaussian_kinetic(alpha: float, beta: float) -> float:
     return 3.0 * alpha * beta / (alpha + beta) * s
 
 
-def gaussian_nuclear(alpha: float, beta: float, charge: float = 1.0) -> float:
-    """Nuclear attraction <g_a| -Z/r |g_b> in Hartree; negative, linear in Z.
-    Raises ValueError unless the charge and exponents are positive and finite."""
-    if not (_is_finite_real(charge) and charge > 0):
-        raise ValueError("nuclear charge must be positive and finite")
-    s = gaussian_overlap(alpha, beta)
-    return -charge * 2.0 * np.sqrt((alpha + beta) / np.pi) * s
-
-
-@dataclass(frozen=True)
-class GaussianBasis:
-    """The two primitive Gaussians of a 1s Slater orbital's STO-2G fit, which
-    span the hydrogen model space.
-
-    ``exponents`` are for zeta = 1 and are scaled by zeta^2 when the
-    Hamiltonian is built.
-    """
-
-    exponents: tuple[float, float]
-    slater_zeta: float = 1.0
-
-    def __post_init__(self):
-        if len(self.exponents) != 2:
-            raise ValueError("basis needs exactly two primitives")
-        if not all(_is_finite_real(a) and a > 0 for a in self.exponents):
-            raise ValueError("exponents must be positive and finite")
-        if not (_is_finite_real(self.slater_zeta) and self.slater_zeta > 0):
-            raise ValueError("slater_zeta must be positive and finite")
-
-    def scaled_exponents(self) -> tuple[float, float]:
-        z2 = self.slater_zeta**2
-        return (z2 * self.exponents[0], z2 * self.exponents[1])
-
-
-def default_hydrogen_basis() -> GaussianBasis:
-    """The shipped STO-2G hydrogen parameters (config file, not hard-coded)."""
-    doc = json.loads(resources.files("qitp.data").joinpath("sto2g_hydrogen.json").read_text())
-    return GaussianBasis(tuple(doc["exponents"]), doc["slater_zeta"])
+def gaussian_nuclear(alpha: float, beta: float) -> float:
+    """Nuclear attraction <g_a| -1/r |g_b> in Hartree (Z = 1); negative."""
+    s = gaussian_overlap(alpha, beta)  # validates the exponents first
+    return -2.0 * np.sqrt((alpha + beta) / np.pi) * s
 
 
 def orthonormalize(h_raw, s, method: str = "canonical") -> tuple[np.ndarray, np.ndarray]:
@@ -140,20 +107,28 @@ def orthonormalize(h_raw, s, method: str = "canonical") -> tuple[np.ndarray, np.
 
 
 def hydrogen_sto2g(
-    basis: GaussianBasis | None = None,
+    exponents=STO2G_EXPONENTS,
+    slater_zeta: float = 1.0,
     *,
     orthogonalization: str = "canonical",
 ) -> tuple[HermitianOperator, np.ndarray, np.ndarray]:
     """Hydrogen Hamiltonian on the orthonormalized primitive pair.
 
-    Returns ``(h_orth, overlap, transform)`` with ``h_orth`` in Hartree and
-    ``transform^dag overlap transform = I``. The default "canonical"
-    orthogonalization is the convention of the reference tables; "lowdin"
-    gives the symmetric transform (same spectrum, rotated basis).
+    ``exponents`` are the two primitives' exponents at zeta = 1; each is
+    scaled by ``slater_zeta**2``. Returns ``(h_orth, overlap, transform)``
+    with ``h_orth`` in Hartree and ``transform^dag overlap transform = I``.
+    The default "canonical" orthogonalization is the convention of the
+    reference tables; "lowdin" gives the symmetric transform (same spectrum,
+    rotated basis). Raises ValueError unless there are two exponents, each
+    and the zeta positive and finite.
     """
-    if basis is None:
-        basis = default_hydrogen_basis()
-    a = basis.scaled_exponents()
+    if len(exponents) != 2:
+        raise ValueError("basis needs exactly two primitives")
+    if not all(_is_finite_real(e) and e > 0 for e in exponents):
+        raise ValueError("exponents must be positive and finite")
+    if not (_is_finite_real(slater_zeta) and slater_zeta > 0):
+        raise ValueError("slater_zeta must be positive and finite")
+    a = [slater_zeta**2 * e for e in exponents]
     s = np.array([[gaussian_overlap(x, y) for y in a] for x in a])
     h_raw = np.array([[gaussian_kinetic(x, y) + gaussian_nuclear(x, y) for y in a] for x in a])
     h_orth, x = orthonormalize(h_raw, s, orthogonalization)

@@ -10,7 +10,6 @@ import pytest
 from qitp import cli
 from qitp.cli import main
 from qitp.hamiltonians import (
-    GaussianBasis,
     SpinCouplings,
     hydrogen_sto2g,
     load_hamiltonian,
@@ -94,7 +93,7 @@ class TestHamCommand:
             "slater_zeta": 1.1,
             "orthogonalization": "lowdin",
         }
-        direct, _, _ = hydrogen_sto2g(GaussianBasis((0.2, 0.9), 1.1), orthogonalization="lowdin")
+        direct, _, _ = hydrogen_sto2g((0.2, 0.9), 1.1, orthogonalization="lowdin")
         assert np.array_equal(load_hamiltonian(out).matrix, direct.matrix)
 
 

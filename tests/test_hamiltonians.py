@@ -14,9 +14,8 @@ from qitp.errors import (
 )
 from qitp.hamiltonians import (
     PAULI_VECTOR,
-    GaussianBasis,
+    STO2G_EXPONENTS,
     SpinCouplings,
-    default_hydrogen_basis,
     gaussian_kinetic,
     gaussian_nuclear,
     gaussian_overlap,
@@ -86,12 +85,9 @@ class TestGaussianIntegrals:
         assert abs(gaussian_kinetic(1.0, 4.0) - want) < 1e-13
         assert gaussian_kinetic(1.0, 4.0) == gaussian_kinetic(4.0, 1.0)
 
-    def test_nuclear_plug_in_and_linearity(self):
+    def test_nuclear_plug_in_value(self):
         assert abs(gaussian_nuclear(np.pi, np.pi) + 2.0 * np.sqrt(2.0)) < 1e-12
-        v1 = gaussian_nuclear(0.8, 1.3, charge=1.0)
-        v3 = gaussian_nuclear(0.8, 1.3, charge=3.0)
-        assert abs(v3 - 3.0 * v1) < 1e-12
-        assert v1 < 0
+        assert gaussian_nuclear(0.8, 1.3) < 0
 
     @pytest.mark.parametrize("a,b", [(0.05, 0.05), (0.1, 1.0), (1.0, 4.0), (3.3, 9.7), (20.0, 0.2)])
     def test_closed_forms_match_radial_quadrature(self, a, b):
@@ -103,7 +99,7 @@ class TestGaussianIntegrals:
         with pytest.raises(ValueError):
             gaussian_overlap(-1.0, 1.0)
         with pytest.raises(ValueError):
-            gaussian_nuclear(1.0, 1.0, charge=0.0)
+            gaussian_nuclear(1.0, 0.0)
 
 
 class TestOrthonormalize:
@@ -154,10 +150,24 @@ class TestOrthonormalize:
 
 
 class TestHydrogen:
-    def test_default_basis_loads_from_config(self):
-        basis = default_hydrogen_basis()
-        assert basis.exponents == (0.151623, 0.851819)
-        assert basis.slater_zeta == 1.0
+    def test_default_is_the_sto2g_fit_at_zeta_1(self):
+        assert STO2G_EXPONENTS == (0.151623, 0.851819)
+        op, s, x = hydrogen_sto2g()
+        op_e, s_e, x_e = hydrogen_sto2g(STO2G_EXPONENTS, 1.0)
+        assert np.array_equal(op.matrix, op_e.matrix)
+        assert np.array_equal(s, s_e) and np.array_equal(x, x_e)
+
+    @pytest.mark.parametrize("exponents, zeta, message", [
+        ((1.0, 2.0, 3.0), 1.0, "basis needs exactly two primitives"),
+        ((np.nan, 1.0), 1.0, "exponents must be positive and finite"),
+        ((0.0, 1.0), 1.0, "exponents must be positive and finite"),
+        (("1", 2.0), 1.0, "exponents must be positive and finite"),
+        (STO2G_EXPONENTS, -1.0, "slater_zeta must be positive and finite"),
+        (STO2G_EXPONENTS, True, "slater_zeta must be positive and finite"),
+    ])
+    def test_rejects_bad_basis(self, exponents, zeta, message):
+        with pytest.raises(ValueError, match=message):
+            hydrogen_sto2g(exponents, zeta)
 
     def test_ground_state_weights_match_reference(self):
         op, _, _ = hydrogen_sto2g()
@@ -179,9 +189,8 @@ class TestHydrogen:
         assert max_abs(x - x.T) < 1e-12
 
     def test_variational_bound_and_contracted_energy(self):
-        basis = default_hydrogen_basis()
-        op, s, _ = hydrogen_sto2g(basis)
-        a = basis.scaled_exponents()
+        op, s, _ = hydrogen_sto2g()
+        a = STO2G_EXPONENTS
         h = np.array([[gaussian_kinetic(x, y) + gaussian_nuclear(x, y) for y in a] for x in a])
         d = np.asarray(STO2G_CONTRACTION)
         e_contracted = (d @ h @ d) / (d @ s @ d)
@@ -191,13 +200,11 @@ class TestHydrogen:
         assert -0.5 < op.ground_energy < -0.4
 
     def test_zeta_scaling(self):
-        basis = default_hydrogen_basis()
-        scaled = GaussianBasis(basis.exponents, slater_zeta=1.2)
-        assert np.allclose(
-            scaled.scaled_exponents(), [1.44 * e for e in basis.exponents]
-        )
-        op, _, _ = hydrogen_sto2g(scaled)
-        assert op.dim == 2
+        for exponents, zeta in ((STO2G_EXPONENTS, 1.2), ((0.2, 0.9), 1.1), ((3.0, 0.05), 0.7)):
+            op, s, x = hydrogen_sto2g(exponents, zeta)
+            op_e, s_e, x_e = hydrogen_sto2g([zeta**2 * e for e in exponents], 1.0)
+            assert np.array_equal(op.matrix, op_e.matrix)
+            assert np.array_equal(s, s_e) and np.array_equal(x, x_e)
 
 
 class TestTwoNeutron:

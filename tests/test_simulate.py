@@ -1088,17 +1088,15 @@ ERROR_CASES = [
     ("gaussian_kinetic, inf exponent", ValueError, lambda op: qitp.gaussian_kinetic(np.inf, 1.0)),
     ("gaussian_kinetic, exponents summing to 0", ValueError,
      lambda op: qitp.gaussian_kinetic(-1.0, 1.0)),
-    ("gaussian_nuclear, NaN charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, np.nan)),
-    ("gaussian_nuclear, inf charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, np.inf)),
     ("gaussian_nuclear, NaN exponent", ValueError, lambda op: qitp.gaussian_nuclear(np.nan, 1.0)),
-    ("gaussian_nuclear, text charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, "1")),
-    ("gaussian_nuclear, bool charge", ValueError, lambda op: qitp.gaussian_nuclear(1.0, 1.0, True)),
-    ("GaussianBasis, NaN exponent", ValueError, lambda op: qitp.GaussianBasis((np.nan, 1.0))),
-    ("GaussianBasis, NaN slater_zeta", ValueError, lambda op: qitp.GaussianBasis((1.0, 1.0), np.nan)),
-    ("GaussianBasis, three exponents", ValueError, lambda op: qitp.GaussianBasis((1.0, 1.0, 1.0))),
-    ("GaussianBasis, text exponent", ValueError, lambda op: qitp.GaussianBasis(("1", 2.0))),
-    ("GaussianBasis, default exponents, zero slater_zeta", ValueError,
-     lambda op: qitp.GaussianBasis(qitp.default_hydrogen_basis().exponents, 0.0)),
+    ("hydrogen_sto2g, NaN exponent", ValueError, lambda op: hydrogen_sto2g((np.nan, 1.0))),
+    ("hydrogen_sto2g, NaN slater_zeta", ValueError, lambda op: hydrogen_sto2g((1.0, 1.0), np.nan)),
+    ("hydrogen_sto2g, three exponents", ValueError, lambda op: hydrogen_sto2g((1.0, 1.0, 1.0))),
+    ("hydrogen_sto2g, text exponent", ValueError, lambda op: hydrogen_sto2g(("1", 2.0))),
+    ("hydrogen_sto2g, default exponents, zero slater_zeta", ValueError,
+     lambda op: hydrogen_sto2g(slater_zeta=0.0)),
+    ("hydrogen_sto2g, default exponents, negative slater_zeta", ValueError,
+     lambda op: hydrogen_sto2g(slater_zeta=-1.0)),
     ("hydrogen_sto2g, unknown orthogonalization", ValueError,
      lambda op: hydrogen_sto2g(orthogonalization="qr")),
     ("orthonormalize, singular overlap", SingularOverlap,

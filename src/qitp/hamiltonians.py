@@ -192,9 +192,9 @@ def load_hamiltonian(path) -> HermitianOperator:
 
     ``path`` is a path, whatever its characters; an unreadable file or
     invalid JSON raises ParseError. Validates the schema, the dimension range
-    (1..64) and finite entries (NaN/Infinity raise ParseError); :func:`eigh`
-    rejects a matrix that is not Hermitian within 1e-10 of its largest entry
-    with NonHermitianInput.
+    (1..64) and finite entries (NaN, Infinity or an integer beyond the float
+    range raise ParseError); :func:`eigh` rejects a matrix that is not
+    Hermitian within 1e-10 of its largest entry with NonHermitianInput.
     """
     try:
         text = Path(path).read_text()
@@ -202,7 +202,7 @@ def load_hamiltonian(path) -> HermitianOperator:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("Hamiltonian document must be a JSON object")
@@ -223,6 +223,8 @@ def load_hamiltonian(path) -> HermitianOperator:
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ParseError("matrix entries must be finite") from exc
     if not np.all(np.isfinite(m)):
         raise ParseError("matrix entries must be finite")
     if m.shape != (dim, dim):

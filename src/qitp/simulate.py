@@ -256,7 +256,7 @@ def readout_confusion(probs, flip: float) -> np.ndarray:
     DimensionMismatch for an odd length, and InvalidDistribution for a NaN,
     infinite or negative probability, or for no weight left to renormalize.
     """
-    if not 0.0 <= flip <= 0.5:
+    if not (_is_finite_real(flip) and 0.0 <= flip <= 0.5):
         raise ValueError("readout_flip must be in [0, 0.5]")
     p = np.asarray(probs, dtype=float).ravel()
     if not (np.isfinite(p).all() and (p >= 0.0).all()):

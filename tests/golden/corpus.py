@@ -48,6 +48,7 @@ _H3 = {
         [[0.0, 0.0], [0.0, -0.2], [0.3, 0.0]],
     ],
 }
+_BIG = '{"dim": 1, "units": "dimensionless", "matrix": [[[1%s, 0]]]}' % ("0" * 400)
 _NOISY = ["run", "--ham", "two-neutron", "--tau", "1", "--et", "frac:0.9",
           "--noise", "0.1,0.05,0.02", "--reps", "3"]
 
@@ -112,6 +113,10 @@ CASES = {
     "run-missing-file": ({}, [["run", "--ham", "missing.json", "--tau", "1", "--out", "m.json"]]),
     "run-overflowing-fraction": ({}, [
         ["run", "--ham", "two-neutron", "--tau", "1", "--et", "frac:1.7e308", "--out", "o.json"],
+    ]),
+    # an integer literal beyond the float range is a configuration error
+    "run-huge-integer-entry": ({"big.json": _BIG}, [
+        ["run", "--ham", "big.json", "--tau", "1", "--out", "o.json"],
     ]),
     "sweep-zero-fraction": ({}, [
         ["sweep-et", "--ham", "hydrogen", "--fractions", "0", "--out", "z.csv"],

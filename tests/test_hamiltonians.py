@@ -352,6 +352,15 @@ class TestSerialization:
                 with pytest.raises(ParseError):
                     load_hamiltonian(saved(tmp_path, text))
 
+    def test_integer_literals_beyond_the_float_range(self, tmp_path):
+        # 10**400 parses as a Python int that complex() cannot convert; an
+        # integer of 5000 digits exceeds the interpreter's parsing limit
+        big = '{"dim": 1, "units": "dimensionless", "matrix": [[[1%s, 0]]]}'
+        with pytest.raises(ParseError, match="must be finite"):
+            load_hamiltonian(saved(tmp_path, big % ("0" * 400)))
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_hamiltonian(saved(tmp_path, big % ("0" * 4999)))
+
     def test_dimension_errors(self, tmp_path):
         with pytest.raises(DimensionError):
             load_hamiltonian(saved(tmp_path, {"dim": 0, "units": "mev", "matrix": []}))

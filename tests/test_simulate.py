@@ -1,4 +1,5 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -980,6 +981,18 @@ def _hydrogen_op():
     return op
 
 
+# Holds the Hamiltonian files that ERROR_CASES rows load.
+_FILES = tempfile.TemporaryDirectory()
+
+
+def _ham_file(text: str) -> str:
+    path = os.path.join(_FILES.name, "h.json")
+    with open(path, "w") as f:
+        f.write(text)
+    return path
+
+
+_BIG_ENTRY = '{"dim": 1, "units": "dimensionless", "matrix": [[[1%s, 0]]]}'
 _PURE = dict(params=ItpParams(tau=1.0), psi0=np.array([1.0, 1.0]))
 _NOISY = dict(_PURE, noise=NoiseParams())
 
@@ -1010,6 +1023,10 @@ ERROR_CASES = [
      lambda op: readout_confusion([0.5, 0.5], -0.1)),
     ("readout_confusion, flip nan", ValueError,
      lambda op: readout_confusion([0.5, 0.5], np.nan)),
+    ("readout_confusion, text flip", ValueError,
+     lambda op: readout_confusion([0.5, 0.5], "0.1")),
+    ("readout_confusion, None flip", ValueError,
+     lambda op: readout_confusion([0.5, 0.5], None)),
     ("filter_profile, NaN energy", ValueError, lambda op: filter_profile([np.nan, 0.0], 1.0, 0.0)),
     ("filter_profile, NaN trial energy", ValueError,
      lambda op: filter_profile([1.0, 0.0], 1.0, np.nan)),
@@ -1106,6 +1123,10 @@ ERROR_CASES = [
     ("two_neutron_sd, asymmetric a2", ValueError,
      lambda op: qitp.two_neutron_sd(qitp.SpinCouplings(1.0, np.triu(np.ones((3, 3)))))),
     ("load_hamiltonian, empty file", ParseError, lambda op: qitp.load_hamiltonian(os.devnull)),
+    ("load_hamiltonian, integer entry beyond the float range", ParseError,
+     lambda op: qitp.load_hamiltonian(_ham_file(_BIG_ENTRY % ("0" * 400)))),
+    ("load_hamiltonian, integer entry over the digit limit", ParseError,
+     lambda op: qitp.load_hamiltonian(_ham_file(_BIG_ENTRY % ("0" * 4999)))),
     ("save_hamiltonian, path is a directory", OSError, lambda op: qitp.save_hamiltonian(op, os.curdir)),
     ("Circuit, float qubit count", ValueError, lambda op: qitp.Circuit(1.5)),
     ("Circuit, text global phase", ValueError, lambda op: qitp.Circuit(2, [], "0.1")),

@@ -187,7 +187,6 @@ def _record_to_json(record, config_echo: dict) -> str:
         "shot_counts": {
             label: int(c) for label, c in zip(ext_labels, record.shot_counts)
         },
-        "repetitions_completed": config_echo["reps"],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -1110,10 +1110,8 @@ ERROR_CASES = [
     ("hydrogen_sto2g, NaN slater_zeta", ValueError, lambda op: hydrogen_sto2g((1.0, 1.0), np.nan)),
     ("hydrogen_sto2g, three exponents", ValueError, lambda op: hydrogen_sto2g((1.0, 1.0, 1.0))),
     ("hydrogen_sto2g, text exponent", ValueError, lambda op: hydrogen_sto2g(("1", 2.0))),
-    ("hydrogen_sto2g, default exponents, zero slater_zeta", ValueError,
-     lambda op: hydrogen_sto2g(slater_zeta=0.0)),
-    ("hydrogen_sto2g, default exponents, negative slater_zeta", ValueError,
-     lambda op: hydrogen_sto2g(slater_zeta=-1.0)),
+    ("hydrogen_sto2g, zero slater_zeta", ValueError, lambda op: hydrogen_sto2g(slater_zeta=0.0)),
+    ("hydrogen_sto2g, negative slater_zeta", ValueError, lambda op: hydrogen_sto2g(slater_zeta=-1.0)),
     ("hydrogen_sto2g, unknown orthogonalization", ValueError,
      lambda op: hydrogen_sto2g(orthogonalization="qr")),
     ("orthonormalize, singular overlap", SingularOverlap,

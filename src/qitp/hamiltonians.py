@@ -119,8 +119,8 @@ def hydrogen_sto2g(
     with ``h_orth`` in Hartree and ``transform^dag overlap transform = I``.
     The default "canonical" orthogonalization is the convention of the
     reference tables; "lowdin" gives the symmetric transform (same spectrum,
-    rotated basis). Raises ValueError unless there are two exponents, each
-    and the zeta positive and finite.
+    rotated basis). Raises ValueError unless there are exactly two exponents
+    and they and the zeta are positive and finite.
     """
     if len(exponents) != 2:
         raise ValueError("basis needs exactly two primitives")

@@ -80,7 +80,13 @@ CASES = {
         ["run", "--ham", "v.json", "--tau", "1", "--init", "basis:1", "--shots", "100",
          "--out", "vr.json"],
     ]),
-    "run-noisy-json": ({}, [_NOISY + ["--shots", "500", "--seed", "3", "--out", "n.json"]]),
+    # 8 outcomes over 4 chunks of the shot stream
+    "run-shots-multichunk": ({}, [
+        ["ham", "two-neutron", "--a1=0.5", "--a2=0.1,0.1,0.4", "--out", "v.json"],
+        ["run", "--ham", "v.json", "--tau", "1", "--init", "basis:1", "--reps", "3",
+         "--shots", "200000", "--seed", "11", "--out", "vr.json"],
+    ]),
+    "run-noisy-json": ({}, [_NOISY +["--shots", "500", "--seed", "3", "--out", "n.json"]]),
     "run-noisy-csv": ({}, [_NOISY + ["--format", "csv", "--out", "n.csv"]]),
     "run-noisy-3x3": ({"h3.json": json.dumps(_H3)}, [
         ["run", "--ham", "h3.json", "--tau", "1", "--noise", "0.05,0.02,0.01", "--reps", "5",

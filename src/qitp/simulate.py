@@ -24,7 +24,10 @@ is the reservoir. This is a qualitative stand-in for hardware relaxation.
 
 Shots are counted against integer CDF thresholds on a splitmix64 counter
 stream (an exact inverse-CDF multinomial draw), so counts are bit-reproducible
-across platforms for a given seed. The stream is drawn in fixed chunks, so
+across platforms for a given seed. The integers are compared through a
+float64 view with bit 62 set: each is then a positive normal double, and
+those order exactly as their bit patterns do, so the counts are the integer
+ones at float64 comparison speed. The stream is drawn in fixed chunks, so
 memory is O(chunk + N) at any shot count.
 """
 
@@ -54,6 +57,9 @@ _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
 # Shots drawn per pass of sample_shots, bounding its memory at any count.
 _SHOT_CHUNK = 1 << 16
+# Set in each draw and threshold (both below 2**54), it makes their bit
+# patterns positive normal doubles, which order as the integers do.
+_FLOAT_VIEW_BIT = np.uint64(1 << 62)
 
 
 def _finite_state(psi) -> np.ndarray:
@@ -145,6 +151,12 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
     inverse-CDF draw ``searchsorted(cdf, k * 2**-53, side="right")``. Counts sum
     to ``shots``; chunk ``start`` of the stream begins at counter ``start``, so
     memory is O(chunk + N) and the counts do not depend on the chunk size.
+
+    Draws and thresholds are below 2**54. Each is compared with bit 62 set,
+    through a float64 view of its bits: that makes it a positive normal double
+    (so a denormals-are-zero mode leaves it alone), and positive finite doubles
+    order exactly as their bit patterns do (IEEE 754). Every comparison is
+    the integer one, a threshold at or past 2**53 included.
     """
     p = np.asarray(probs, dtype=float).ravel()
     for name, value in (("shots", shots), ("seed", seed)):
@@ -160,9 +172,10 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
         raise InvalidDistribution(f"probabilities sum to {total!r}, expected 1")
     # A threshold past 2**53 - 1 (a CDF sum above 1) is never reached.
     cdf = np.cumsum(np.clip(p, 0.0, None))
-    thresholds = np.ceil(cdf[:-1] * 2.0**53).astype(np.uint64)
+    thresholds = np.ceil(cdf[:-1] * 2.0**53).astype(np.uint64) | _FLOAT_VIEW_BIT
     reached = np.zeros(thresholds.size, dtype=np.int64)
     z, t = np.empty((2, min(_SHOT_CHUNK, shots)), dtype=np.uint64)
+    hit = np.empty(z.size, dtype=bool)
     steps = np.arange(1, z.size + 1, dtype=np.uint64) * _SM64_GOLDEN
     for start in range(0, shots, _SHOT_CHUNK):
         zc, tc = z[: shots - start], t[: shots - start]
@@ -173,8 +186,10 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
             zc *= mix
         zc ^= np.right_shift(zc, 31, out=tc)
         zc >>= 11
-        for j, threshold in enumerate(thresholds):
-            reached[j] += np.count_nonzero(zc >= threshold)
+        zc |= _FLOAT_VIEW_BIT
+        draws, h = zc.view(np.float64), hit[: zc.size]
+        for j, threshold in enumerate(thresholds.view(np.float64)):
+            reached[j] += np.count_nonzero(np.greater_equal(draws, threshold, out=h))
     return -np.diff(np.concatenate([[shots], reached, [0]]))
 
 

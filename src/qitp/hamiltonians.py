@@ -122,7 +122,11 @@ def hydrogen_sto2g(
     rotated basis). Raises ValueError unless there are exactly two exponents
     and they and the zeta are positive and finite.
     """
-    if len(exponents) != 2:
+    try:
+        pair = len(exponents) == 2
+    except TypeError:  # None or a bare number
+        pair = False
+    if not pair:
         raise ValueError("basis needs exactly two primitives")
     if not all(_is_finite_real(e) and e > 0 for e in exponents):
         raise ValueError("exponents must be positive and finite")

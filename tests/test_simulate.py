@@ -1109,6 +1109,8 @@ ERROR_CASES = [
     ("hydrogen_sto2g, NaN exponent", ValueError, lambda op: hydrogen_sto2g((np.nan, 1.0))),
     ("hydrogen_sto2g, NaN slater_zeta", ValueError, lambda op: hydrogen_sto2g((1.0, 1.0), np.nan)),
     ("hydrogen_sto2g, three exponents", ValueError, lambda op: hydrogen_sto2g((1.0, 1.0, 1.0))),
+    ("hydrogen_sto2g, None exponents", ValueError, lambda op: hydrogen_sto2g(None)),
+    ("hydrogen_sto2g, one bare exponent", ValueError, lambda op: hydrogen_sto2g(0.5)),
     ("hydrogen_sto2g, text exponent", ValueError, lambda op: hydrogen_sto2g(("1", 2.0))),
     ("hydrogen_sto2g, zero slater_zeta", ValueError, lambda op: hydrogen_sto2g(slater_zeta=0.0)),
     ("hydrogen_sto2g, negative slater_zeta", ValueError, lambda op: hydrogen_sto2g(slater_zeta=-1.0)),

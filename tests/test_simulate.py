@@ -297,6 +297,27 @@ class TestSampling:
         assert counts.dtype == np.int64
         assert np.array_equal(counts, inverse_cdf_oracle(p, shots, seed))
 
+    def test_float_view_threshold_edges(self):
+        """Thresholds where the viewed exponent steps (2**52), at 2**53, past
+        it, and on a draw itself bin every draw as the oracle does."""
+        shots, seed = 5000, 3
+        cases = [[c, 1.0 - c] for c in (0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53)]
+        at, past = [0.5, 0.5, 0.0, 0.0], [0.5, 0.5 + 9e-10, 0.0]
+        assert np.ceil(np.cumsum(at)[1:-1] * 2.0**53).tolist() == [2.0**53, 2.0**53]
+        assert np.ceil(np.cumsum(past)[1] * 2.0**53) > 2.0**53
+        cases += [at, past]
+        # a draw u below 0.5 pinned as the last: on a threshold it lands at
+        # or past it; half or one 2**-53 step below one, before it
+        last = np.flatnonzero(splitmix64_uniforms(shots, seed) < 0.5)[-1] + 1
+        u = splitmix64_uniforms(last, seed)[-1]
+        for c, bin_ in ((u, [0, 1]), (u + 2.0**-54, [1, 0]), (u + 2.0**-53, [1, 0])):
+            p = [c, 1.0 - c]
+            step = sample_shots(p, last, seed) - sample_shots(p, last - 1, seed)
+            assert step.tolist() == bin_
+            cases.append(p)
+        for p in cases:
+            assert np.array_equal(sample_shots(p, shots, seed), inverse_cdf_oracle(p, shots, seed))
+
     def test_numpy_integer_seeds(self):
         p = [0.1, 0.25, 0.05, 0.6]
         shots = 70_000
@@ -712,7 +733,8 @@ class TestClosedFormMatchesLoop:
         assert np.all(history[1:, done] >= history[:-1, done] * (1.0 - 1e-13))
         got = spectral_run(op, taus, ets, psi, repetitions, extended=True)
         assert np.array_equal(got.failed, want.failed)
-        assert np.all(np.abs(got.p0 - want.p0) <= 1e-12 * want.p0)
+        # below the smallest normal double a float has fewer than 53 bits
+        assert np.all(np.abs(got.p0 - want.p0) <= np.maximum(1e-12 * want.p0, np.finfo(float).tiny))
         scale = 1.0 + max_abs(op.eigenvalues)
         assert np.all(np.abs(got.energy - want.energy)[done] <= 1e-12 * scale)
         assert np.all(np.abs(got.ground_weight - want.ground_weight)[done] <= 1e-12)

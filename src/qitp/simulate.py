@@ -172,7 +172,7 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
         raise InvalidDistribution(f"probabilities sum to {total!r}, expected 1")
     # A threshold past 2**53 - 1 (a CDF sum above 1) is never reached.
     cdf = np.cumsum(np.clip(p, 0.0, None))
-    thresholds = np.ceil(cdf[:-1] * 2.0**53).astype(np.uint64) | _FLOAT_VIEW_BIT
+    thresholds = (np.ceil(cdf[:-1] * 2.0**53).astype(np.uint64) | _FLOAT_VIEW_BIT).view(np.float64)
     reached = np.zeros(thresholds.size, dtype=np.int64)
     z, t = np.empty((2, min(_SHOT_CHUNK, shots)), dtype=np.uint64)
     hit = np.empty(z.size, dtype=bool)
@@ -188,7 +188,7 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
         zc >>= 11
         zc |= _FLOAT_VIEW_BIT
         draws, h = zc.view(np.float64), hit[: zc.size]
-        for j, threshold in enumerate(thresholds.view(np.float64)):
+        for j, threshold in enumerate(thresholds):
             reached[j] += np.count_nonzero(np.greater_equal(draws, threshold, out=h))
     return -np.diff(np.concatenate([[shots], reached, [0]]))
 

@@ -306,8 +306,8 @@ class TestSampling:
         assert np.ceil(np.cumsum(at)[1:-1] * 2.0**53).tolist() == [2.0**53, 2.0**53]
         assert np.ceil(np.cumsum(past)[1] * 2.0**53) > 2.0**53
         cases += [at, past]
-        # a draw u below 0.5 pinned as the last: on a threshold it lands at
-        # or past it; half or one 2**-53 step below one, before it
+        # pin the last draw u (< 0.5): a threshold equal to u bins it in the
+        # upper bin; a threshold half or one 2**-53 step above u, in the lower
         last = np.flatnonzero(splitmix64_uniforms(shots, seed) < 0.5)[-1] + 1
         u = splitmix64_uniforms(last, seed)[-1]
         for c, bin_ in ((u, [0, 1]), (u + 2.0**-54, [1, 0]), (u + 2.0**-53, [1, 0])):

@@ -266,11 +266,11 @@ def _check_unitary2(q) -> None:
 
 
 def _euler_1q(q: tuple) -> tuple[list[tuple[str, float]], tuple]:
-    """Closed-form Euler step: the non-identity ``(kind, angle)`` steps of
-    rz(a), rx(b), rz(g) in application order, and their product, which
-    equals the unitary 2x2 ``q`` (a row-major scalar tuple) up to global
-    phase. Near-diagonal input takes the deterministic b = 0 branch (all
-    rotation in the first rz).
+    """Closed-form Euler step: the ``(kind, angle)`` steps of rz(a), rx(b),
+    rz(g) in application order, less any within 1e-12 of 0 or +-2*pi (+-I,
+    a phase), and their product, which equals the unitary 2x2 ``q`` (a
+    row-major scalar tuple) up to global phase. Near-diagonal input takes
+    the deterministic b = 0 branch (all rotation in the first rz).
     """
     a, _, c, d = q
     phase = cmath.exp(-0.5j * cmath.phase(_det2(q)))
@@ -289,7 +289,7 @@ def _euler_1q(q: tuple) -> tuple[list[tuple[str, float]], tuple]:
     built = _I2
     for kind, angle in (("rz", alpha), ("rx", beta), ("rz", gamma)):
         angle = _normalize_angle(angle)
-        if abs(angle) > 1e-14:
+        if min(abs(angle), abs(abs(angle) - _TWO_PI)) > 1e-12:
             steps.append((kind, angle))
             built = _mul2(_rotation(kind, angle), built)
     if abs(_overlap2(q, built)) / 2.0 < 1.0 - 1e-10:
@@ -301,9 +301,9 @@ def decompose_1q(u) -> Circuit:
     """Euler decomposition of a 2x2 unitary as Rz(g) Rx(b) Rz(a).
 
     The returned circuit applies rz(a), rx(b), rz(g) in order, omitting
-    identity rotations, and carries the global phase that reproduces ``u``
-    exactly. The angles are the closed-form step that :func:`kak_decompose`
-    runs on each local factor.
+    rotations by 0 or +-2*pi, and carries the global phase that reproduces
+    ``u`` exactly: the closed-form step :func:`kak_decompose` runs on each
+    local factor.
     """
     q = tuple(_check_unitary(u, 2).ravel().tolist())
     steps, built = _euler_1q(q)
@@ -515,29 +515,26 @@ def kak_decompose(u) -> Circuit:
 
     gates = []
     last = len(blocks) - 1
-    moved = [None, None]  # each qubit's trailing rz, moved through the cz
+    moved = [_I2, _I2]  # each qubit's trailing rz, moved through the cz
     for i, pair in enumerate(blocks):
         if i:
             gates.append(Gate("cz", (0, 1)))
         for qubit, q in enumerate(pair):
-            if moved[qubit] is not None:
-                q = _mul2(q, moved[qubit])
+            q = _mul2(q, moved[qubit])
             _check_unitary2(q)
             steps = _euler_1q(q)[0]
+            moved[qubit] = _I2
             # cz is diagonal, so a trailing rz commutes into the next local
             if i < last and steps and steps[-1][0] == "rz":
                 moved[qubit] = _rotation(*steps.pop())
-            else:
-                moved[qubit] = None
-            for kind, angle in steps:
-                # a rotation by 0 or +-2*pi is a phase; the phase fit takes it
-                if min(abs(angle), abs(abs(angle) - _TWO_PI)) > 1e-12:
-                    gates.append(Gate(kind, (qubit,), angle))
-    overlap = complex(np.vdot(circuit_unitary(Circuit(2, gates)), m))  # tr(built^dag m)
+            gates.extend(Gate(kind, (qubit,), angle) for kind, angle in steps)
+    circuit = Circuit(2, gates)
+    overlap = complex(np.vdot(circuit_unitary(circuit), m))  # tr(built^dag m)
     fidelity = abs(overlap) / 4.0
     if fidelity < 1.0 - 1e-8:
         raise FidelityShortfall(f"synthesis fidelity {fidelity!r}")
-    return Circuit(2, gates, cmath.phase(overlap))
+    object.__setattr__(circuit, "global_phase", cmath.phase(overlap))
+    return circuit
 
 
 # ---------------------------------------------------------------------------

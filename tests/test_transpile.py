@@ -96,7 +96,7 @@ def decompose_1q_oracle(u, atol=1e-10):
         Gate("rx", (0,), beta),
         Gate("rz", (0,), gamma),
     ]
-    gates = [g for g in gates if abs(g.angle) > 1e-14]
+    gates = [g for g in gates if min(abs(g.angle), abs(abs(g.angle) - 2 * math.pi)) > 1e-12]
     built = circuit_unitary(Circuit(1, gates, 0.0))
     if process_fidelity(m, built) < 1.0 - 1e-10:
         raise FidelityShortfall("single-qubit Euler decomposition missed its target")
@@ -467,6 +467,16 @@ class TestDecompose1q:
         assert [g.kind for g in c.gates] == [g.kind for g in want.gates]
         assert [g.angle for g in c.gates] == [g.angle for g in want.gates]
         assert abs(c.global_phase - want.global_phase) <= 1e-15
+
+    @pytest.mark.parametrize("pauli", [np.eye(2), PAULI_X, PAULI_Y, PAULI_Z], ids="IXYZ")
+    @pytest.mark.parametrize("phase", [1, -1, 1j, -1j], ids=["+1", "-1", "+i", "-i"])
+    def test_phased_pauli_emits_no_phase_rotation(self, pauli, phase):
+        # rx or rz by +-2*pi is -I, a global phase, not a gate
+        u = phase * pauli
+        c = decompose_1q(u)
+        for g in c.gates:
+            assert min(abs(g.angle), abs(abs(g.angle) - 2 * math.pi)) > 1e-12, c
+        assert max_abs(circuit_unitary(c) - u) < 1e-12
 
     def test_beta_pi_branch(self):
         rng = np.random.default_rng(39)

@@ -23,12 +23,13 @@ differs from padding the extended index a * N + beta itself, where no bit
 is the reservoir. This is a qualitative stand-in for hardware relaxation.
 
 Shots are counted against integer CDF thresholds on a splitmix64 counter
-stream (an exact inverse-CDF multinomial draw), so counts are bit-reproducible
-across platforms for a given seed. The integers are compared through a
-float64 view with bit 62 set: each is then a positive normal double, and
+stream (an exact inverse-CDF multinomial draw): for a given seed the counts
+are a pure function of the probabilities. Another BLAS kernel can move a
+probability in its last bits; a count then changes only if a draw ties a
+moved threshold (about 2^-53 per draw). The integers are compared through
+a float64 view with bit 62 set: each is then a positive normal double, and
 those order exactly as their bit patterns do, so the counts are the integer
-ones at float64 comparison speed. The stream is drawn in fixed chunks, so
-memory is O(chunk + N) at any shot count.
+ones at float64 comparison speed. Fixed chunks keep memory O(chunk + N).
 """
 
 from __future__ import annotations

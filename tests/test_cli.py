@@ -33,9 +33,10 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
-def cli_process(argv, cwd, *flags):
-    """Run ``python [flags] -m qitp.cli argv`` in a fresh process on this checkout."""
-    env = dict(os.environ)
+def cli_process(argv, cwd, *flags, env=None):
+    """Run ``python [flags] -m qitp.cli argv`` in a fresh process on this checkout,
+    with ``env`` added to the environment."""
+    env = dict(os.environ, **(env or {}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run(
@@ -653,3 +654,21 @@ class TestParserReuse:
             for name in outputs:
                 assert (workdir / name).read_bytes() == (shared / name).read_bytes()
         assert (shared / "run_a.json").read_bytes() == (shared / "run_b.json").read_bytes()
+
+
+class TestBlasThreads:
+    def test_thread_count_leaves_output_bytes(self, tmp_path):
+        # one machine and BLAS kernel: the output bytes do not depend on the thread count
+        m = random_hermitian(64, np.random.default_rng(64))
+        save_hamiltonian(HermitianOperator.from_matrix(m, "dimensionless"), tmp_path / "h.json")
+        for name, flags in (("pure", ("--shots", "100000", "--seed", "5")),
+                            ("noisy", ("--noise", "0.02,0.01,0.01", "--reps", "3"))):
+            outputs = []
+            for threads in ("1", "2"):
+                out = f"{name}{threads}.json"
+                argv = ("run", "--ham", "h.json", "--tau", "0.5", *flags, "--out", out)
+                env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+                result = cli_process(argv, tmp_path, env=env)
+                assert (result.returncode, result.stderr) == (0, "")
+                outputs.append((tmp_path / out).read_bytes())
+            assert outputs[0] == outputs[1], name

@@ -5,9 +5,10 @@ Any 4x4 unitary factors (Cartan/KAK) as
     U = g * (A0 (x) A1) * exp(i (x XX + y YY + z ZZ)) * (B0 (x) B1)
 
 with the interaction coefficients canonicalized into the Weyl chamber
-``0 <= |z| <= y <= x <= pi/4`` (z >= 0 when x = pi/4) by signed
-permutations and quarter turns of the four magic-basis phases (Kraus &
-Cirac, PRA 63, 062309 (2001)). The canonical class fixes the entangling
+``0 <= |z| <= y <= x <= pi/4`` (z >= 0 when x = pi/4) by one sort of
+the four magic-basis phases taken mod pi: the chamber is their descending
+order with the top pair at most pi above the bottom pair (Kraus & Cirac,
+PRA 63, 062309 (2001)). The canonical class fixes the entangling
 cost: 0 CZs for local unitaries, 1 for the CZ class, 2 when z = 0, 3
 otherwise. Local factors compile to Rz-Rx-Rz Euler triples in closed form,
 and a local's trailing Rz moves through the CZ after it.
@@ -358,66 +359,49 @@ def _kron_factor(m: np.ndarray) -> tuple[complex, tuple, tuple]:
     return g, f0, f1
 
 
-# Steps of the Weyl-chamber reduction on the magic-basis phases delta, keyed
-# by the pair of axes of (x, y, z) they act on. Each is the signed
-# permutation (perm, flips) M^dag (a (x) b) M of a Clifford pair: a swap of
-# axes j, k by s (x) s with s = i(P_j + P_k) / sqrt 2, a negation of j, k by
-# i P (x) I with P the third Pauli.
-_SWAPS = {(0, 1): ((3, 1, 2, 0), (1, -1, 1, 1)), (1, 2): ((1, 0, 2, 3), (-1, -1, 1, -1))}
-_NEGATIONS = {(0, 2): ((2, 3, 0, 1), (1, 1, -1, -1)), (1, 2): ((1, 0, 3, 2), (1, -1, -1, 1))}
-_SIGN_ROWS = (4 * _GAMMA[1:]).astype(int).tolist()  # a pi/2 shift of x, y or z
-_QUARTER_TURNS = (1, -1j, -1, 1j)  # (-i)**t for t mod 4
 _ROWS = np.arange(4)
+_SLOTS = (1, 0, 3, 2)  # delta2[_SLOTS] descends in the Weyl chamber
 
 
-def _weyl_reduce(x: float, y: float, z: float):
-    """Weyl-chamber form of an XX/YY/ZZ interaction, as steps on its phases.
+def _weyl_sort(delta: np.ndarray):
+    """Weyl-chamber form of the interaction with magic-basis phases delta.
 
-    Returns ``((x2, y2, z2), order, signs, turns)`` with 0 <= |z2| <= y2 <=
-    x2 <= pi/4 (z2 >= 0 if x2 = pi/4). If ``(w, x, y, z) = _GAMMA @ delta``,
-    then ``(w, x2, y2, z2) = _GAMMA @ delta2`` for ``delta2 = delta[order] +
-    turns * pi/2``, and for any 4x4 p and o2
+    For ``(w, x, y, z) = _GAMMA @ delta`` and ``e = delta[[1, 0, 3, 2]]``,
+    x - y, y - z and y + z are (e1 - e2) / 2, (e0 - e1) / 2 and (e2 - e3) / 2,
+    and 4x = e0 + e1 - e2 - e3. So the chamber 0 <= |z| <= y <= x <= pi/4
+    (z >= 0 if x = pi/4) is a descending e whose top pair exceeds its bottom
+    pair by at most pi. The phases are ranked mod pi (a near-tie within
+    ``_WEYL_TOL`` in index order), and of the two cuts of that circular
+    order that add an even number of pi, the one with x <= pi/4 is kept; at
+    the x = pi/4 edge, the one with z >= 0.
 
-        p D(delta) o2 = p[:, order] S D(delta2) S T o2[order],
+    Returns ``(delta2, order, signs, flips)``: delta2 is delta[order] plus an
+    even number of pi in all, and for any 4x4 p and o2
 
-    D = diag(exp(i .)), S = diag(signs), T = diag((-i)**turns).
+        p D(delta) o2 = (p[:, order] S) D(delta2) (F o2[order]),
+
+    D = diag(exp(i .)), S = diag(signs), F = diag(flips), with real +-1
+    signs and det(I[:, order] S) = det(F I[order]) = +1.
     """
-    v = [x, y, z]
-    order, signs, turns = [0, 1, 2, 3], [1, 1, 1, 1], [0, 0, 0, 0]
+    counts, rests = zip(*(divmod(d, math.pi) for d in delta.tolist()))
+    ranked = []
+    for k in range(4):  # descending; a near-tie keeps index order
+        ranked.insert(sum(rests[j] > rests[k] - _WEYL_TOL for j in ranked), k)
 
-    def permute(perm, flips):
-        order[:] = [order[i] for i in perm]
-        turns[:] = [turns[i] for i in perm]
-        signs[:] = [signs[i] * f for i, f in zip(perm, flips)]
+    def cut(lifted):  # the `lifted` lowest phases gain pi and lead
+        seq = ranked[4 - lifted:] + ranked[: 4 - lifted]
+        e = [rests[i] + math.pi * (n < lifted) for n, i in enumerate(seq)]
+        return e[0] + e[1] - e[2] - e[3], e[1] + e[2] - e[0] - e[3], lifted, seq
 
-    def shift(k, step):  # step = +-1
-        v[k] += step * math.pi / 2
-        turns[:] = [t + step * s for t, s in zip(turns, _SIGN_ROWS[k])]
-
-    def negate(k1, k2):
-        v[k1], v[k2] = -v[k1], -v[k2]
-        permute(*_NEGATIONS[k1, k2])
-
-    def into_range(k):
-        while v[k] <= -math.pi / 4:
-            shift(k, +1)
-        while v[k] > math.pi / 4:
-            shift(k, -1)
-
-    for k in range(3):
-        into_range(k)
-    for k1, k2 in ((0, 1), (1, 2), (0, 1)):  # sort by magnitude
-        if abs(v[k1]) < abs(v[k2]):
-            v[k1], v[k2] = v[k2], v[k1]
-            permute(*_SWAPS[k1, k2])
-    for k in (0, 1):  # x, y >= 0; z keeps the sign
-        if v[k] < 0:
-            negate(k, 2)
-    into_range(2)
-    if v[0] > math.pi / 4 - _WEYL_TOL and v[2] < 0:
-        shift(0, -1)
-        negate(0, 2)
-    return tuple(v), order, signs, turns
+    parity = int(sum(counts)) % 2
+    low, high = sorted((cut(parity), cut(parity + 2)))  # 4x: low <= pi <= high
+    _, _, lifted, seq = high if low[0] > math.pi - 4 * _WEYL_TOL and low[1] < 0 else low
+    order = [seq[s] for s in _SLOTS]
+    shifts = np.array([(s < lifted) - counts[i] for s, i in zip(_SLOTS, order)])
+    signs, flips = 1.0 - 2.0 * (shifts % 2), np.ones(4)  # (-1)**shifts
+    if sum(a > b for n, a in enumerate(order) for b in order[n + 1:]) % 2:  # an odd order
+        signs[2], flips[2] = -signs[2], -1.0  # one sign each side, at the lowest phase
+    return delta.take(order) + math.pi * shifts, order, signs, flips
 
 
 def kak_coefficients(u):
@@ -445,15 +429,14 @@ def kak_coefficients(u):
     if np.linalg.det(o2) < 0:
         o2[0] = -o2[0]
         delta[0] += math.pi
+    delta, order, signs, flips = _weyl_sort(delta)
     w, x, y, z = (_GAMMA @ delta).tolist()
-    xyz, order, signs, turns = _weyl_reduce(x, y, z)
-    scale = np.array([[s * _QUARTER_TURNS[t % 4]] for s, t in zip(signs, turns)])
     # p[:, order] and o2[order]; take is the cheaper index at 4x4
     g1, a0, a1 = _kron_factor(_MAGIC @ (p.take(order, 1) * signs) @ _MAGIC_DAG)
-    g2, b0, b1 = _kron_factor(_MAGIC @ (o2.take(order, 0) * scale) @ _MAGIC_DAG)
+    g2, b0, b1 = _kron_factor(_MAGIC @ (o2.take(order, 0) * flips[:, None]) @ _MAGIC_DAG)
     a0, a1, b0, b1 = np.array((a0, a1, b0, b1)).reshape(4, 2, 2)
     total = det_phase + w + cmath.phase(g1 * g2)
-    return total, (a0, a1), xyz, (b0, b1)
+    return total, (a0, a1), (x, y, z), (b0, b1)
 
 
 _H_S_DAG = _mul2(_H, (1 + 0j, 0j, 0j, -1j))  # H S^dag

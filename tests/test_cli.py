@@ -227,6 +227,16 @@ class TestRunCommand:
         assert run_cli("run", "--ham", "hydrogen", "--tau", 1, "--noise", "2,0,0", "--out", out) == 2
         assert capsys.readouterr().err.endswith("error: amplitude_damping must be in [0, 1]\n")
 
+    def test_negative_exponent_notation_needs_equals(self, tmp_path, capsys):
+        # argparse takes "-1e-3" for a flag unless it is attached with "="
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--ham", "hydrogen", "--tau", "1", "--et", "-1e-3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --et: expected one argument" in capsys.readouterr().err
+        assert run_cli("run", "--ham", "hydrogen", "--tau", 1, "--et=-1e-3", "--out", out) == 0
+        assert json.loads(out.read_text())["config"]["trial_energy"] == -0.001
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--noise", "0.1,0.2", "expected 3 comma-separated numbers, got '0.1,0.2'"),
         ("--et", "frac:x", "bad --et fraction: 'frac:x'"),

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -24,9 +25,7 @@ from qitp.transpile import (
     process_fidelity,
 )
 
-from helpers import (
-    haar_unitary, random_hermitian, rx_matrix, ry_matrix, rz_matrix, weyl_step_tables,
-)
+from helpers import haar_unitary, random_hermitian, rx_matrix, ry_matrix, rz_matrix
 
 HYDROGEN_EXTENDED = np.array([0.00357, 0.17678, 0.53561, 0.28403])
 
@@ -756,22 +755,22 @@ class TestKakDecompose:
 
 
 QUARTER = math.pi / 4
-# Inputs of _weyl_reduce, each taking the steps named: swaps and negations
-# of the axis pairs given, quarter-turn shifts of x, y, z, and the
-# x = pi/4, z < 0 edge.
+# Interaction coefficients for the Weyl reduction: every order of three
+# distinct magnitudes, negative x or y, the x = pi/4 edge with z < 0,
+# coordinates several turns out, and three corners of the chamber.
 WEYL_STEP_POINTS = [
-    (0.1, 0.3, 0.2),  # swap (0, 1), then swap (1, 2)
-    (0.2, 0.1, 0.3),  # swap (1, 2), then swap (0, 1)
-    (0.05, 0.1, 0.3),  # swap (0, 1), swap (1, 2), swap (0, 1)
-    (-0.3, 0.2, 0.1),  # negation (0, 2)
-    (0.3, -0.2, 0.1),  # negation (1, 2)
-    (-0.3, -0.2, 0.1),  # both negations
-    (QUARTER, 0.2, -0.1),  # the edge: shift x down, negation (0, 2)
-    (4 * math.pi - 0.1, -4 * math.pi + 0.3, 2 * math.pi + 0.05),  # multi-turn shifts
+    (0.1, 0.3, 0.2),  # y > z > x
+    (0.2, 0.1, 0.3),  # z > x > y
+    (0.05, 0.1, 0.3),  # z > y > x
+    (-0.3, 0.2, 0.1),  # x < 0
+    (0.3, -0.2, 0.1),  # y < 0
+    (-0.3, -0.2, 0.1),  # x, y < 0
+    (QUARTER, 0.2, -0.1),  # the edge: mirrored to z > 0
+    (4 * math.pi - 0.1, -4 * math.pi + 0.3, 2 * math.pi + 0.05),  # several turns out
     (-4 * math.pi, 3 * math.pi + 0.2, -3.5 * math.pi - 0.1),
-    (0.0, 0.0, 0.0),
-    (QUARTER, QUARTER, QUARTER),
-    (QUARTER, 0.0, 0.0),
+    (0.0, 0.0, 0.0),  # the local class: four tied phases
+    (QUARTER, QUARTER, QUARTER),  # the SWAP class
+    (QUARTER, 0.0, 0.0),  # the CZ class
 ]
 
 
@@ -780,42 +779,99 @@ def magic_phases(w, x, y, z):
     return 4.0 * transpile._GAMMA.T @ np.array([w, x, y, z])
 
 
+PHASE_ORDERS = np.array(list(itertools.permutations(range(4))))
+EVEN_PI_SHIFTS = np.array([s for s in itertools.product(range(-2, 3), repeat=4) if sum(s) % 2 == 0])
+
+
+def chamber_oracle(delta):
+    """Brute-force Weyl-chamber points of the phases delta in [-pi, 2 pi].
+
+    Tries every order of the four phases and every even count of pi added
+    (each phase shifted by -2 pi to 2 pi), and keeps each (x, y, z) inside
+    the chamber to within _WEYL_TOL. At the x = pi/4 edge a point with
+    z < 0 is replaced by its mirror (pi/2 - x, y, -z); with z within
+    _WEYL_TOL of 0 both are kept."""
+    slack = transpile._WEYL_TOL
+    moved = delta[PHASE_ORDERS][:, None, :] + math.pi * EVEN_PI_SHIFTS
+    _, x, y, z = np.moveaxis(moved @ transpile._GAMMA.T, -1, 0)
+    inside = (x <= QUARTER + slack) & (y <= x + slack) & (np.abs(z) <= y + slack)
+    points = []
+    for a, b, c in zip(x[inside], y[inside], z[inside]):
+        edge = a > QUARTER - slack
+        if edge and c < slack:
+            points.append((math.pi / 2 - a, b, -c))
+        if not edge or c > -slack:
+            points.append((a, b, c))
+    return np.array(points)
+
+
+@st.composite
+def magic_phase_draws(draw):
+    """Four magic-basis phases in [-pi, 2 pi] drawn from a pool of one to
+    four values, so exact ties are common. A value is a multiple of pi/2 or
+    any float in range. Half the draws then reset one phase so that x lies
+    within 1e-10 of pi/4 (modulo pi/2), and shuffle the four."""
+    value = st.one_of(
+        st.integers(-2, 4).map(lambda k: k * math.pi / 2), st.floats(-math.pi, 2 * math.pi)
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    delta = [draw(st.sampled_from(pool)) for _ in range(4)]
+    if draw(st.booleans()):
+        eps = draw(st.floats(-1e-10, 1e-10))
+        last = delta[0] + delta[1] - delta[2] - math.pi - 4.0 * eps
+        delta = draw(st.permutations(delta[:3] + [math.remainder(last, 2 * math.pi)]))
+    return np.array(delta)
+
+
+def check_weyl_sort(delta):
+    """_weyl_sort's factorization of diag(exp(i delta)) and its chamber point."""
+    delta2, order, signs, flips = transpile._weyl_sort(delta)
+    p = np.eye(4)[:, order] * signs
+    o = flips[:, None] * np.eye(4)[order]
+    rebuilt = p @ np.diag(np.exp(1j * delta2)) @ o
+    assert max_abs(rebuilt - np.diag(np.exp(1j * delta))) < 1e-12
+    assert np.linalg.det(p) == pytest.approx(1.0) and np.linalg.det(o) == pytest.approx(1.0)
+    return transpile._GAMMA @ delta2
+
+
 class TestWeylReduction:
-    def test_tables_are_magic_images_of_cliffords(self):
-        assert (transpile._SWAPS, transpile._NEGATIONS) == weyl_step_tables()
-
-    def test_tables_act_on_the_coordinates(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            delta = rng.uniform(-math.pi, math.pi, 4)
-            w, *v = transpile._GAMMA @ delta
-            for (j, k), (perm, _) in transpile._SWAPS.items():
-                swapped = list(v)
-                swapped[j], swapped[k] = v[k], v[j]
-                assert np.allclose(transpile._GAMMA @ delta[list(perm)], [w, *swapped], atol=1e-15)
-            for (j, k), (perm, _) in transpile._NEGATIONS.items():
-                negated = [-a if i in (j, k) else a for i, a in enumerate(v)]
-                assert np.allclose(transpile._GAMMA @ delta[list(perm)], [w, *negated], atol=1e-15)
-            for k in range(3):
-                shifted = delta + math.pi / 2 * np.array(transpile._SIGN_ROWS[k])
-                moved = [a + math.pi / 2 if i == k else a for i, a in enumerate(v)]
-                assert np.allclose(transpile._GAMMA @ shifted, [w, *moved], atol=1e-15)
-
     @pytest.mark.parametrize("point", WEYL_STEP_POINTS)
     def test_reduction_identity_on_phases(self, point):
-        """diag(exp(i delta)) = P S diag(exp(i delta2)) S T P^T with the
-        returned order, signs and turns, and (w, x2, y2, z2) = _GAMMA delta2."""
+        """diag(exp(i delta)) = (I[:, order] S) diag(exp(i delta2)) (F I[order])
+        with det +1 on each side, w unchanged modulo pi/2, and (x2, y2, z2)
+        in the chamber."""
         w = 0.37
-        delta = magic_phases(w, *point)
-        (x2, y2, z2), order, signs, turns = transpile._weyl_reduce(*point)
-        assert 0 <= abs(z2) <= y2 <= x2 <= QUARTER and (x2 < QUARTER or z2 >= 0)
-        delta2 = delta[order] + math.pi / 2 * np.array(turns)
-        assert np.allclose(transpile._GAMMA @ delta2, [w, x2, y2, z2], atol=1e-12)
-        p = np.eye(4)[:, order] * signs
-        t = np.diag((-1j) ** np.array(turns))
-        rebuilt = p @ np.diag(np.exp(1j * delta2)) @ np.diag(signs) @ t @ np.eye(4)[order]
-        assert max_abs(rebuilt - np.diag(np.exp(1j * delta))) < 1e-12
-        assert np.prod(signs) * np.linalg.det(np.eye(4)[:, order]) == 1.0
+        w2, x2, y2, z2 = check_weyl_sort(magic_phases(w, *point))
+        assert math.remainder(w2 - w, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        assert 0 <= abs(z2) <= y2 + 1e-12 <= x2 + 2e-12 <= QUARTER + 3e-12
+        assert x2 < QUARTER - transpile._WEYL_TOL or z2 >= -1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(magic_phase_draws())
+    def test_sort_finds_the_brute_force_chamber_point(self, delta):
+        """The sorted point is, within 1e-12, one of the chamber points a
+        search over all orders and even pi counts finds, and every such
+        point lies within a few _WEYL_TOL of it."""
+        _, *xyz = check_weyl_sort(delta)
+        distances = np.abs(chamber_oracle(delta) - xyz).max(axis=1)
+        assert distances.min() < 1e-12
+        assert distances.max() < 4 * transpile._WEYL_TOL
+
+    @pytest.mark.parametrize(
+        "point", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.3, 0.2, 0.2), (0.3, 0.3, 0.1)]
+    )
+    def test_near_tie_order_ignores_rounding(self, point):
+        """Phases tied up to rounding (the faces y = z = 0, y = z and x = y)
+        rank in index order, so noise far below _WEYL_TOL leaves the order
+        and both sign vectors as they are."""
+        delta = magic_phases(0.37, *point)
+        _, order, signs, flips = transpile._weyl_sort(delta)
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            noisy = delta + rng.uniform(-1e-13, 1e-13, 4)
+            _, order2, signs2, flips2 = transpile._weyl_sort(noisy)
+            assert order2 == order
+            assert signs2.tolist() == signs.tolist() and flips2.tolist() == flips.tolist()
 
     @staticmethod
     def check_kak_identity(u):

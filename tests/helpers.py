@@ -1,7 +1,7 @@
 """Shared generators for the test suite: seeded Hermitian and Haar samples,
 numpy rotation matrices as oracles for the transpiler's scalar forms, the
-classical imaginary-time propagator, and the renormalizing repetition loop that
-spectral_run evaluates in closed form."""
+classical imaginary-time propagator, and the renormalizing repetition loop
+that spectral_run evaluates in closed form."""
 
 import math
 

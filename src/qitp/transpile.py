@@ -26,10 +26,10 @@ The interaction comes from one table of local pairs, one CZ between each
 two (:func:`_interaction_blocks`). Tolerances are module constants; no
 function takes an ``atol``.
 
-Every one-qubit factor from its kron split to the Euler step, and every
-gate run that ``circuit_unitary`` multiplies before applying, is a
-row-major tuple ``(a, b, c, d)`` of Python complex scalars: at 2x2 a numpy
-call costs more than the arithmetic it does.
+Every one-qubit factor from :func:`kak_decompose`'s synthesis table to the
+Euler step, and every gate run that ``circuit_unitary`` multiplies before
+applying, is a row-major tuple ``(a, b, c, d)`` of Python complex scalars:
+at 2x2 a numpy call costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -317,46 +317,37 @@ def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
 
     Works because the real and imaginary parts of a symmetric unitary
     commute; a deterministic sweep of mixing angles dodges accidental
-    degeneracies of any single combination.
+    degeneracies of any single combination. A mix is kept once P^T g P is
+    off-diagonal below 1e-13, since the KAK identity's error follows that.
     """
     for j in range(40):
         t = 0.785398163 + 0.437561 * j
-        w, p = np.linalg.eigh(math.cos(t) * g.real + math.sin(t) * g.imag)
+        p = np.linalg.eigh(math.cos(t) * g.real + math.sin(t) * g.imag)[1]
         d = p.T @ g @ p
-        if max_abs(d - np.diag(np.diag(d))) < 1e-11:
+        if max_abs(d - np.diag(np.diag(d))) < 1e-13:
             if np.linalg.det(p) < 0:
-                p = p.copy()
                 p[:, 0] = -p[:, 0]
             return p
     raise FidelityShortfall("failed to diagonalize the magic-basis Gram matrix")
 
 
-_KRON_INDEX = tuple(
-    (4 * r + c, 2 * (r >> 1) + (c >> 1), 2 * (r & 1) + (c & 1)) for r in range(4) for c in range(4)
-)
+def _kron_factor(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
+    """Split m = g * (f0 (x) f1) with unit-determinant 2x2 factors.
 
-
-def _kron_factor(m: np.ndarray) -> tuple[complex, tuple, tuple]:
-    """Split m = g * (f0 (x) f1) with unit-determinant 2x2 factors, returned
-    as row-major scalar tuples."""
-    flat = m.ravel().tolist()
-    mags = list(map(abs, flat))
-    a, b = divmod(mags.index(max(mags)), 4)
-    f0, f1 = [0j] * 4, [0j] * 4
-    for i in (0, 1):
-        for j in (0, 1):
-            f0[2 * ((a >> 1) ^ i) + ((b >> 1) ^ j)] = flat[4 * (a ^ (i << 1)) + (b ^ (j << 1))]
-            f1[2 * ((a & 1) ^ i) + ((b & 1) ^ j)] = flat[4 * (a ^ i) + (b ^ j)]
+    The realigned r[2i+j, 2k+l] = m[2i+k, 2j+l] is g * vec(f0) vec(f1)^T
+    exactly when m is such a product (Van Loan & Pitsianis, 1993), so f0 is
+    the column and f1 the row of r through its largest entry."""
+    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    a, b = divmod(int(np.argmax(np.abs(r))), 4)
+    f0, f1 = r[:, b], r[a]
     det0, det1 = _det2(f0), _det2(f1)
     if abs(det0) < 1e-12 or abs(det1) < 1e-12:
         raise FidelityShortfall("kron factor extraction hit a singular block")
-    r0, r1 = cmath.sqrt(det0), cmath.sqrt(det1)
-    f0 = tuple(v / r0 for v in f0)
-    f1 = tuple(v / r1 for v in f1)
-    g = flat[4 * a + b] / (f0[2 * (a >> 1) + (b >> 1)] * f1[2 * (a & 1) + (b & 1)])
-    if max(abs(flat[k] - g * (f0[i] * f1[j])) for k, i, j in _KRON_INDEX) > 1e-9:
+    f0, f1 = f0 / cmath.sqrt(det0), f1 / cmath.sqrt(det1)
+    g = r[a, b] / (f0[a] * f1[b])
+    if max_abs(r - g * np.outer(f0, f1)) > 1e-9:
         raise FidelityShortfall("matrix is not a kron product of 2x2 blocks")
-    return g, f0, f1
+    return g, f0.reshape(2, 2), f1.reshape(2, 2)
 
 
 _ROWS = np.arange(4)
@@ -434,7 +425,6 @@ def kak_coefficients(u):
     # p[:, order] and o2[order]; take is the cheaper index at 4x4
     g1, a0, a1 = _kron_factor(_MAGIC @ (p.take(order, 1) * signs) @ _MAGIC_DAG)
     g2, b0, b1 = _kron_factor(_MAGIC @ (o2.take(order, 0) * flips[:, None]) @ _MAGIC_DAG)
-    a0, a1, b0, b1 = np.array((a0, a1, b0, b1)).reshape(4, 2, 2)
     total = det_phase + w + cmath.phase(g1 * g2)
     return total, (a0, a1), (x, y, z), (b0, b1)
 

@@ -32,7 +32,7 @@ def _scale(old: str, factor: float):
     return _replace(old, repr(float(old) * factor))
 
 
-_ANGLE = "1.9673135061714979"  # an rx angle of transpile-hydrogen/h.qasm
+_ANGLE = "1.9673135061714984"  # an rx angle of transpile-hydrogen/h.qasm
 
 # (mutation, case, file, edit, whether compare must report it)
 MUTATIONS = [

@@ -322,7 +322,7 @@ def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
     """
     for j in range(40):
         t = 0.785398163 + 0.437561 * j
-        p = np.linalg.eigh(math.cos(t) * g.real + math.sin(t) * g.imag)[1]
+        w, p = np.linalg.eigh(math.cos(t) * g.real + math.sin(t) * g.imag)
         d = p.T @ g @ p
         if max_abs(d - np.diag(np.diag(d))) < 1e-13:
             if np.linalg.det(p) < 0:

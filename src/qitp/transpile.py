@@ -318,13 +318,17 @@ def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
     Works because the real and imaginary parts of a symmetric unitary
     commute; a deterministic sweep of mixing angles dodges accidental
     degeneracies of any single combination. A mix is kept once P^T g P is
-    off-diagonal below 1e-13, since the KAK identity's error follows that.
+    off-diagonal below 1e-13, since the KAK identity's error follows that,
+    or below 4x g's unitarity defect if larger: the parts of a g that is
+    unitary only within some defect commute only within about as much, and
+    no real P diagonalizes g more closely.
     """
+    tol = max(1e-13, 4.0 * max_abs(g @ g.conj().T - np.eye(4)))
     for j in range(40):
         t = 0.785398163 + 0.437561 * j
         w, p = np.linalg.eigh(math.cos(t) * g.real + math.sin(t) * g.imag)
         d = p.T @ g @ p
-        if max_abs(d - np.diag(np.diag(d))) < 1e-13:
+        if max_abs(d - np.diag(np.diag(d))) < tol:
             if np.linalg.det(p) < 0:
                 p[:, 0] = -p[:, 0]
             return p

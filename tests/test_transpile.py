@@ -552,6 +552,20 @@ class TestKakDecompose:
             assert process_fidelity(u, built) >= 1 - 1e-8
             assert max_abs(built - u) < 1e-7
 
+    @pytest.mark.parametrize("defect", [1e-12, 5e-11])
+    def test_near_unitary_input_compiles(self, defect):
+        """An input that is unitary only within ``defect`` (text with 12
+        digits, a long product of gates) compiles as any input below
+        _UNITARY_TOL must: its Gram matrix diagonalizes only to about that
+        defect, and the KAK core accepts that."""
+        rng = np.random.default_rng(38)
+        for _ in range(30):
+            u = haar_unitary(4, rng)
+            noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            u = u + noise * defect / max_abs(u.conj().T @ noise + noise.conj().T @ u)
+            assert 0.5 * defect < max_abs(u.conj().T @ u - np.eye(4)) < 2 * defect
+            assert process_fidelity(u, circuit_unitary(kak_decompose(u))) >= 1 - 1e-8
+
     def test_coefficients_stable_under_reextraction(self):
         rng = np.random.default_rng(33)
         for _ in range(50):

@@ -318,10 +318,8 @@ def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
     Works because the real and imaginary parts of a symmetric unitary
     commute; a deterministic sweep of mixing angles dodges accidental
     degeneracies of any single combination. A mix is kept once P^T g P is
-    off-diagonal below 1e-13, since the KAK identity's error follows that,
-    or below 4x g's unitarity defect if larger: the parts of a g that is
-    unitary only within some defect commute only within about as much, and
-    no real P diagonalizes g more closely.
+    off-diagonal below 1e-13 or, if larger, 4x g's unitarity defect: the KAK
+    identity's error follows this, and no real P does better on such a g.
     """
     tol = max(1e-13, 4.0 * max_abs(g @ g.conj().T - np.eye(4)))
     for j in range(40):
@@ -343,11 +341,10 @@ def _kron_factor(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
     the column and f1 the row of r through its largest entry."""
     r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     a, b = divmod(int(np.argmax(np.abs(r))), 4)
-    f0, f1 = r[:, b], r[a]
-    det0, det1 = _det2(f0), _det2(f1)
+    det0, det1 = _det2(r[:, b]), _det2(r[a])
     if abs(det0) < 1e-12 or abs(det1) < 1e-12:
         raise FidelityShortfall("kron factor extraction hit a singular block")
-    f0, f1 = f0 / cmath.sqrt(det0), f1 / cmath.sqrt(det1)
+    f0, f1 = r[:, b] / cmath.sqrt(det0), r[a] / cmath.sqrt(det1)
     g = r[a, b] / (f0[a] * f1[b])
     if max_abs(r - g * np.outer(f0, f1)) > 1e-9:
         raise FidelityShortfall("matrix is not a kron product of 2x2 blocks")

@@ -26,6 +26,7 @@ Hamiltonians round-trip through a small JSON schema; see
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,11 +200,29 @@ def load_hamiltonian(path) -> HermitianOperator:
     (1..64) and finite entries (NaN, Infinity or an integer beyond the float
     range raise ParseError); :func:`eigh` rejects a matrix that is not
     Hermitian within 1e-10 of its largest entry with NonHermitianInput.
+
+    The decode runs with the cyclic garbage collector paused, and the
+    caller's setting is restored on every path. Another thread that enables
+    or disables ``gc`` during a load can have its setting overwritten.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    # A decoded document has no reference cycle: refcounting frees it all, deferring no work.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        units, m = _decode(text)
+    finally:
+        if enabled:
+            gc.enable()
+    return HermitianOperator.from_matrix(m, units=units)
+
+
+def _decode(text: str) -> tuple[str, np.ndarray]:
+    """The units and complex matrix of a Hamiltonian document, checked
+    against the schema as :func:`load_hamiltonian` describes."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
@@ -233,4 +252,4 @@ def load_hamiltonian(path) -> HermitianOperator:
         raise ParseError("matrix entries must be finite")
     if m.shape != (dim, dim):
         raise DimensionError(f"matrix shape {m.shape} does not match dim {dim}")
-    return HermitianOperator.from_matrix(m, units=units)
+    return units, m

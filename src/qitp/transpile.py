@@ -338,16 +338,18 @@ def _kron_factor(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
 
     The realigned r[2i+j, 2k+l] = m[2i+k, 2j+l] is g * vec(f0) vec(f1)^T
     exactly when m is such a product (Van Loan & Pitsianis, 1993), so f0 is
-    the column and f1 the row of r through its largest entry."""
+    the column and f1 the row of r through its largest entry. For invertible
+    factors both are nonzero multiples of vec(f0) and vec(f1), so a singular
+    one rules out such a product as well."""
     r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     a, b = divmod(int(np.argmax(np.abs(r))), 4)
     det0, det1 = _det2(r[:, b]), _det2(r[a])
     if abs(det0) < 1e-12 or abs(det1) < 1e-12:
-        raise FidelityShortfall("kron factor extraction hit a singular block")
+        raise FidelityShortfall("matrix is not a kron product of invertible 2x2 blocks")
     f0, f1 = r[:, b] / cmath.sqrt(det0), r[a] / cmath.sqrt(det1)
     g = r[a, b] / (f0[a] * f1[b])
     if max_abs(r - g * np.outer(f0, f1)) > 1e-9:
-        raise FidelityShortfall("matrix is not a kron product of 2x2 blocks")
+        raise FidelityShortfall("matrix is not a kron product of invertible 2x2 blocks")
     return g, f0.reshape(2, 2), f1.reshape(2, 2)
 
 

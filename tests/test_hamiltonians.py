@@ -1,3 +1,4 @@
+import gc
 import json
 import warnings
 from pathlib import Path
@@ -371,3 +372,59 @@ class TestSerialization:
         save_hamiltonian(op, path)
         reloaded = load_hamiltonian(str(path))
         assert np.array_equal(reloaded.matrix, op.matrix)
+
+
+# (case, document, error the load must raise or None)
+COLLECTOR_CASES = [
+    ("valid", {"dim": 1, "units": "mev", "matrix": [[[1.0, 0.0]]]}, None),
+    ("invalid JSON", "{not json", ParseError),
+    ("three-element entry", {"dim": 1, "units": "mev", "matrix": [[[1, 0, 5]]]}, ParseError),
+    ("NaN entry", '{"dim": 1, "units": "mev", "matrix": [[[NaN, 0.0]]]}', ParseError),
+    ("shape mismatch", {"dim": 3, "units": "mev", "matrix": [[[1.0, 0.0]]]}, DimensionError),
+]
+
+
+class TestCollectorPause:
+    """The decode runs with the cyclic collector paused and puts back the
+    caller's setting; each test restores the setting it found."""
+
+    def test_dim64_loads_set_off_no_collection(self, tmp_path):
+        rng = np.random.default_rng(64)
+        m = random_hermitian(64, rng)
+        # compact, as the benchmark writes its inputs
+        path = saved(tmp_path, {"dim": 64, "units": "mev",
+                                "matrix": [[[z.real, z.imag] for z in row] for row in m.tolist()]})
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            for _ in range(3):
+                load_hamiltonian(path)
+        finally:
+            gc.callbacks.remove(record)
+            if not was_enabled:
+                gc.disable()
+        assert generations == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("doc, error", [c[1:] for c in COLLECTOR_CASES],
+                             ids=[c[0] for c in COLLECTOR_CASES])
+    def test_setting_is_restored(self, tmp_path, doc, error, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                load_hamiltonian(saved(tmp_path, doc))
+            else:
+                with pytest.raises(error):
+                    load_hamiltonian(saved(tmp_path, doc))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()

@@ -391,9 +391,10 @@ class TestScalarKernels:
         assert max_abs(rebuilt - m) <= 1e-15
 
     @pytest.mark.parametrize("m, message", [
-        (CNOT, "singular block"),  # the column through its top entry is |0><0|
-        (np.zeros((4, 4)), "singular block"),
-        (CZ, "not a kron product"),
+        # the singular-block guard: CNOT's column through its top entry is |0><0|
+        (CNOT, "not a kron product of invertible 2x2 blocks"),
+        (np.zeros((4, 4)), "not a kron product of invertible 2x2 blocks"),
+        (CZ, "not a kron product of invertible 2x2 blocks"),  # the product guard
     ], ids=["cnot", "zero", "cz"])
     def test_kron_factor_rejects_non_products(self, m, message):
         with pytest.raises(FidelityShortfall, match=message):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -197,9 +198,10 @@ def load_hamiltonian(path) -> HermitianOperator:
 
     ``path`` is a path, whatever its characters; an unreadable file or
     invalid JSON raises ParseError. Validates the schema, the dimension range
-    (1..64) and finite entries (NaN, Infinity or an integer beyond the float
-    range raise ParseError); :func:`eigh` rejects a matrix that is not
-    Hermitian within 1e-10 of its largest entry with NonHermitianInput.
+    (1..64) and finite numeric entries (NaN, Infinity, ``true``, ``false`` or
+    an integer beyond the float range raise ParseError); :func:`eigh` rejects
+    a matrix that is not Hermitian within 1e-10 of its largest entry with
+    NonHermitianInput.
 
     The decode runs with the cyclic garbage collector paused, and the
     caller's setting is restored on every path. Another thread that enables
@@ -248,6 +250,10 @@ def _decode(text: str) -> tuple[str, np.ndarray]:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
     except OverflowError as exc:  # an integer literal beyond the float range
         raise ParseError("matrix entries must be finite") from exc
+    # complex() takes true and false as 1 and 0; only a text that spells one is scanned
+    entries = chain.from_iterable(chain.from_iterable(rows))
+    if ("true" in text or "false" in text) and bool in set(map(type, entries)):
+        raise ParseError("matrix entries must be numbers, not true or false")
     if not np.all(np.isfinite(m)):
         raise ParseError("matrix entries must be finite")
     if m.shape != (dim, dim):

@@ -72,19 +72,15 @@ def _finite_state(psi) -> np.ndarray:
 
 def normalized_state(psi) -> np.ndarray:
     """Validate and return a unit-norm copy of a state vector: any finite one
-    with a nonzero entry. Where the squared norm would leave the normal
-    float range, the vector is first divided by its largest part."""
-    v = _finite_state(psi)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v)
-    if not 1e-150 < norm < 1e150:
-        parts = v.view(float)
-        scale = np.abs(parts).max(initial=0.0)
-        if scale == 0.0:
-            raise InvalidDistribution("state vector is empty or zero")
-        v = (parts / scale).view(complex)  # a real division: 1 / scale may overflow
-        norm = np.linalg.norm(v)
-    return v / norm
+    with a nonzero entry. It is first scaled by the power of two that brings
+    its largest part into [0.5, 1): exact, and the norm cannot overflow, so
+    power-of-two multiples of a state with normal entries give the same bits."""
+    parts = _finite_state(psi).view(float)
+    scale = np.abs(parts).max(initial=0.0)
+    if scale == 0.0:
+        raise InvalidDistribution("state vector is empty or zero")
+    v = np.ldexp(parts, -np.frexp(scale)[1]).view(complex)
+    return v / np.linalg.norm(v)
 
 
 def extend_with_ancilla(psi) -> np.ndarray:
@@ -204,13 +200,10 @@ class NoiseParams:
     readout_flip: float = 0.0
 
     def __post_init__(self):
-        g, lam, eps = self.amplitude_damping, self.dephasing, self.readout_flip
-        if not (_is_finite_real(g) and 0.0 <= g <= 1.0):
-            raise ValueError("amplitude_damping must be in [0, 1]")
-        if not (_is_finite_real(lam) and 0.0 <= lam <= 1.0):
-            raise ValueError("dephasing must be in [0, 1]")
-        if not (_is_finite_real(eps) and 0.0 <= eps <= 0.5):
-            raise ValueError("readout_flip must be in [0, 0.5]")
+        for name, top in (("amplitude_damping", 1), ("dephasing", 1), ("readout_flip", 0.5)):
+            value = getattr(self, name)
+            if not (_is_finite_real(value) and 0.0 <= value <= top):
+                raise ValueError(f"{name} must be in [0, {top}]")
 
 
 def apply_channel(rho, noise: NoiseParams) -> np.ndarray:
@@ -272,8 +265,7 @@ def readout_confusion(probs, flip: float) -> np.ndarray:
     DimensionMismatch for an odd length, and InvalidDistribution for a NaN,
     infinite or negative probability, or for no weight left to renormalize.
     """
-    if not (_is_finite_real(flip) and 0.0 <= flip <= 0.5):
-        raise ValueError("readout_flip must be in [0, 0.5]")
+    NoiseParams(readout_flip=flip)  # checks the flip
     p = np.asarray(probs, dtype=float).ravel()
     if not (np.isfinite(p).all() and (p >= 0.0).all()):
         raise InvalidDistribution("probabilities must be finite and non-negative")

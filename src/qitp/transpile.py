@@ -509,8 +509,7 @@ def kak_decompose(u) -> Circuit:
     fidelity = abs(overlap) / 4.0
     if fidelity < 1.0 - 1e-8:
         raise FidelityShortfall(f"synthesis fidelity {fidelity!r}")
-    object.__setattr__(circuit, "global_phase", cmath.phase(overlap))
-    return circuit
+    return Circuit(2, circuit.gates, cmath.phase(overlap))
 
 
 # ---------------------------------------------------------------------------

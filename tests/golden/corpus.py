@@ -49,6 +49,7 @@ _H3 = {
     ],
 }
 _BIG = '{"dim": 1, "units": "dimensionless", "matrix": [[[1%s, 0]]]}' % ("0" * 400)
+_BOOL = '{"dim": 2, "units": "mev", "matrix": [[[true, false], [0.5, 0]], [[0.5, 0], [false, false]]]}'
 _NOISY = ["run", "--ham", "two-neutron", "--tau", "1", "--et", "frac:0.9",
           "--noise", "0.1,0.05,0.02", "--reps", "3"]
 
@@ -123,6 +124,10 @@ CASES = {
     # an integer literal beyond the float range is a configuration error
     "run-huge-integer-entry": ({"big.json": _BIG}, [
         ["run", "--ham", "big.json", "--tau", "1", "--out", "o.json"],
+    ]),
+    # JSON true and false are not numbers, although complex() takes them
+    "run-bool-entry": ({"bool.json": _BOOL}, [
+        ["run", "--ham", "bool.json", "--tau", "1", "--out", "o.json"],
     ]),
     "sweep-zero-fraction": ({}, [
         ["sweep-et", "--ham", "hydrogen", "--fractions", "0", "--out", "z.csv"],

@@ -538,13 +538,24 @@ class TestTranspileCommand:
         rc = run_cli("transpile", "--ham", "hydrogen", "--tau", 60, "--et", "auto", "--out", out)
         assert rc == 0
         report = json.loads((tmp_path / "c.qasm.report.json").read_text())
-        assert report["cz_count"] <= 3
+        assert report["cz_count"] == 2
+        assert report["gate_count"] <= 13
         assert report["fidelity"] >= 1 - 1e-8
         circuit = parse_circuit_text(out.read_text())
         state = circuit_unitary(circuit) @ np.array([1, 1, 0, 0]) / np.sqrt(2)
         probs = np.abs(state) ** 2
         want = np.array([0.00357, 0.17678, 0.53561, 0.28403])
         assert np.max(np.abs(probs - want)) < 5e-3
+
+    def test_report_path_option(self, tmp_path):
+        default, chosen = tmp_path / "default", tmp_path / "chosen"
+        for folder in (default, chosen):
+            folder.mkdir()
+        argv = ("transpile", "--ham", "hydrogen", "--tau", 60, "--et", "auto")
+        assert run_cli(*argv, "--out", default / "c.qasm") == 0
+        assert run_cli(*argv, "--out", chosen / "c.qasm", "--report", chosen / "r.json") == 0
+        assert (chosen / "r.json").read_text() == (default / "c.qasm.report.json").read_text()
+        assert sorted(p.name for p in chosen.iterdir()) == ["c.qasm", "r.json"]
 
     def test_wrong_dimension_exit_code(self, tmp_path, capsys):
         ham = tmp_path / "one.json"

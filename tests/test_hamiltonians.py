@@ -329,6 +329,14 @@ class TestSerialization:
         missing = tmp_path / "missing.json"
         with pytest.raises(ParseError):
             load_hamiltonian(missing)
+        # complex(True, False) is 1+0j: JSON true and false are not numbers here
+        for entry in ([True, 0.0], [0.5, False]):
+            doc = {"dim": 1, "units": "mev", "matrix": [[entry]]}
+            with pytest.raises(ParseError, match="not true or false"):
+                load_hamiltonian(saved(tmp_path, doc))
+        # the words elsewhere in the document do not reject numeric entries
+        doc = {"dim": 1, "units": "mev", "matrix": [[[1, 0]]], "provenance": {"true": False}}
+        assert load_hamiltonian(saved(tmp_path, doc)).matrix[0, 0] == 1.0
         # json.loads accepts these literals; they must fail before the
         # Hermiticity check (which would warn on NaN arithmetic).
         for bad in ("NaN", "Infinity", "-Infinity"):
@@ -380,6 +388,7 @@ COLLECTOR_CASES = [
     ("invalid JSON", "{not json", ParseError),
     ("three-element entry", {"dim": 1, "units": "mev", "matrix": [[[1, 0, 5]]]}, ParseError),
     ("NaN entry", '{"dim": 1, "units": "mev", "matrix": [[[NaN, 0.0]]]}', ParseError),
+    ("false entry", '{"dim": 1, "units": "mev", "matrix": [[[1.0, false]]]}', ParseError),
     ("shape mismatch", {"dim": 3, "units": "mev", "matrix": [[[1.0, 0.0]]]}, DimensionError),
 ]
 

@@ -155,6 +155,26 @@ class TestNormalizedState:
         v = random_state(dim, np.random.default_rng(seed))
         assert max_abs(normalized_state(10.0**log_s * v) - normalized_state(v)) <= 1e-15
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 64), st.booleans(), st.booleans(),
+        st.integers(-1000, 1000),
+    )
+    def test_power_of_two_multiples_give_the_same_bytes(self, seed, dim, real, zero, k):
+        rng = np.random.default_rng(seed)
+        v = random_state(dim, rng)
+        if real:
+            v = v.real.astype(complex)
+        if zero:
+            v[rng.integers(dim)] = 0.0
+        parts = v.view(float)
+        nonzero = parts != 0.0
+        assume(nonzero.any())
+        # |parts| <= 1, so 2**k parts stays finite; every entry stays normal
+        assume(np.abs(parts[nonzero]).min() * 2.0 ** min(k, 0) >= np.finfo(float).tiny)
+        scaled = np.ldexp(parts, k).view(complex)
+        assert normalized_state(scaled).tobytes() == normalized_state(v).tobytes()
+
     def test_extreme_and_tiny_states(self):
         assert np.array_equal(normalized_state([1e308, 1e308]), normalized_state([1.0, 1.0]))
         assert max_abs(normalized_state(1e-13 * np.array([0.6, 0.8])) - [0.6, 0.8]) <= 1e-15

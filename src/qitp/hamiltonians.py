@@ -227,7 +227,7 @@ def _decode(text: str) -> tuple[str, np.ndarray]:
     against the schema as :func:`load_hamiltonian` describes."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge integer, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("Hamiltonian document must be a JSON object")
@@ -250,9 +250,12 @@ def _decode(text: str) -> tuple[str, np.ndarray]:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
     except OverflowError as exc:  # an integer literal beyond the float range
         raise ParseError("matrix entries must be finite") from exc
-    # complex() takes true and false as 1 and 0; only a text that spells one is scanned
+    # complex() takes true and false as 1 and 0. The key units puts a u in the
+    # text, escaped or not, so a true literal needs a second u and a false one
+    # an f; only a text with either is scanned.
     entries = chain.from_iterable(chain.from_iterable(rows))
-    if ("true" in text or "false" in text) and bool in set(map(type, entries)):
+    spells_bool = "f" in text or text.find("u", text.find("u") + 1) >= 0
+    if spells_bool and bool in set(map(type, entries)):
         raise ParseError("matrix entries must be numbers, not true or false")
     if not np.all(np.isfinite(m)):
         raise ParseError("matrix entries must be finite")

@@ -11,6 +11,13 @@ near-equal eigenvalues only the invariant subspace is well determined, not
 its basis; results meant to be basis-free (matrix functions, the ground
 eigenspace weight) depend only on the cluster. Tolerances scale with
 ``max_abs(H)``: the constants below are their values at ``max_abs(H) = 1``.
+
+:func:`eigh` solves H scaled by the power of two that brings its largest
+real or imaginary part into [0.5, 1), as :func:`qitp.simulate.normalized_state`
+scales states, and scales the eigenvalues back. Power-of-two scaling is
+exact, so the solver never sees a matrix outside its safe range, and
+``2**k * H`` gives the same eigenvectors and ``2**k`` times the same
+eigenvalues, bit for bit, while every entry and eigenvalue stays normal.
 """
 
 from __future__ import annotations
@@ -58,6 +65,15 @@ def _is_finite_real(x) -> bool:
         return False
 
 
+def _power_of_two_scaled(a) -> tuple[np.ndarray, int]:
+    """A complex array times ``2**-e`` and e, the frexp exponent of its largest
+    real or imaginary part, so that part lands in [0.5, 1); e is 0 for an
+    array of zeros. Exact unless a part falls below the normal range."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    e = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
+    return np.ldexp(parts, -e).view(complex), e
+
+
 def _apply_1q(m: np.ndarray, t: np.ndarray, qubit: int) -> np.ndarray:
     """Apply the 2x2 matrix ``m`` to bit ``qubit`` of the first index of ``t``.
 
@@ -90,7 +106,8 @@ def _ground_cluster_end(eigenvalues: np.ndarray, scale: float) -> int:
     matrix, a single level) is one cluster.
     """
     w = np.asarray(eigenvalues)
-    gaps = np.diff(w) > DEGENERACY_TOL * np.maximum(scale, np.abs(w[:-1]))
+    with np.errstate(over="ignore"):  # a span beyond the float range is an infinite gap
+        gaps = np.diff(w) > DEGENERACY_TOL * np.maximum(scale, np.abs(w[:-1]))
     # a sentinel gap after the last value ends the cluster there
     return int(np.argmax(np.append(gaps, True))) + 1
 
@@ -104,9 +121,11 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     cluster of near-equal eigenvalues the basis is the solver's, so only
     sums over the cluster are basis-free.
 
-    Raises NonHermitianInput if the symmetry check fails and NoConvergence
-    if the underlying solver breaks down. The Hermiticity and reconstruction
-    tolerances are relative to ``max_abs(matrix)``.
+    Raises NonHermitianInput if the symmetry check fails, NoConvergence
+    if the underlying solver breaks down, and NonFiniteFunctionValue for a
+    spectrum beyond the float range. The Hermiticity and reconstruction
+    tolerances are relative to ``max_abs(matrix)``; both checks and the
+    solver run on the power-of-two scaled matrix (module docstring).
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -117,6 +136,7 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
         )
     if not np.all(np.isfinite(m)):
         raise NonHermitianInput("matrix has non-finite entries")
+    m, e = _power_of_two_scaled(m)
     scale = max_abs(m)
     if max_abs(m - m.conj().T) > HERMITICITY_TOL * scale:
         raise NonHermitianInput(
@@ -130,6 +150,10 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     v = _fix_eigenvector_phases(v)
     if max_abs((v * w) @ v.conj().T - sym) > RECONSTRUCTION_TOL * scale:
         raise NoConvergence("spectral reconstruction error exceeds tolerance")
+    with np.errstate(over="ignore"):
+        w = np.ldexp(w, e)
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteFunctionValue("spectrum exceeds the float range")
     return w, v
 
 

@@ -48,7 +48,14 @@ from .errors import (
     NonRealExpectation,
     PostselectionImpossible,
 )
-from .linalg import HermitianOperator, _apply_1q, _ground_cluster_end, _is_finite_real, max_abs
+from .linalg import (
+    HermitianOperator,
+    _apply_1q,
+    _ground_cluster_end,
+    _is_finite_real,
+    _power_of_two_scaled,
+    max_abs,
+)
 
 POSTSELECT_FLOOR = 1e-14
 
@@ -75,11 +82,9 @@ def normalized_state(psi) -> np.ndarray:
     with a nonzero entry. It is first scaled by the power of two that brings
     its largest part into [0.5, 1): exact, and the norm cannot overflow, so
     power-of-two multiples of a state with normal entries give the same bits."""
-    parts = _finite_state(psi).view(float)
-    scale = np.abs(parts).max(initial=0.0)
-    if scale == 0.0:
+    v = _power_of_two_scaled(_finite_state(psi))[0]
+    if not v.any():
         raise InvalidDistribution("state vector is empty or zero")
-    v = np.ldexp(parts, -np.frexp(scale)[1]).view(complex)
     return v / np.linalg.norm(v)
 
 
@@ -380,13 +385,16 @@ def spectral_run(
         p0 = np.where(failed, p0_1, kept.sum(axis=1))
         weights = np.where(failed[:, None], np.nan, kept / p0[:, None])
     ground_end = _ground_cluster_end(w, max_abs(op.matrix))
+    # <H> over the spectrum as eigh scaled it, so no term underflows at any scale of H
+    e = _power_of_two_scaled(op.matrix)[1]
+    energy = np.ldexp(weights @ np.ldexp(w, -e), e)
     ext = None
     if extended:
         a = np.sqrt(entering) * np.exp(1j * np.angle(c))
         r = filter_profile(-w, taus, -ets)
         ext = np.concatenate([(np.sqrt(h2) * a) @ v.T, (r * a) @ v.T], axis=1)
         ext = np.where(failed[:, None], np.nan, np.abs(ext) ** 2)
-    return SpectralRows(p0, weights @ w, weights[:, :ground_end].sum(axis=1), failed, ext)
+    return SpectralRows(p0, energy, weights[:, :ground_end].sum(axis=1), failed, ext)
 
 
 def _postselection_failed(rep: int, p0: float) -> PostselectionImpossible:
@@ -419,7 +427,8 @@ def _run_density(op, params, psi0, repetitions, noise):
         rho = kept / p0
     dropped = (1 - g) * np.diag(channel(lost))
     extended_probs = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
-    energy = float(np.real(np.sum(rho * op.matrix.T)))
+    h, e = _power_of_two_scaled(op.matrix)  # as in spectral_run: no term underflows
+    energy = float(np.ldexp(np.real(np.sum(rho * h.T)), e))
     return extended_probs, energy
 
 

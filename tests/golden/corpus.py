@@ -50,6 +50,7 @@ _H3 = {
 }
 _BIG = '{"dim": 1, "units": "dimensionless", "matrix": [[[1%s, 0]]]}' % ("0" * 400)
 _BOOL = '{"dim": 2, "units": "mev", "matrix": [[[true, false], [0.5, 0]], [[0.5, 0], [false, false]]]}'
+_DEEP = "[" * 10_000
 _NOISY = ["run", "--ham", "two-neutron", "--tau", "1", "--et", "frac:0.9",
           "--noise", "0.1,0.05,0.02", "--reps", "3"]
 
@@ -128,6 +129,10 @@ CASES = {
     # JSON true and false are not numbers, although complex() takes them
     "run-bool-entry": ({"bool.json": _BOOL}, [
         ["run", "--ham", "bool.json", "--tau", "1", "--out", "o.json"],
+    ]),
+    # nesting past the recursion limit is invalid JSON, not a traceback
+    "run-deep-nesting": ({"deep.json": _DEEP}, [
+        ["run", "--ham", "deep.json", "--tau", "1", "--out", "o.json"],
     ]),
     "sweep-zero-fraction": ({}, [
         ["sweep-et", "--ham", "hydrogen", "--fractions", "0", "--out", "z.csv"],

@@ -629,6 +629,49 @@ class TestExtremeTrialEnergies:
         assert rows[1].split(",")[3:] == ["0.0", "", "", "1"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExtremeHamiltonians:
+    """diag(1.7e308, -1.7e308): every entry is finite, the spectral span is
+    not. The solver sees H scaled by a power of two, so only a spectrum
+    beyond the float range is an error."""
+
+    COMMANDS = (
+        ("run", "--tau", 1, "--out", "r.json"),
+        ("run", "--tau", 1, "--noise", "0.1,0.05,0.02", "--reps", 3, "--out", "n.json"),
+        ("sweep-et", "--out", "s.csv"),
+        ("transpile", "--tau", 1, "--out", "c.qasm"),
+    )
+
+    def run_all(self, tmp_path, capsys, offdiagonal):
+        ham = tmp_path / "h.json"
+        big = [[[1.7e308, 0.0], [offdiagonal, 0.0]], [[offdiagonal, 0.0], [-1.7e308, 0.0]]]
+        ham.write_text(json.dumps({"dim": 2, "units": "dimensionless", "matrix": big}))
+        results = []
+        for command, *flags, out in self.COMMANDS:
+            rc = run_cli(command, "--ham", ham, *flags, tmp_path / out)
+            results.append((rc, capsys.readouterr().err))
+        return results
+
+    def test_span_beyond_the_float_range(self, tmp_path, capsys):
+        overflow = "error: fraction 1.1 times E0 = -1.7e+308 overflows\n"
+        results = self.run_all(tmp_path, capsys, 0.0)
+        assert results == [(0, ""), (0, ""), (2, overflow), (0, "")]
+        # the filter keeps only the ground level, basis state 1
+        pure = json.loads((tmp_path / "r.json").read_text())
+        assert pure["energy"] == -1.7e308
+        assert pure["normalized_probs"] == {"0": 0.0, "1": 1.0}
+        noisy = json.loads((tmp_path / "n.json").read_text())
+        assert -1.7e308 < noisy["energy"] < 0.0
+        report = json.loads((tmp_path / "c.qasm.report.json").read_text())
+        assert report["fidelity"] >= 1 - 1e-8
+
+    def test_spectrum_beyond_the_float_range(self, tmp_path, capsys):
+        # eigenvalues +-1.97e308
+        results = self.run_all(tmp_path, capsys, 1e308)
+        assert results == [(2, "error: spectrum exceeds the float range\n")] * 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
+
+
 class TestExtremeAmplitudes:
     # a fresh process, default warning filters: a numpy warning would reach stderr
     @pytest.mark.parametrize("scale", ["1e308", "1e-200"])

@@ -334,6 +334,13 @@ class TestSerialization:
             doc = {"dim": 1, "units": "mev", "matrix": [[entry]]}
             with pytest.raises(ParseError, match="not true or false"):
                 load_hamiltonian(saved(tmp_path, doc))
+        # units spelled with an escape holds one u, so a true entry adds the second
+        text = '{"dim": 1, "\\u0075nits": "mev", "matrix": [[[true, 0.0]]]}'
+        with pytest.raises(ParseError, match="not true or false"):
+            load_hamiltonian(saved(tmp_path, text))
+        # nesting past the recursion limit is invalid JSON, not a RecursionError
+        with pytest.raises(ParseError, match="invalid JSON: maximum recursion depth"):
+            load_hamiltonian(saved(tmp_path, "[" * 10_000))
         # the words elsewhere in the document do not reject numeric entries
         doc = {"dim": 1, "units": "mev", "matrix": [[[1, 0]]], "provenance": {"true": False}}
         assert load_hamiltonian(saved(tmp_path, doc)).matrix[0, 0] == 1.0
@@ -389,6 +396,7 @@ COLLECTOR_CASES = [
     ("three-element entry", {"dim": 1, "units": "mev", "matrix": [[[1, 0, 5]]]}, ParseError),
     ("NaN entry", '{"dim": 1, "units": "mev", "matrix": [[[NaN, 0.0]]]}', ParseError),
     ("false entry", '{"dim": 1, "units": "mev", "matrix": [[[1.0, false]]]}', ParseError),
+    ("deep nesting", "[" * 10_000, ParseError),
     ("shape mismatch", {"dim": 3, "units": "mev", "matrix": [[[1.0, 0.0]]]}, DimensionError),
 ]
 

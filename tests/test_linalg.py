@@ -8,6 +8,7 @@ from qitp.linalg import (
     PAULI_X,
     PAULI_Z,
     _fix_eigenvector_phases,
+    _ground_cluster_end,
     eigh,
     matrix_function,
     max_abs,
@@ -89,6 +90,29 @@ class TestEigh:
             # same formula per entry; numpy's kernels may round the product
             # differently by an ulp
             assert max_abs(got - want) <= 2 * np.finfo(float).eps
+
+    def test_subnormal_matrices_reconstruct(self):
+        # entries near 2**-1050 keep about 24 bits; the solver sees them scaled
+        # into [0.5, 1), exactly as it sees the same matrix scaled up by 2**1050
+        rng = np.random.default_rng(1050)
+        for _ in range(200):
+            dim = int(rng.integers(2, 6))
+            m = np.ldexp(random_hermitian(dim, rng).view(float), -1050).view(complex)
+            w, v = eigh(m)
+            w_up, v_up = eigh(np.ldexp(m.view(float), 1050).view(complex))
+            assert np.array_equal(v, v_up) and np.array_equal(w, np.ldexp(w_up, -1050))
+            assert max_abs(v.conj().T @ v - np.eye(dim)) < 1e-12
+            # sums of subnormals are exact: each product rounds by half a step
+            assert max_abs((v * w) @ v.conj().T - m) <= 4 * dim * 2.0**-1074
+
+    def test_extreme_spectra(self):
+        # a span beyond the float range is still ascending; a spectrum beyond it is rejected
+        w, v = eigh(np.diag([1.7e308, -1.7e308]))
+        assert np.array_equal(w, [-1.7e308, 1.7e308])
+        assert np.array_equal(np.abs(v), [[0.0, 1.0], [1.0, 0.0]])
+        assert _ground_cluster_end(w, 1.7e308) == 1
+        with pytest.raises(NonFiniteFunctionValue, match="spectrum exceeds the float range"):
+            eigh(np.array([[1.7e308, 1e308], [1e308, -1.7e308]]))
 
     @pytest.mark.parametrize("split", [5e-10, 9e-11])
     def test_eigenvectors_stay_with_their_eigenvalues(self, split):

@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 
@@ -810,6 +811,47 @@ class TestScaleAndShiftCovariance:
         assert abs(got.p0[0] - want.p0[0]) <= 1e-9 * want.p0[0]
         assert abs(got.ground_weight[0] - want.ground_weight[0]) <= 1e-9
         assert abs(got.energy[0] / s - want.energy[0]) <= 1e-9 * max_abs(h)
+
+    @staticmethod
+    def outputs(h, tau, et, psi):
+        """The energies of spectral_run rows and of pure and noisy run_itp
+        records (3 repetitions each), and the bytes of every other field."""
+        op = op_from(h)
+        rows = spectral_run(op, tau, [op.ground_energy, et], psi, 3, extended=True)
+        energies = list(rows.energy)
+        fields = [a.tobytes() for a in (rows.p0, rows.ground_weight, rows.failed, rows.extended)]
+        for noise in (None, NoiseParams(0.1, 0.05, 0.02)):
+            try:
+                r = run_itp(op, ItpParams(tau, et), psi, 3, shots=64, seed=5, noise=noise)
+            except PostselectionImpossible as exc:
+                fields.append((exc.repetition, exc.probability))
+                continue
+            energies.append(r.energy)
+            fields.append(r.postselect_prob)
+            fields += [a.tobytes() for a in (r.extended_probs, r.normalized_probs, r.shot_counts)]
+        return np.array(energies), fields
+
+    @settings(max_examples=100, deadline=None)
+    @given(covariance_cases(), st.data())
+    def test_power_of_two_scale_gives_the_same_bytes(self, case, data):
+        # (2**k H, 2**-k tau, 2**k E_T) for every k that keeps each entry,
+        # eigenvalue, E_T (halved too) and reported energy normal, tau / 2**k
+        # normal, and N max_abs(H) 2**k, which bounds the noisy energy's
+        # partial sums, finite: the energies scale by 2**k, the rest is equal
+        h, psi, tau, offset, _ = case
+        op = op_from(h)
+        et = op.ground_energy + offset
+        energies, fields = self.outputs(h, tau, et, psi)
+        mags = np.abs(np.concatenate([h.view(float).ravel(), op.eigenvalues, [et], energies]))
+        mags = mags[mags > 0]  # NaN, the energy of a failed row, is not > 0
+        f_tau = math.frexp(tau)[1]
+        lo = max(-1020 - math.frexp(mags.min())[1], f_tau - 1023)
+        hi = min(1023 - math.frexp(mags.max())[1] - (len(h) - 1).bit_length(), f_tau + 1021)
+        k = data.draw(st.integers(lo, hi), label="k")
+        scaled = np.ldexp(h.view(float), k).view(h.dtype)
+        got_energies, got = self.outputs(scaled, math.ldexp(tau, -k), math.ldexp(et, k), psi)
+        assert got == fields
+        assert np.ldexp(got_energies, -k).tobytes() == energies.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(covariance_cases(), st.floats(-1e6, 1e6))

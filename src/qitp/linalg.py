@@ -48,7 +48,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def max_abs(m) -> float:
     """Max-entry norm; 0.0 for empty input."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 _BOOLS = (bool, np.bool_)

@@ -34,6 +34,7 @@ ones at float64 comparison speed. Fixed chunks keep memory O(chunk + N).
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .errors import (
     DimensionError,
     DimensionMismatch,
     InvalidDistribution,
+    NonFiniteFunctionValue,
     NonRealExpectation,
     PostselectionImpossible,
 )
@@ -130,17 +132,27 @@ def postselect_ancilla0(state) -> tuple[np.ndarray, float]:
 def energy_expectation(psi, op: HermitianOperator) -> float:
     """Real expectation <psi|H|psi>.
 
-    Raises NonRealExpectation when the imaginary part exceeds
-    ``1e-8 * max_abs(H) * ||psi||^2``, InvalidDistribution for a NaN or
-    infinite amplitude and DimensionMismatch for a state of the wrong size.
+    H and psi are each scaled by a power of two first, as
+    :func:`normalized_state` scales states, and the result is scaled back
+    with ``ldexp``: exact, and neither the sum nor its bound underflows at
+    any scale of H. Raises NonRealExpectation when the imaginary part exceeds
+    ``1e-8 * max_abs(H) * ||psi||^2``, evaluated on the scaled H and psi;
+    NonFiniteFunctionValue when the expectation exceeds the float range;
+    InvalidDistribution for a NaN or infinite amplitude and
+    DimensionMismatch for a state of the wrong size.
     """
     v = _finite_state(psi)
     if v.size != op.dim:
         raise DimensionMismatch(f"state dim {v.size} != operator dim {op.dim}")
-    val = complex(v.conj() @ (op.matrix @ v))
-    if abs(val.imag) > 1e-8 * max_abs(op.matrix) * np.vdot(v, v).real:
-        raise NonRealExpectation(f"imaginary part {val.imag:.3e} too large")
-    return val.real
+    h, e = _power_of_two_scaled(op.matrix)
+    v, f = _power_of_two_scaled(v)
+    val = complex(v.conj() @ (h @ v))
+    if abs(val.imag) > 1e-8 * max_abs(h) * np.vdot(v, v).real:
+        raise NonRealExpectation(f"imaginary part {val.imag:.3e} * 2**{e + 2 * f} too large")
+    try:
+        return math.ldexp(val.real, e + 2 * f)
+    except OverflowError:
+        raise NonFiniteFunctionValue("expectation exceeds the float range") from None
 
 
 def sample_shots(probs, shots: int, seed: int) -> np.ndarray:

@@ -29,7 +29,10 @@ function takes an ``atol``.
 Every one-qubit factor from :func:`kak_decompose`'s synthesis table to the
 Euler step, and every gate run that ``circuit_unitary`` multiplies before
 applying, is a row-major tuple ``(a, b, c, d)`` of Python complex scalars:
-at 2x2 a numpy call costs more than the arithmetic it does.
+at 2x2 a numpy call costs more than the arithmetic it does. The Euler step
+checks its emitted angles against their product rz(g) rx(b) rz(a) written
+in closed form, and the Gram step evaluates its defect-scaled tolerance
+only when a residual is not already below 1e-13; neither changes a gate.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ _GAMMA = np.array(
 ) / 4.0
 
 _TWO_PI, _FOUR_PI = 2 * math.pi, 4 * math.pi
+_EYE = {2: np.eye(2), 4: np.eye(4)}
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 # Row-major scalar 2x2 constants: identity and Hadamard.
 _I2 = (1 + 0j, 0j, 0j, 1 + 0j)
@@ -93,6 +98,21 @@ def _det2(q) -> complex:
     return a * d - b * c
 
 
+def _det4(m: np.ndarray) -> float:
+    """det of a real 4x4 array by Laplace expansion along its top two rows;
+    at 4x4 this costs a third of ``np.linalg.det``, and only its sign is
+    used, on orthogonal matrices."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m.tolist()
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
+
+
 def _overlap2(p, q) -> complex:
     """tr(p^dag q) of two row-major scalar 2x2 tuples."""
     return (p[0].conjugate() * q[0] + p[2].conjugate() * q[2]) + (
@@ -111,6 +131,9 @@ def _unitary_defect2(q) -> float:
     )
 
 
+_set = object.__setattr__  # how a frozen dataclass sets its own fields
+
+
 def _normalize_angle(theta: float) -> float:
     """Fold into (-2*pi, 2*pi]; rotations are 4*pi periodic."""
     theta = math.fmod(theta, _FOUR_PI)
@@ -121,7 +144,7 @@ def _normalize_angle(theta: float) -> float:
     return theta
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Gate:
     """One gate: "rx"/"rz" with an angle on one qubit, or "cz" on a pair.
 
@@ -139,25 +162,30 @@ class Gate:
             raise ValueError(f"unknown gate kind {kind!r}")
         try:
             raw = tuple(qubits)
-            qubits = tuple(map(operator.index, raw))
         except TypeError as exc:
             raise ValueError(f"qubits must be a sequence of ints, got {qubits!r}") from exc
-        if bool in map(type, raw):
-            raise ValueError(f"qubits must be a sequence of ints, got {raw!r}")
+        if len(raw) != (2 if kind == "cz" else 1):
+            raise ValueError("cz needs two distinct qubits" if kind == "cz"
+                             else f"{kind} acts on exactly one qubit")
+        # one or two entries, so the first and the last are all of them
+        if type(raw[0]) is not int or type(raw[-1]) is not int:
+            if bool in map(type, raw):
+                raise ValueError(f"qubits must be a sequence of ints, got {raw!r}")
+            try:
+                raw = tuple(map(operator.index, raw))
+            except TypeError as exc:
+                raise ValueError(f"qubits must be a sequence of ints, got {raw!r}") from exc
         if kind == "cz":
-            if len(qubits) != 2 or qubits[0] == qubits[1]:
+            if raw[0] == raw[1]:
                 raise ValueError("cz needs two distinct qubits")
             if angle is not None:
                 raise ValueError("cz takes no angle")
-        else:
-            if len(qubits) != 1:
-                raise ValueError(f"{kind} acts on exactly one qubit")
+        elif type(angle) is not float or not -_TWO_PI < angle <= _TWO_PI:
             if not _is_finite_real(angle):
                 raise ValueError(f"{kind} needs a finite angle")
             angle = _normalize_angle(angle)
-        _set = object.__setattr__
         _set(self, "kind", kind)
-        _set(self, "qubits", qubits)
+        _set(self, "qubits", raw)
         _set(self, "angle", angle)
 
 
@@ -190,10 +218,12 @@ class Circuit:
         for g in gates:
             if not isinstance(g, Gate):
                 raise ValueError(f"circuit entries must be Gates, got {g!r}")
-            if min(g.qubits) < 0 or max(g.qubits) >= n:
-                raise ValueError(f"gate {g} out of range for {n} qubits")
-        object.__setattr__(self, "qubit_count", n)
-        object.__setattr__(self, "gates", gates)
+        used = {q for g in gates for q in g.qubits}
+        if used and (min(used) < 0 or max(used) >= n):
+            g = next(g for g in gates if min(g.qubits) < 0 or max(g.qubits) >= n)
+            raise ValueError(f"gate {g} out of range for {n} qubits")
+        _set(self, "qubit_count", n)
+        _set(self, "gates", gates)
 
     def cz_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "cz")
@@ -250,7 +280,7 @@ def _check_unitary(u, dim: int) -> np.ndarray:
         raise NotUnitary(f"expected a {dim}x{dim} matrix, got {m.shape}")
     if not np.isfinite(m).all():
         raise NotUnitary("matrix has non-finite entries")
-    defect = max_abs(m.conj().T @ m - np.eye(dim))
+    defect = max_abs(m.conj().T @ m - _EYE[dim])
     if defect >= _UNITARY_TOL:
         raise NotUnitary(f"||U^dag U - I||_max = {defect:.3e}")
     return m
@@ -264,6 +294,17 @@ def _check_unitary2(q) -> None:
     defect = _unitary_defect2(q)
     if defect >= _UNITARY_TOL:
         raise NotUnitary(f"||U^dag U - I||_max = {defect:.3e}")
+
+
+def _euler_product(alpha: float, beta: float, gamma: float) -> tuple:
+    """rz(gamma) rx(beta) rz(alpha) in closed form, as a row-major scalar
+    tuple: cos(beta/2) e^(-+i(alpha+gamma)/2) on the diagonal and
+    -i sin(beta/2) e^(+-i(alpha-gamma)/2) off it."""
+    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    plus, minus = 0.5 * (alpha + gamma), 0.5 * (alpha - gamma)
+    cp, sp = c * math.cos(plus), c * math.sin(plus)
+    cm, sm = s * math.cos(minus), s * math.sin(minus)
+    return complex(cp, -sp), complex(sm, -cm), complex(-sm, -cm), complex(cp, sp)
 
 
 def _euler_1q(q: tuple) -> tuple[list[tuple[str, float]], tuple]:
@@ -287,12 +328,15 @@ def _euler_1q(q: tuple) -> tuple[list[tuple[str, float]], tuple]:
         alpha = plus + minus
         gamma = plus - minus
     steps = []
-    built = _I2
+    kept = []  # the emitted angles, 0 for a dropped one
     for kind, angle in (("rz", alpha), ("rx", beta), ("rz", gamma)):
         angle = _normalize_angle(angle)
         if min(abs(angle), abs(abs(angle) - _TWO_PI)) > 1e-12:
             steps.append((kind, angle))
-            built = _mul2(_rotation(kind, angle), built)
+        else:
+            angle = 0.0
+        kept.append(angle)
+    built = _euler_product(*kept)
     if abs(_overlap2(q, built)) / 2.0 < 1.0 - 1e-10:
         raise FidelityShortfall("single-qubit Euler decomposition missed its target")
     return steps, built
@@ -320,16 +364,22 @@ def _diagonalize_complex_symmetric_unitary(g: np.ndarray) -> np.ndarray:
     degeneracies of any single combination. A mix is kept once P^T g P is
     off-diagonal below 1e-13 or, if larger, 4x g's unitarity defect: the KAK
     identity's error follows this, and no real P does better on such a g.
+    The defect is evaluated only once a residual is not below 1e-13.
     """
-    tol = max(1e-13, 4.0 * max_abs(g @ g.conj().T - np.eye(4)))
+    tol = None
     for j in range(40):
         t = 0.785398163 + 0.437561 * j
         w, p = np.linalg.eigh(math.cos(t) * g.real + math.sin(t) * g.imag)
         d = p.T @ g @ p
-        if max_abs(d - np.diag(np.diag(d))) < tol:
-            if np.linalg.det(p) < 0:
-                p[:, 0] = -p[:, 0]
-            return p
+        residual = max_abs(d[_OFF_DIAGONAL])
+        if not residual < 1e-13:
+            if tol is None:
+                tol = max(1e-13, 4.0 * max_abs(g @ g.conj().T - _EYE[4]))
+            if not residual < tol:
+                continue
+        if _det4(p) < 0:
+            p[:, 0] = -p[:, 0]
+        return p
     raise FidelityShortfall("failed to diagonalize the magic-basis Gram matrix")
 
 
@@ -342,13 +392,13 @@ def _kron_factor(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
     factors both are nonzero multiples of vec(f0) and vec(f1), so a singular
     one rules out such a product as well."""
     r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    a, b = divmod(int(np.argmax(np.abs(r))), 4)
-    det0, det1 = _det2(r[:, b]), _det2(r[a])
+    a, b = divmod(int(np.abs(r).argmax()), 4)
+    det0, det1 = _det2(r[:, b].tolist()), _det2(r[a].tolist())
     if abs(det0) < 1e-12 or abs(det1) < 1e-12:
         raise FidelityShortfall("matrix is not a kron product of invertible 2x2 blocks")
     f0, f1 = r[:, b] / cmath.sqrt(det0), r[a] / cmath.sqrt(det1)
     g = r[a, b] / (f0[a] * f1[b])
-    if max_abs(r - g * np.outer(f0, f1)) > 1e-9:
+    if max_abs(r - g * (f0[:, None] * f1)) > 1e-9:  # f0[:, None] * f1 is np.outer
         raise FidelityShortfall("matrix is not a kron product of invertible 2x2 blocks")
     return g, f0.reshape(2, 2), f1.reshape(2, 2)
 
@@ -415,12 +465,12 @@ def kak_coefficients(u):
     q = p.T @ mb
     # each row of q is a phase times a real row: the phase of the row's
     # largest entry, all four rows in one pass
-    delta = np.angle(q[_ROWS, np.argmax(np.abs(q), axis=1)])
+    delta = np.angle(q[_ROWS, np.abs(q).argmax(axis=1)])
     real = q * np.exp(-1j * delta)[:, None]
     if max_abs(real.imag) > 1e-8:
         raise FidelityShortfall("magic-basis factor is not phase-times-real")
     o2 = real.real
-    if np.linalg.det(o2) < 0:
+    if _det4(o2) < 0:
         o2[0] = -o2[0]
         delta[0] += math.pi
     delta, order, signs, flips = _weyl_sort(delta)

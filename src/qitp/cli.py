@@ -272,7 +272,8 @@ def cmd_transpile(args) -> int:
     u = build_dilation(op, ItpParams(args.tau, trial_energy=et))
     circuit = kak_decompose(u.matrix)
     fidelity = process_fidelity(u.matrix, circuit_unitary(circuit))
-    Path(args.out).write_text(emit_circuit_text(circuit))
+    out = Path(args.out)
+    out.write_text(emit_circuit_text(circuit))
     report = {
         "cz_count": circuit.cz_count(),
         "fidelity": fidelity,
@@ -282,7 +283,11 @@ def cmd_transpile(args) -> int:
         "trial_energy": et,
     }
     report_path = args.report or (args.out + ".report.json")
-    Path(report_path).write_text(json.dumps(report, indent=2) + "\n")
+    try:
+        Path(report_path).write_text(json.dumps(report, indent=2) + "\n")
+    except OSError:
+        out.unlink()  # an error leaves no output behind
+        raise
     return EXIT_OK
 
 

@@ -122,7 +122,8 @@ def hydrogen_sto2g(
     The default "canonical" orthogonalization is the convention of the
     reference tables; "lowdin" gives the symmetric transform (same spectrum,
     rotated basis). Raises ValueError unless there are exactly two exponents
-    and they and the zeta are positive and finite.
+    and they and the zeta are positive and finite, and when ``slater_zeta**2``
+    or an integral of the scaled exponents exceeds the float range.
     """
     try:
         pair = len(exponents) == 2
@@ -134,9 +135,15 @@ def hydrogen_sto2g(
         raise ValueError("exponents must be positive and finite")
     if not (_is_finite_real(slater_zeta) and slater_zeta > 0):
         raise ValueError("slater_zeta must be positive and finite")
-    a = [slater_zeta**2 * e for e in exponents]
-    s = np.array([[gaussian_overlap(x, y) for y in a] for x in a])
-    h_raw = np.array([[gaussian_kinetic(x, y) + gaussian_nuclear(x, y) for y in a] for x in a])
+    try:
+        a = [slater_zeta**2 * e for e in exponents]
+    except OverflowError:
+        raise ValueError("slater_zeta**2 exceeds the float range") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral is rejected below
+        s = np.array([[gaussian_overlap(x, y) for y in a] for x in a])
+        h_raw = np.array([[gaussian_kinetic(x, y) + gaussian_nuclear(x, y) for y in a] for x in a])
+    if not (np.isfinite(s).all() and np.isfinite(h_raw).all()):
+        raise ValueError("scaled exponents too large: an integral exceeds the float range")
     h_orth, x = orthonormalize(h_raw, s, orthogonalization)
     op = HermitianOperator.from_matrix(h_orth, units="hartree")
     return op, s, x
@@ -157,10 +164,12 @@ class SpinCouplings:
         a2 = np.asarray(self.a2, dtype=float)
         if a2.shape != (3, 3):
             raise ValueError(f"a2 must be 3x3, got {a2.shape}")
-        if max_abs(a2 - a2.T) > 1e-12:
-            raise ValueError("a2 must be symmetric within 1e-12")
         if not _is_finite_real(self.a1) or not np.all(np.isfinite(a2)):
             raise ValueError("couplings must be finite")
+        with np.errstate(over="ignore"):  # an infinite difference is still asymmetric
+            asymmetry = max_abs(a2 - a2.T)
+        if asymmetry > 1e-12:
+            raise ValueError("a2 must be symmetric within 1e-12")
         object.__setattr__(self, "a2", a2)
 
 
@@ -169,14 +178,18 @@ def two_neutron_sd(couplings: SpinCouplings) -> HermitianOperator:
 
     Basis order |dd>, |du>, |ud>, |uu> (first spin major). Traceless and
     Hermitian for any valid couplings; ``a1`` alone gives the
-    singlet/triplet split {-3 a1, a1, a1, a1}.
+    singlet/triplet split {-3 a1, a1, a1, a1}. Raises ValueError when an
+    entry of the sum exceeds the float range.
     """
     v = np.zeros((4, 4), dtype=complex)
-    for k in range(3):
-        v += couplings.a1 * np.kron(PAULI_VECTOR[k], PAULI_VECTOR[k])
-    for j in range(3):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is rejected below
         for k in range(3):
-            v += couplings.a2[j, k] * np.kron(PAULI_VECTOR[j], PAULI_VECTOR[k])
+            v += couplings.a1 * np.kron(PAULI_VECTOR[k], PAULI_VECTOR[k])
+        for j in range(3):
+            for k in range(3):
+                v += couplings.a2[j, k] * np.kron(PAULI_VECTOR[j], PAULI_VECTOR[k])
+    if not np.isfinite(v).all():
+        raise ValueError("couplings too large: the interaction exceeds the float range")
     return HermitianOperator.from_matrix(v, units="mev")
 
 

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qitp import cli
 from qitp.cli import main
@@ -736,3 +741,169 @@ class TestBlasThreads:
                 assert (result.returncode, result.stderr) == (0, "")
                 outputs.append((tmp_path / out).read_bytes())
             assert outputs[0] == outputs[1], name
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the corpus's Hamiltonian files, the seeds of the mutated documents below
+CORPUS_HAMILTONIANS = sorted(
+    text for text in (path.read_text() for path in GOLDEN.glob("*/*.json"))
+    if '"matrix"' in text
+)
+# number fields: the extremes and non-numbers named in ROADMAP item 13, and ordinary values
+EXTREMES = ("nan", "inf", "-inf", "-0", "1e400", "-1e400", "1" * 5000, "-" + "9" * 5000,
+            "true", "false", "", "1e308", "-1e308", "1e-320")
+ORDINARY = ("0", "1", "-2", "0.5", "1.2", "2.5", "60")
+RETYPED = (None, True, False, "1", [], {}, 1.5, -1, 0, 10**30, [[1, 2]])
+numbers = st.one_of(st.sampled_from(ORDINARY), st.sampled_from(EXTREMES))
+
+
+def number_lists(count=None):
+    sizes = st.integers(0, 9) if count is None else st.sampled_from((count, count, 0, count + 1))
+    return sizes.flatmap(lambda n: st.lists(numbers, min_size=n, max_size=n)).map(",".join)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A corpus Hamiltonian file with one mutation: a dropped key, a retyped
+    value or entry, a huge number, or deep nesting."""
+    text = draw(st.sampled_from(CORPUS_HAMILTONIANS))
+    doc = json.loads(text)
+    kind = draw(st.sampled_from(("drop", "retype", "entry", "huge", "nest", "dim", "keep", "keep")))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "retype":
+        doc[draw(st.sampled_from(("dim", "units", "matrix")))] = draw(st.sampled_from(RETYPED))
+    elif kind == "entry":
+        row = draw(st.integers(0, len(doc["matrix"]) - 1))
+        col = draw(st.integers(0, len(doc["matrix"][row]) - 1))
+        doc["matrix"][row][col][draw(st.integers(0, 1))] = draw(st.sampled_from(RETYPED))
+    elif kind == "dim":
+        doc["dim"] = draw(st.sampled_from((0, 1, 3, 65, -2)))
+    elif kind == "huge":  # one number's text, as no Python float writes it
+        number = draw(st.sampled_from(("1e400", "-1e400", "1" * 5000, "1.7e308", "5e-324")))
+        text = json.dumps(doc)
+        start = text.index("[[[") + 3
+        end = start + len(text[start:].split(",")[0])
+        return text[:start] + number + text[end:]
+    elif kind == "nest":
+        depth = draw(st.sampled_from((2, 50, 999, 5000)))
+        doc["matrix"] = None
+        return json.dumps(doc).replace("null", "[" * depth + "]" * depth)
+    return json.dumps(doc)
+
+
+ham_flags = st.sampled_from(("hydrogen", "two-neutron", "ham.json", "ham.json", "missing.json")
+                           ).map(lambda source: (f"--ham={source}",))
+
+
+def flag(name, values, required=False):
+    given = values.map(lambda v: (f"{name}={v}",))
+    return given if required else st.one_of(st.just(()), given)
+
+
+trial_energies = st.one_of(st.just("auto"), numbers, numbers.map("frac:{}".format))
+initial_states = st.one_of(st.just("uniform"), numbers.map("basis:{}".format),
+                           number_lists().map("custom:{}".format))
+
+
+def command_lines():
+    ham = st.one_of(
+        st.tuples(st.just("ham"), st.just("hydrogen-sto2g"), flag("--zeta", numbers),
+                  flag("--exponents", number_lists(2)),
+                  flag("--orthogonalization", st.sampled_from(("canonical", "lowdin")))),
+        st.tuples(st.just("ham"), st.just("two-neutron"), flag("--a1", numbers),
+                  flag("--a2", st.one_of(number_lists(3), number_lists(9)))),
+    )
+    run = st.tuples(
+        st.just("run"), ham_flags,
+        flag("--tau", numbers, required=True),
+        flag("--et", trial_energies), flag("--init", initial_states),
+        flag("--reps", st.one_of(st.sampled_from(("1", "3", "60")), numbers)),
+        flag("--shots", st.one_of(st.sampled_from(("0", "100")), numbers)),
+        flag("--seed", st.one_of(st.just("7"), numbers)),
+        flag("--noise", number_lists(3)), flag("--format", st.sampled_from(("json", "csv"))),
+    )
+    sweep = st.tuples(
+        st.just("sweep-et"), ham_flags,
+        flag("--fractions", number_lists()), flag("--taus", number_lists()),
+        flag("--init", initial_states),
+    )
+    transpile = st.tuples(
+        st.just("transpile"), ham_flags,
+        flag("--tau", numbers, required=True), flag("--et", trial_energies),
+        flag("--report", st.sampled_from(("report.json", "missing/report.json", "."))),
+    )
+    outs = st.sampled_from(("out.txt", "missing/out.txt", "."))
+    return st.tuples(st.one_of(ham, run, sweep, transpile), outs).map(
+        lambda parts: [part for group in parts[0] for part in
+                       ((group,) if isinstance(group, str) else group)] + ["--out", parts[1]]
+    )
+
+
+class TestGeneratedInvocations:
+    """ROADMAP item 13: no input makes qitp exit 1. Generated command lines
+    for all four commands, with extreme and mistyped number fields and
+    Hamiltonian files mutated from the corpus, run in-process with numpy's
+    RuntimeWarning raised as an error (as tier-1 runs every test)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=command_lines(), document=mutated_documents())
+    def test_every_exit_is_documented(self, argv, document):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            workdir = Path(tmp)
+            (workdir / "ham.json").write_text(document)
+            err = io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(workdir)
+            try:
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    try:
+                        code = main(argv)
+                        by_parser = False
+                    except SystemExit as exc:  # argparse's own usage error
+                        code, by_parser = exc.code, True
+            finally:
+                os.chdir(cwd)
+            written = sorted(path.name for path in workdir.iterdir()) != ["ham.json"]
+            lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4), (argv, code)
+        if code == 0:
+            assert lines == [] and written
+            return
+        assert not written, argv
+        if by_parser:
+            # argparse keeps its usage text, then one "qitp ...: error: ..." line
+            assert code == 2 and lines[0].startswith("usage: qitp")
+            assert lines[-1].startswith("qitp") and ": error: " in lines[-1]
+        elif code == 4:
+            # the scope message predates the "error:" prefix; the corpus keeps it
+            assert lines == [lines[0]] and lines[0].startswith("transpile supports the two-qubit")
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+    @pytest.mark.parametrize("argv, message", [
+        # inf - inf in the symmetry check, before the finiteness check
+        (("ham", "two-neutron", "--a2=nan,nan,inf"), "couplings must be finite"),
+        # a2 - a2.T overflows: still asymmetric
+        (("ham", "two-neutron", "--a2=0,1e308,0,-1e308,0,0,0,0,0"), "a2 must be symmetric"),
+        # the Pauli sum overflows
+        (("ham", "two-neutron", "--a1=1e308"), "the interaction exceeds the float range"),
+        # zeta**2 raised OverflowError
+        (("ham", "hydrogen-sto2g", "--zeta=1e308"), "slater_zeta**2 exceeds the float range"),
+        # alpha * beta overflows, and kinetic + nuclear is inf - inf
+        (("ham", "hydrogen-sto2g", "--zeta=1e100"), "an integral exceeds the float range"),
+    ], ids=["a2-nan-inf", "a2-overflowing-asymmetry", "a1-overflow", "zeta-squared-overflow",
+            "integral-overflow"])
+    def test_found_builder_inputs_exit_2(self, tmp_path, capsys, argv, message):
+        assert run_cli(*argv, "--out", tmp_path / "h.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_report_leaves_no_circuit(self, tmp_path, capsys):
+        out = tmp_path / "c.qasm"
+        rc = run_cli("transpile", "--ham", "hydrogen", "--tau", 1, "--out", out,
+                     "--report", tmp_path / "missing" / "r.json")
+        assert rc == 2 and capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []

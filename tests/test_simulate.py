@@ -248,6 +248,24 @@ class TestEnergyExpectation:
     def test_zero_matrix_gives_zero(self):
         assert energy_expectation([0.6, 0.8j], op_from(np.zeros((2, 2)))) == 0.0
 
+    def test_subnormal_hamiltonian_is_a_power_of_two_multiple(self):
+        # at 2**-1050 the bound 1e-8 * max_abs(H) * ||psi||^2 underflowed to 0,
+        # so rounding in the imaginary part raised NonRealExpectation
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            dim = int(rng.integers(2, 6))
+            small = np.ldexp(random_hermitian(dim, rng).view(float), -1050).view(complex)
+            exact = np.ldexp(small.view(float), 1050).view(complex)  # exact: small is the rounded one
+            psi = random_state(dim, rng)
+            want = math.ldexp(energy_expectation(psi, op_from(exact)), -1050)
+            assert energy_expectation(psi, op_from(small)) == want
+
+    def test_expectation_beyond_the_float_range(self):
+        op = op_from(np.diag([1e300, -1e300]))
+        assert abs(energy_expectation([1e4, 0.0], op) - 1e308) <= 1e293
+        with pytest.raises(NonFiniteFunctionValue, match="exceeds the float range"):
+            energy_expectation([1e5, 0.0], op)
+
 
 class TestSampling:
     def test_deterministic_stream(self):

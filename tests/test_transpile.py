@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -399,6 +400,263 @@ class TestScalarKernels:
     def test_kron_factor_rejects_non_products(self, m, message):
         with pytest.raises(FidelityShortfall, match=message):
             transpile._kron_factor(m)
+
+
+def gram_matrix(u):
+    """kak_coefficients' magic-basis Gram matrix of a two-qubit unitary."""
+    m = np.asarray(u, dtype=complex)
+    su = m * cmath.exp(-1j * float(np.angle(np.linalg.det(m))) / 4.0)
+    mb = transpile._MAGIC_DAG @ su @ transpile._MAGIC
+    return mb @ mb.T
+
+
+def eager_gram_step(g):
+    """The Gram step's old form: the defect-scaled tolerance computed before
+    the first mixing angle, the residual as max_abs(d - diag(d)) and the sign
+    from np.linalg.det. Returns P and the index of the angle kept."""
+    tol = max(1e-13, 4.0 * max_abs(g @ g.conj().T - np.eye(4)))
+    for j in range(40):
+        t = 0.785398163 + 0.437561 * j
+        _, p = np.linalg.eigh(math.cos(t) * g.real + math.sin(t) * g.imag)
+        d = p.T @ g @ p
+        if max_abs(d - np.diag(np.diag(d))) < tol:
+            if np.linalg.det(p) < 0:
+                p[:, 0] = -p[:, 0]
+            return p, j
+    raise FidelityShortfall("failed to diagonalize the magic-basis Gram matrix")
+
+
+def near_unitary(rng, defect):
+    """A Haar unitary moved off unitarity by about ``defect``, as in
+    TestKakDecompose.test_near_unitary_input_compiles."""
+    u = haar_unitary(4, rng)
+    if defect:
+        noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u = u + noise * defect / max_abs(u.conj().T @ noise + noise.conj().T @ u)
+    return u
+
+
+def degenerate_first_angle(rng):
+    """A unitary whose Gram matrix makes the first mixing angle degenerate,
+    as in TestKakDecompose.test_degenerate_first_mixing_angle_falls_back."""
+    t0 = 0.785398163
+
+    def special_orthogonal():
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        return q if np.linalg.det(q) > 0 else q * np.array([-1.0, 1.0, 1.0, 1.0])
+
+    a, b = rng.uniform(-0.5, 0.5, 2)
+    delta = np.array([t0 / 2 + a, t0 / 2 - a, b, -t0 - b])
+    mb = special_orthogonal() @ np.diag(np.exp(1j * delta)) @ special_orthogonal()
+    return transpile._MAGIC @ mb @ transpile._MAGIC_DAG
+
+
+@st.composite
+def gram_step_inputs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    defect = draw(st.sampled_from([None, 0.0, 1e-12, 5e-11, 1e-10]))
+    return degenerate_first_angle(rng) if defect is None else near_unitary(rng, defect)
+
+
+def rotation_product(steps):
+    """The Euler check product's old form: _mul2 of _rotation per step."""
+    built = transpile._I2
+    for kind, angle in steps:
+        built = transpile._mul2(transpile._rotation(kind, angle), built)
+    return built
+
+
+def old_kron_factor(m):
+    """_kron_factor's old form: np.argmax, numpy-scalar determinants, np.outer."""
+    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    a, b = divmod(int(np.argmax(np.abs(r))), 4)
+    det0, det1 = transpile._det2(r[:, b]), transpile._det2(r[a])
+    if abs(det0) < 1e-12 or abs(det1) < 1e-12:
+        raise FidelityShortfall("matrix is not a kron product of invertible 2x2 blocks")
+    f0, f1 = r[:, b] / cmath.sqrt(det0), r[a] / cmath.sqrt(det1)
+    g = r[a, b] / (f0[a] * f1[b])
+    if max_abs(r - g * np.outer(f0, f1)) > 1e-9:
+        raise FidelityShortfall("matrix is not a kron product of invertible 2x2 blocks")
+    return g, f0.reshape(2, 2), f1.reshape(2, 2)
+
+
+def old_gate_fields(kind, qubits, angle=None):
+    """Gate.__init__'s old form: the (kind, qubits, angle) it stored, or
+    ValueError."""
+    if kind not in transpile.GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    try:
+        raw = tuple(qubits)
+        qubits = tuple(map(operator.index, raw))
+    except TypeError as exc:
+        raise ValueError("qubits must be a sequence of ints") from exc
+    if bool in map(type, raw):
+        raise ValueError("qubits must be a sequence of ints")
+    if kind == "cz":
+        if len(qubits) != 2 or qubits[0] == qubits[1]:
+            raise ValueError("cz needs two distinct qubits")
+        if angle is not None:
+            raise ValueError("cz takes no angle")
+    else:
+        if len(qubits) != 1:
+            raise ValueError(f"{kind} acts on exactly one qubit")
+        if not transpile._is_finite_real(angle):
+            raise ValueError(f"{kind} needs a finite angle")
+        angle = transpile._normalize_angle(angle)
+    return kind, qubits, angle
+
+
+def old_circuit_range_error(n, gates):
+    """Circuit's old per-gate range check: the message it raised, or None."""
+    for g in gates:
+        if min(g.qubits) < 0 or max(g.qubits) >= n:
+            return f"gate {g} out of range for {n} qubits"
+    return None
+
+
+def outcome(f, *args):
+    """f(*args), or the ValueError class in its place."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def kron_outcome(f, m):
+    """A _kron_factor form's result as bytes, or the message it raised."""
+    try:
+        g, f0, f1 = f(m)
+    except FidelityShortfall as exc:
+        return str(exc)
+    return complex(g), f0.tobytes(), f1.tobytes()
+
+
+def typed(value):
+    """A value with the types of its parts, so 1 and 1.0 differ."""
+    if isinstance(value, tuple):
+        return tuple(map(typed, value))
+    if type(value) is float:
+        return float, value.hex()
+    return type(value), value
+
+
+ANGLES = (0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e-13, 2 * math.pi - 1e-13)
+EULER_ANGLES = st.one_of(st.sampled_from(ANGLES), st.floats(-2 * math.pi, 2 * math.pi))
+
+
+class TestOldForms:
+    """Each helper rewritten for speed against its old form: the same P, the
+    same gates, the same decisions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gram_step_inputs())
+    def test_gram_step_matches_its_old_form(self, u):
+        g = gram_matrix(u)
+        want, _ = eager_gram_step(g)
+        assert transpile._diagonalize_complex_symmetric_unitary(g).tobytes() == want.tobytes()
+
+    def test_gram_step_old_form_families_reach_every_rule(self):
+        # the lazy rule differs from the eager one only in when it computes
+        # the defect: these families accept below 1e-13, accept between
+        # 1e-13 and the defect-scaled tolerance, and reject the first angle
+        rng = np.random.default_rng(37)
+        inputs = [near_unitary(rng, defect) for defect in (0.0, 1e-12, 5e-11, 1e-10)
+                  for _ in range(15)] + [degenerate_first_angle(rng) for _ in range(15)]
+        rules = set()
+        for u in inputs:
+            g = gram_matrix(u)
+            want, kept = eager_gram_step(g)
+            assert transpile._diagonalize_complex_symmetric_unitary(g).tobytes() == want.tobytes()
+            _, p = np.linalg.eigh(math.cos(0.785398163) * g.real + math.sin(0.785398163) * g.imag)
+            d = p.T @ g @ p
+            first = max_abs(d - np.diag(np.diag(d)))
+            rules.add("fallback" if kept else "below 1e-13" if first < 1e-13 else "tolerance")
+        assert rules == {"below 1e-13", "tolerance", "fallback"}
+
+    @settings(max_examples=500, deadline=None)
+    @given(EULER_ANGLES, EULER_ANGLES, EULER_ANGLES)
+    def test_euler_product_matches_its_old_form(self, alpha, beta, gamma):
+        got = transpile._euler_product(alpha, beta, gamma)
+        want = rotation_product((("rz", alpha), ("rx", beta), ("rz", gamma)))
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-15
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        one_qubit_unitaries(),
+        # rotations by 0 and +-2*pi, dropped from the steps
+        st.tuples(EULER_ANGLES, EULER_ANGLES, EULER_ANGLES, st.floats(-math.pi, math.pi)).map(
+            lambda t: cmath.exp(1j * t[3]) * rz_matrix(t[2]) @ rx_matrix(t[1]) @ rz_matrix(t[0])),
+    ))
+    def test_euler_step_product_matches_its_old_form(self, u):
+        steps, built = transpile._euler_1q(tuple(u.ravel().tolist()))
+        assert max(abs(x - y) for x, y in zip(built, rotation_product(steps))) <= 1e-15
+
+    @pytest.mark.parametrize("u, steps", [
+        (np.eye(2), 0),  # every angle dropped
+        (-np.eye(2), 0),  # rz by 2*pi, dropped
+        (PAULI_X, 1),  # the b = pi branch
+        (np.diag([1.0, 1j]), 1),  # the b = 0 branch
+        (rz_matrix(2 * math.pi) @ rx_matrix(0.3) @ rz_matrix(0.2), 2),
+    ], ids=["identity", "minus-identity", "beta-pi", "beta-zero", "dropped-last"])
+    def test_euler_step_branches_match_their_old_form(self, u, steps):
+        got, built = transpile._euler_1q(tuple(np.asarray(u, dtype=complex).ravel().tolist()))
+        assert len(got) == steps
+        assert max(abs(x - y) for x, y in zip(built, rotation_product(got))) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["orthogonal", "reflection", "gaussian"]))
+    def test_det4_matches_its_old_form(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((4, 4))
+        if kind != "gaussian":
+            m = np.linalg.qr(m)[0] * (np.array([-1.0, 1.0, 1.0, 1.0]) if kind == "reflection" else 1.0)
+        want = np.linalg.det(m)
+        assert abs(transpile._det4(m) - want) <= 1e-13 * max(1.0, abs(want))
+        if kind != "gaussian":
+            assert (transpile._det4(m) < 0) == (want < 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_kron_factor_matches_its_old_form(self, seed, product):
+        rng = np.random.default_rng(seed)
+        if product:
+            m = np.exp(1j * rng.uniform(-math.pi, math.pi)) * np.kron(
+                haar_unitary(2, rng), haar_unitary(2, rng))
+        else:
+            m = haar_unitary(4, rng)
+        got, want = kron_outcome(transpile._kron_factor, m), kron_outcome(old_kron_factor, m)
+        assert got == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(("rx", "rz", "cz", "ry")),
+           st.sampled_from(((0,), (1,), [0], (0, 1), (1, 0), (0, 0), (True,), (np.int64(1),),
+                            np.array([1, 0]), (0.0,), 0, "0", (), (0, 1, 2), (np.bool_(True),),
+                            (-1,), (1, np.int32(0)), (0, True))),
+           st.one_of(st.sampled_from((None, True, 3, 10**400, "0.1", np.float64(0.3),
+                                      math.nan, math.inf, 7 * math.pi)), EULER_ANGLES,
+                     st.floats(allow_nan=False)))
+    def test_gate_matches_its_old_form(self, kind, qubits, angle):
+        got = outcome(lambda: (lambda g: (g.kind, g.qubits, g.angle))(Gate(kind, qubits, angle)))
+        want = outcome(old_gate_fields, kind, qubits, angle)
+        assert (got is ValueError) == (want is ValueError)
+        if got is not ValueError:
+            assert typed(got) == typed(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.one_of(
+        st.tuples(st.sampled_from(("rx", "rz")), st.integers(-1, 3)).map(
+            lambda t: Gate(t[0], (t[1],), 0.5)),
+        st.tuples(st.integers(-1, 3), st.integers(-1, 3)).filter(lambda t: t[0] != t[1]).map(
+            lambda t: Gate("cz", t)),
+    ), max_size=8))
+    def test_circuit_range_check_matches_its_old_form(self, n, gates):
+        want = old_circuit_range_error(n, gates)
+        try:
+            Circuit(n, gates)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
 
 
 class TestDecompose1q:

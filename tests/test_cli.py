@@ -846,7 +846,7 @@ class TestGeneratedInvocations:
     Hamiltonian files mutated from the corpus, run in-process with numpy's
     RuntimeWarning raised as an error (as tier-1 runs every test)."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(argv=command_lines(), document=mutated_documents())
     def test_every_exit_is_documented(self, argv, document):
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():

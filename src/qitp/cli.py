@@ -169,26 +169,35 @@ def cmd_ham_two_neutron(args) -> int:
     return EXIT_OK
 
 
+def _json_document(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\n"`` for a dict of scalars and flat
+    dicts of scalars, through the C encoder: CPython sends any indented
+    dumps through its pure-Python one. A flat dict is one line per item
+    joined by the separator; the encoder escapes every newline in a string,
+    so no separator can appear inside an item."""
+    items = []
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            value = "{\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  }"
+        else:
+            value = json.dumps(value)
+        items.append(f"  {json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n"
+
+
 def _record_to_json(record, config_echo: dict) -> str:
     ext_labels = basis_labels(record.system_dim)
     sys_labels = [str(i) for i in range(record.system_dim)]
-    doc = {
+    return _json_document({
         "tool": "qitp",
         "version": __version__,
         "config": config_echo,
-        "extended_probs": {
-            label: float(p) for label, p in zip(ext_labels, record.extended_probs)
-        },
+        "extended_probs": dict(zip(ext_labels, record.extended_probs.tolist())),
         "postselect_prob": float(record.postselect_prob),
-        "normalized_probs": {
-            label: float(p) for label, p in zip(sys_labels, record.normalized_probs)
-        },
+        "normalized_probs": dict(zip(sys_labels, record.normalized_probs.tolist())),
         "energy": float(record.energy),
-        "shot_counts": {
-            label: int(c) for label, c in zip(ext_labels, record.shot_counts)
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "shot_counts": dict(zip(ext_labels, record.shot_counts.tolist())),
+    })
 
 
 def _record_to_csv(record, reps: int) -> str:
@@ -263,7 +272,7 @@ def cmd_transpile(args) -> int:
     op = _resolve_hamiltonian(args.ham)
     if op.dim != 2:
         print(
-            f"transpile supports the two-qubit extended space only "
+            f"error: transpile supports the two-qubit extended space only "
             f"(system dim 2, got {op.dim})",
             file=sys.stderr,
         )
@@ -284,7 +293,7 @@ def cmd_transpile(args) -> int:
     }
     report_path = args.report or (args.out + ".report.json")
     try:
-        Path(report_path).write_text(json.dumps(report, indent=2) + "\n")
+        Path(report_path).write_text(_json_document(report))
     except OSError:
         out.unlink()  # an error leaves no output behind
         raise
@@ -323,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tau", type=float, required=True)
     p_run.add_argument("--et", default="auto", help="'auto', 'frac:<x>', or a number")
     p_run.add_argument("--init", default="uniform")
-    p_run.add_argument("--reps", type=int, default=1)
+    p_run.add_argument(
+        "--reps", type=int, default=1,
+        help="repetitions K; with --noise the cost is O(min(K, repeat point)), since the loop "
+        "skips whole periods once its state repeats, which a slowly converging H may never do",
+    )
     p_run.add_argument("--shots", type=int, default=0)
     p_run.add_argument("--seed", type=int, default=42)
     p_run.add_argument(

@@ -124,7 +124,8 @@ def build_dilation(op: HermitianOperator, params: ItpParams) -> DilationUnitary:
     u = np.empty((2 * n, 2 * n), dtype=complex)
     u[:n, :n], u[:n, n:], u[n:, :n], u[n:, n:] = q, r, r, -q
     qh, rh = q.conj().T, r.conj().T
-    defect = float(np.maximum(max_abs(qh @ q + rh @ r - np.eye(n)), max_abs(qh @ r - rh @ q)))
+    qh_r = qh @ r  # the off-diagonal blocks' Q^dag R - R^dag Q is qh_r - qh_r^dag
+    defect = float(np.maximum(max_abs(qh @ q + rh @ r - np.eye(n)), max_abs(qh_r - qh_r.conj().T)))
     if not defect < 1e-10:
         raise UnitarityCheckFailed(f"||U^dag U - I||_max = {defect:.3e}")
     for a in (u, q, r):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -57,20 +58,29 @@ STO2G_EXPONENTS = (0.151623, 0.851819)
 
 def gaussian_overlap(alpha: float, beta: float) -> float:
     """Overlap of two normalized 1s Gaussians; symmetric, in (0, 1]. Raises
-    ValueError unless both exponents are positive and finite."""
+    ValueError unless both exponents are positive and finite and their
+    product is a normal float (at least ``sys.float_info.min``): below it
+    ``sqrt(alpha * beta)`` loses bits, and the integrals with it."""
     if not (_is_finite_real(alpha) and _is_finite_real(beta) and alpha > 0 and beta > 0):
         raise ValueError("Gaussian exponents must be positive and finite")
+    if alpha * beta < sys.float_info.min:
+        raise ValueError(
+            f"Gaussian exponents {alpha!r} and {beta!r}: their product is below the "
+            f"smallest normal float {sys.float_info.min!r}"
+        )
     return float((2.0 * np.sqrt(alpha * beta) / (alpha + beta)) ** 1.5)
 
 
 def gaussian_kinetic(alpha: float, beta: float) -> float:
-    """Kinetic integral <g_a| -grad^2/2 |g_b> in Hartree; positive."""
+    """Kinetic integral <g_a| -grad^2/2 |g_b> in Hartree; positive. The
+    exponents' domain is that of :func:`gaussian_overlap`."""
     s = gaussian_overlap(alpha, beta)  # validates the exponents first
     return 3.0 * alpha * beta / (alpha + beta) * s
 
 
 def gaussian_nuclear(alpha: float, beta: float) -> float:
-    """Nuclear attraction <g_a| -1/r |g_b> in Hartree (Z = 1); negative."""
+    """Nuclear attraction <g_a| -1/r |g_b> in Hartree (Z = 1); negative. The
+    exponents' domain is that of :func:`gaussian_overlap`."""
     s = gaussian_overlap(alpha, beta)  # validates the exponents first
     return -2.0 * np.sqrt((alpha + beta) / np.pi) * s
 
@@ -122,8 +132,10 @@ def hydrogen_sto2g(
     The default "canonical" orthogonalization is the convention of the
     reference tables; "lowdin" gives the symmetric transform (same spectrum,
     rotated basis). Raises ValueError unless there are exactly two exponents
-    and they and the zeta are positive and finite, and when ``slater_zeta**2``
-    or an integral of the scaled exponents exceeds the float range.
+    and they and the zeta are positive and finite, when ``slater_zeta**2``
+    or an integral of the scaled exponents exceeds the float range, and when
+    the product of two scaled exponents is not a normal float (zeta below
+    about 3.1e-77 at the default exponents).
     """
     try:
         pair = len(exponents) == 2

@@ -21,6 +21,10 @@ per run (multiplied entrywise), and the flips apply a 2x2 map to one bit of
 the register index (``_apply_1q``). For N not a power of two this layout
 differs from padding the extended index a * N + beta itself, where no bit
 is the reservoir. This is a qualitative stand-in for hardware relaxation.
+The density matrix is all the loop carries, so once its bytes recur the
+loop skips whole periods: K noisy repetitions cost O(min(K, repeat point)).
+A slowly converging H may never repeat (a random dim-64 H did not in 20,000
+repetitions); then all K are computed.
 
 Shots are counted against integer CDF thresholds on a splitmix64 counter
 stream (an exact inverse-CDF multinomial draw): for a given seed the counts
@@ -244,11 +248,22 @@ def apply_channel(rho, noise: NoiseParams) -> np.ndarray:
         raise DimensionError(f"density matrix must be square, got {r.shape}")
     if not np.isfinite(r).all():
         raise InvalidDistribution("density matrix has non-finite entries")
-    return _channel(noise, r.shape[0])(r)
+    return _channel(noise, r.shape[0])[0](r)
 
 
 def _channel(noise: NoiseParams, dim: int):
-    """The unchecked map of :func:`apply_channel` on dim x dim input, its weight built once."""
+    """The unchecked map of :func:`apply_channel` on dim x dim input, and its
+    diagonal form, with the weight, the padded buffer and the transfer views
+    built once.
+
+    ``channel(rho, out=None)`` copies rho into the buffer, runs the transfers
+    and writes ``buffer * weight`` into ``out`` (a new array if None), which
+    may be rho itself but never aliases the buffer. The padding stays zero:
+    a transfer's source lies above its target, so a padded target only ever
+    receives zeros. ``diagonal(d)`` is ``np.diag(channel(D))`` for D with
+    diagonal d, bit for bit: each diagonal entry takes the same additions, in
+    the same order, from diagonal entries alone.
+    """
     k = (dim - 1).bit_length()
     g = noise.amplitude_damping
     c = np.sqrt(1 - g) * (1 - 2 * noise.dephasing)
@@ -256,17 +271,33 @@ def _channel(noise: NoiseParams, dim: int):
     for _ in range(k):  # weight <- weight (x) m, by broadcasting
         weight = (weight[:, None, :, None] * m[:, None]).reshape(2 * len(weight), -1)
     weight = weight[:dim, :dim]
+    weight_diag = np.diag(weight).copy()
+    buffer = np.zeros((2**k, 2**k), dtype=complex)
+    vector = np.zeros(2**k, dtype=complex)
+    transfers, diagonal_transfers = [], []
+    for q in range(k):
+        # View axes: (row hi, row q, row lo + column hi, column q, column lo).
+        t = buffer.reshape(2**q, 2, 2 ** (k - 1), 2, 2 ** (k - q - 1))
+        src = t[:, 1, :, 1]
+        transfers.append((t[:, 0, :, 0], src, np.empty(src.shape, dtype=complex)))
+        t = vector.reshape(2**q, 2, 2 ** (k - q - 1))
+        diagonal_transfers.append((t[:, 0], t[:, 1], np.empty(t[:, 1].shape, dtype=complex)))
 
-    def channel(rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((2**k, 2**k), dtype=complex)
-        out[:dim, :dim] = rho
-        for q in range(k):
-            # View axes: (row hi, row q, row lo + column hi, column q, column lo).
-            t = out.reshape(2**q, 2, 2 ** (k - 1), 2, 2 ** (k - q - 1))
-            t[:, 0, :, 0] += g * t[:, 1, :, 1]
-        return out[:dim, :dim] * weight
+    head, vector_head = buffer[:dim, :dim], vector[:dim]
 
-    return channel
+    def transferred(target, data, steps):
+        target[...] = data
+        for dst, src, scratch in steps:
+            dst += np.multiply(g, src, out=scratch)
+        return target
+
+    def channel(rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(transferred(head, rho, transfers), weight, out=out)
+
+    def diagonal(d: np.ndarray) -> np.ndarray:
+        return transferred(vector_head, d, diagonal_transfers) * weight_diag
+
+    return channel, diagonal
 
 
 def readout_confusion(probs, flip: float) -> np.ndarray:
@@ -422,6 +453,15 @@ def _run_density(op, params, psi0, repetitions, noise):
     off-diagonal blocks, so a repetition is ``rho <- E_sys(Q rho Q + g R rho R) / p0``
     and the final reservoir-1 populations are ``(1 - g) diag(E_sys(R rho R))``.
     Returns the final ancilla-major extended probabilities and the energy.
+
+    The state entering a repetition is all the loop carries, so once its
+    bytes recur every later repetition repeats with that period. Brent's
+    cycle detection (BIT 20, 176 (1980)) keeps the state entering repetitions
+    1, 3, 7, 15, ... and compares bytes (-0.0 and 0.0 differ) whenever a
+    repetition's p0 equals the kept state's; on a match the loop skips whole
+    periods. The cost is O(min(K, repeat point)) repetitions. Every computed
+    repetition passes the floor check, a skipped one repeats one that did,
+    and the last one is computed.
     """
     u = build_dilation(op, params)
     q, r, g = u.q_block, u.r_block, noise.amplitude_damping
@@ -429,15 +469,28 @@ def _run_density(op, params, psi0, repetitions, noise):
     if state.size != op.dim:
         raise DimensionMismatch(f"state dim {state.size} != operator dim {op.dim}")
     rho = np.outer(state, state.conj())
-    channel = _channel(noise, op.dim)
-    for rep in range(1, repetitions + 1):
-        lost = r @ rho @ r
-        kept = channel(q @ rho @ q + g * lost)
+    channel, channel_diagonal = _channel(noise, op.dim)
+    work, lost, kept = np.empty((3,) + rho.shape, dtype=complex)
+    saved, saved_p0, saved_rep, span = None, None, 0, 1
+    rep = 1
+    while rep <= repetitions:
+        np.matmul(np.matmul(r, rho, out=work), r, out=lost)
+        np.matmul(np.matmul(q, rho, out=work), q, out=kept)
+        kept += np.multiply(g, lost, out=work)
+        channel(kept, out=kept)
         p0 = float(np.real(np.trace(kept)))
         if p0 < POSTSELECT_FLOOR:
             raise _postselection_failed(rep, p0)
-        rho = kept / p0
-    dropped = (1 - g) * np.diag(channel(lost))
+        if p0 == saved_p0 and rho.tobytes() == saved.tobytes():
+            period = rep - saved_rep
+            rep += (repetitions - rep) // period * period
+        elif rep - saved_rep == span:
+            saved, saved_p0, saved_rep, span = rho, p0, rep, 2 * span
+        # numpy's kept / p0 also multiplies each part by 1 / p0, after adding
+        # a signed zero that can flip only the sign of a zero part
+        rho = (kept.view(float) * (1.0 / p0)).view(complex)
+        rep += 1
+    dropped = (1 - g) * channel_diagonal(np.diag(lost))
     extended_probs = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
     h, e = _power_of_two_scaled(op.matrix)  # as in spectral_run: no term underflows
     energy = float(np.ldexp(np.real(np.sum(rho * h.T)), e))

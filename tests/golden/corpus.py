@@ -94,6 +94,16 @@ CASES = {
         ["run", "--ham", "h3.json", "--tau", "1", "--noise", "0.05,0.02,0.01", "--reps", "5",
          "--shots", "300", "--format", "csv", "--out", "h3.csv"],
     ]),
+    # the noisy state repeats from repetition 64 with period 2: the loop skips whole periods
+    "run-noisy-cycle-hydrogen": ({}, [
+        ["run", "--ham", "hydrogen", "--tau", "1", "--noise", "0.01,0.01,0", "--reps", "1000000",
+         "--shots", "1000", "--out", "c.json"],
+    ]),
+    # period 4 from repetition 20; K = 1002 ends two repetitions into a period
+    "run-noisy-cycle-two-neutron": ({}, [
+        ["run", "--ham", "two-neutron", "--tau", "1", "--et", "frac:0.5", "--init", "basis:1",
+         "--noise", "0.1,0.05,0.02", "--reps", "1002", "--format", "csv", "--out", "c.csv"],
+    ]),
     "sweep-hydrogen": ({}, [["sweep-et", "--ham", "hydrogen", "--out", "sweep.csv"]]),
     # the uniform state misses the singlet ground state: the deep rows fail
     "sweep-failed-row": ({}, [

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -194,6 +195,38 @@ class TestHydrogen:
             op_e, s_e, x_e = hydrogen_sto2g([zeta**2 * e for e in exponents], 1.0)
             assert np.array_equal(op.matrix, op_e.matrix)
             assert np.array_equal(s, s_e) and np.array_equal(x, x_e)
+
+    def test_smallest_zeta_keeps_its_bits(self):
+        # every scaled exponent product is a normal float at zeta = 1e-60;
+        # the literals are the builder's output before the domain check existed
+        op = hydrogen_sto2g(slater_zeta=1e-60)[0]
+        assert op.matrix.tolist() == [
+            [complex(-9.189424951607223e-61), complex(-5.352959966510901e-61)],
+            [complex(-5.352959966510901e-61), complex(-1.0785008163586098e-60)],
+        ]
+        assert op.eigenvalues.tolist() == [-1.539930043071389e-60, -4.575132684479432e-61]
+
+    @pytest.mark.parametrize("exponents, zeta", [
+        (STO2G_EXPONENTS, 1e-80),  # the scaled products turn subnormal
+        ((1e-160, 1e-160), 1.0),  # the product underflows to 0
+        (STO2G_EXPONENTS, 3.13e-77),  # (0.151623 * zeta**2)**2 just below the bound
+    ], ids=["zeta-1e-80", "exponents-1e-160", "below-the-edge"])
+    def test_subnormal_exponent_products_are_rejected(self, exponents, zeta):
+        with pytest.raises(ValueError, match="smallest normal float"):
+            hydrogen_sto2g(exponents, zeta)
+
+    def test_energy_per_zeta_holds_down_to_the_edge(self):
+        # the nuclear term dominates at small zeta, so E0 / zeta stays put
+        for zeta in (1e-60, 3.14e-77):
+            ratio = hydrogen_sto2g(slater_zeta=zeta)[0].ground_energy / zeta
+            assert abs(ratio + 1.539930043071389) < 1e-15
+
+    def test_overlap_domain_edge(self):
+        tiny = np.sqrt(sys.float_info.min)
+        assert gaussian_overlap(tiny, tiny) == 1.0
+        for integral in (gaussian_overlap, gaussian_kinetic, gaussian_nuclear):
+            with pytest.raises(ValueError, match="smallest normal float"):
+                integral(tiny, np.nextafter(tiny, 0.0) / 2)
 
 
 class TestTwoNeutron:

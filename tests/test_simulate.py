@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import tempfile
@@ -22,8 +23,8 @@ from qitp.errors import (
     SingularOverlap,
     UnitarityCheckFailed,
 )
-from qitp.hamiltonians import hydrogen_sto2g
-from qitp.linalg import HermitianOperator, PAULI_Z, _ground_cluster_end, max_abs
+from qitp.hamiltonians import SpinCouplings, hydrogen_sto2g, two_neutron_sd
+from qitp.linalg import HermitianOperator, PAULI_Z, _ground_cluster_end, _power_of_two_scaled, max_abs
 from qitp.simulate import (
     POSTSELECT_FLOOR,
     NoiseParams,
@@ -1076,6 +1077,214 @@ class TestNoisyRegisterLayout:
             assert max_abs(out[0] * (1 - g) - out[1] * g) < 1e-15
             assert not np.any(out[:, dim:])
             assert out[0, beta] > 0.0 and np.all(out[0, beta + 1:] == 0.0)
+
+
+def loop_without_detection(op, params, psi0, repetitions, noise, entering=None):
+    """The noisy loop as it stood before its work buffers and cycle jump: a
+    fresh zero-filled channel buffer per call, every repetition computed,
+    ``kept / p0`` by complex division, the final reservoir-1 populations
+    from the full channel. Appends the bytes of the state entering each
+    repetition to ``entering`` when given. Returns ``(extended, energy)``."""
+    u = build_dilation(op, params)
+    q, r, g, dim = u.q_block, u.r_block, noise.amplitude_damping, op.dim
+    k = (dim - 1).bit_length()
+    c = np.sqrt(1 - g) * (1 - 2 * noise.dephasing)
+    m, weight = np.array([[1.0, c], [c, 1.0 - g]]), np.ones((1, 1))
+    for _ in range(k):
+        weight = (weight[:, None, :, None] * m[:, None]).reshape(2 * len(weight), -1)
+    weight = weight[:dim, :dim]
+
+    def channel(rho):
+        out = np.zeros((2**k, 2**k), dtype=complex)
+        out[:dim, :dim] = rho
+        for bit in range(k):
+            t = out.reshape(2**bit, 2, 2 ** (k - 1), 2, 2 ** (k - bit - 1))
+            t[:, 0, :, 0] += g * t[:, 1, :, 1]
+        return out[:dim, :dim] * weight
+
+    state = normalized_state(psi0)
+    rho = np.outer(state, state.conj())
+    for rep in range(1, repetitions + 1):
+        if entering is not None:
+            entering.append(rho.tobytes())
+        lost = r @ rho @ r
+        kept = channel(q @ rho @ q + g * lost)
+        p0 = float(np.real(np.trace(kept)))
+        if p0 < POSTSELECT_FLOOR:
+            raise PostselectionImpossible("below the floor", probability=p0, repetition=rep)
+        rho = kept / p0
+    dropped = (1 - g) * np.diag(channel(lost))
+    extended = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
+    h, e = _power_of_two_scaled(op.matrix)
+    return extended, float(np.ldexp(np.real(np.sum(rho * h.T)), e))
+
+
+def outcome(loop, *args):
+    """A loop's result as bytes, or its post-selection failure."""
+    try:
+        extended, energy = loop(*args)
+    except PostselectionImpossible as exc:
+        return "failed", exc.repetition, exc.probability
+    return extended.tobytes(), np.float64(energy).tobytes()
+
+
+@st.composite
+def density_loop_cases(draw):
+    dim = draw(st.one_of(st.integers(1, 8), st.sampled_from([48, 64])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = random_hermitian(dim, rng)
+    if draw(st.booleans()):
+        h = h.real
+    op = op_from(h)
+    psi = random_state(dim, rng)
+    if draw(st.booleans()):  # a basis state leaves exact zeros, signed ones included
+        psi = np.zeros(dim)
+        psi[draw(st.integers(0, dim - 1))] = 1.0
+    tau = draw(st.one_of(st.sampled_from([0.0, 60.0]), st.floats(0.0, 100.0)))
+    params = ItpParams(tau=tau, trial_energy=draw(st.floats(-1.5, 1.5)) * abs(op.ground_energy))
+    strength = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    noise = NoiseParams(draw(strength), draw(strength))
+    return op, params, psi, draw(st.integers(1, 40)), noise
+
+
+class TestNoisyLoopBytes:
+    """The loop's work buffers, one-pass channel, diagonal populations and
+    reciprocal renormalization reproduce the plain loop bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(density_loop_cases())
+    def test_matches_the_loop_without_buffers_bytes(self, case):
+        want = outcome(loop_without_detection, *case)
+        assert outcome(simulate._run_density, *case) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.one_of(st.integers(1, 16), st.sampled_from([48, 64])),
+        seed=st.integers(0, 2**32 - 1),
+        g=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_diagonal_form_is_the_map_diagonal(self, dim, seed, g, lam):
+        rng = np.random.default_rng(seed)
+        rho = random_hermitian(dim, rng) + 1j * random_hermitian(dim, rng)
+        channel, diagonal = simulate._channel(NoiseParams(g, lam), dim)
+        want = np.diag(channel(rho)).copy()
+        assert diagonal(np.diag(rho)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3, 4, 48])
+    def test_map_output_never_aliases_its_buffer(self, dim):
+        rng = np.random.default_rng(dim)
+        a, b = random_hermitian(dim, rng), random_hermitian(dim, rng)
+        noise = NoiseParams(0.3, 0.1)
+        channel, diagonal = simulate._channel(noise, dim)
+        first = channel(a)
+        kept = first.copy()
+        second = channel(b)
+        assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+        d = diagonal(np.diag(a))
+        assert not np.shares_memory(d, diagonal(np.diag(b)))
+        # out= may be the input itself, with the same bytes as a new array
+        inplace = b.astype(complex)
+        assert channel(inplace, out=inplace) is inplace
+        assert inplace.tobytes() == second.tobytes()
+        assert channel(a).tobytes() == apply_channel(a, noise).tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3, 4, 48])
+    def test_apply_channel_never_writes_its_input(self, dim):
+        rng = np.random.default_rng(dim)
+        rho = random_hermitian(dim, rng) + 0j
+        before = rho.copy()
+        out = apply_channel(rho, NoiseParams(0.4, 0.2))
+        assert np.array_equal(rho, before) and not np.shares_memory(out, rho)
+        rho.setflags(write=False)
+        assert apply_channel(rho, NoiseParams(0.4, 0.2)).tobytes() == out.tobytes()
+
+
+def cycle_settings():
+    """(name, op, E_T, tau, init, noise) where the noisy state repeats: hydrogen
+    from the uniform state and the two-neutron system from basis:1, with
+    periods 1 to 5 under OpenBLAS's SkylakeX kernel (fewer under Prescott)."""
+    hydrogen = hydrogen_sto2g()[0]
+    neutrons = two_neutron_sd(SpinCouplings(a1=1.0, a2=np.zeros((3, 3))))  # the CLI preset
+    uniform, basis1 = np.ones(2) / np.sqrt(2.0), np.eye(4)[1]
+    noises = [(0.01, 0.01), (0.1, 0.05), (0.3, 0.2)]
+    out = []
+    for tau in (0.1, 1.0, 5.0, 60.0):
+        for g, lam in noises:
+            out.append((f"hydrogen-tau{tau:g}-g{g:g}", hydrogen, hydrogen.ground_energy, tau,
+                        uniform, NoiseParams(g, lam)))
+    for tau in (0.1, 1.0, 5.0):
+        for g, lam in noises:
+            out.append((f"two-neutron-tau{tau:g}-g{g:g}", neutrons, neutrons.ground_energy, tau,
+                        basis1, NoiseParams(g, lam)))
+    e0 = neutrons.ground_energy
+    out += [  # periods 3, 4 and 5 under that kernel
+        ("two-neutron-period3", neutrons, 0.5 * e0, 5.0, basis1, NoiseParams(0.01, 0.01)),
+        ("two-neutron-period4", neutrons, 0.5 * e0, 1.0, basis1, NoiseParams(0.1, 0.05)),
+        ("two-neutron-period5", neutrons, e0, 5.0, basis1, NoiseParams(0.0, 0.1)),
+    ]
+    return out
+
+
+CYCLES = cycle_settings()
+
+
+@functools.cache
+def repeat_point(index):
+    """(mu, period) of CYCLES[index]: the state entering repetition mu + 1 is
+    the first to recur, period repetitions later, in the loop without detection."""
+    _, op, et, tau, psi, noise = CYCLES[index]
+    for horizon in (500, 5000):
+        entering, first = [], {}
+        loop_without_detection(op, ItpParams(tau, trial_energy=et), psi, horizon, noise, entering)
+        for i, state in enumerate(entering):
+            if state in first:
+                return first[state], i - first[state]
+            first[state] = i
+    raise AssertionError("no repeat within 5000 repetitions")
+
+
+class TestCycleJump:
+    """The noisy loop skips whole periods once its state repeats (Brent's
+    cycle detection), with the records of the loop that computes them all."""
+
+    def test_every_setting_repeats_some_with_longer_periods(self):
+        # which periods occur depends on the BLAS kernel's rounding
+        assert max(repeat_point(i)[1] for i in range(len(CYCLES))) >= 3
+
+    @pytest.mark.parametrize("index", range(len(CYCLES)), ids=[c[0] for c in CYCLES])
+    def test_channel_calls_bounded_by_the_repeat_point(self, index, monkeypatch):
+        _, op, et, tau, psi, noise = CYCLES[index]
+        params = ItpParams(tau, trial_energy=et)
+        mu, period = repeat_point(index)
+        real, calls = simulate._channel, []
+
+        def counting(noise, dim):
+            channel, diagonal = real(noise, dim)
+
+            def counted(*args, **kwargs):
+                calls.append(None)
+                return channel(*args, **kwargs)
+
+            return counted, diagonal
+
+        monkeypatch.setattr(simulate, "_channel", counting)
+        for repetitions in (10**6, 10**9, 10**9 + 1):
+            calls.clear()
+            simulate._run_density(op, params, psi, repetitions, noise)
+            assert len(calls) <= 2 * (mu + 2) + 3 * period, (repetitions, len(calls), mu, period)
+
+    @pytest.mark.parametrize("index", range(len(CYCLES)), ids=[c[0] for c in CYCLES])
+    def test_records_equal_the_loop_without_detection(self, index):
+        _, op, et, tau, psi, noise = CYCLES[index]
+        params = ItpParams(tau, trial_energy=et)
+        mu, period = repeat_point(index)
+        # around the repeat point, and past where the detection must have fired
+        for base in (mu, 4 * (mu + 2) + 2 * period):
+            for offset in sorted({0, 1, period - 1, period}):
+                args = (op, params, psi, base + offset, noise)
+                want = outcome(loop_without_detection, *args)
+                assert outcome(simulate._run_density, *args) == want, (base, offset)
 
 
 def _hydrogen_op():

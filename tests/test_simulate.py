@@ -329,7 +329,8 @@ class TestSampling:
             c = u + 2.0**-54 if u < 0.5 and data.draw(st.booleans()) else u
             rest = p[1:].sum()
             assume(rest > 0.0 and c <= p.sum())
-            p = np.concatenate([[c], p[1:] * ((p.sum() - c) / rest)])
+            # p[1:] / rest lies in [0, 1]: a subnormal rest cannot overflow
+            p = np.concatenate([[c], p[1:] / rest * (p.sum() - c)])
         assume(abs(p.sum() - 1.0) <= 1e-9)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_SHOT_CHUNK", chunk)

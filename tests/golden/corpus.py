@@ -15,6 +15,9 @@ record; :func:`compare` checks a fresh record against it:
   since one-ulp changes to a hydrogen dilation rewrite its gate list. A
   transpile report's ``gate_count`` and ``global_phase`` restate that gate
   list, so they are checked against the fresh circuit written beside it.
+
+Each narrative script in ``demos/`` is a record too: its stdout, stored as
+``tests/golden/demos/<demo>.txt``; :func:`compare_demo` checks it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -37,6 +42,15 @@ GOLDEN = Path(__file__).resolve().parent
 SESSION = "_session.json"
 REL_TOL = 1e-12
 TINY = 1e-300
+
+ROOT = GOLDEN.parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMO_RECORDS = GOLDEN / "demos"
+# Demos that print a compiled circuit: its gate list and its max-entry error
+# move with the BLAS kernel, so those are checked by value, not by text.
+CIRCUIT_DEMOS = {"transpile_to_gates"}
+ERROR_BOUND = 1e-12
+_ERROR_LINE = re.compile(r"(  max-entry error  : )(\S+)( .*)?\n?")
 
 # A 3x3 Hamiltonian: a system that is not a power of two pads the noisy register.
 _H3 = {
@@ -289,4 +303,64 @@ def compare(want: dict[str, str], got: dict[str, str]) -> list[str]:
             _compare_values(w, g, file, out)
         else:
             _compare_text(w, g, file, out)
+    return out
+
+
+def run_demo(demo: Path, workdir: Path) -> subprocess.CompletedProcess:
+    """Run the script ``demo`` in ``workdir`` on the source tree's package,
+    with the RuntimeWarning filter pyproject.toml sets for in-process tests."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=workdir, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def stored_demo(name: str) -> str:
+    """The committed stdout of demo ``name`` (its file stem); empty if none."""
+    path = DEMO_RECORDS / f"{name}.txt"
+    return path.read_text() if path.is_file() else ""
+
+
+def _split_qasm(text: str) -> tuple[list[str], str]:
+    """The lines outside the QASM block, and the block: from its header to
+    the first blank line."""
+    lines = text.splitlines(keepends=True)
+    start = next((i for i, line in enumerate(lines) if line.startswith("OPENQASM")), len(lines))
+    end = next((i for i in range(start, len(lines)) if not lines[i].strip()), len(lines))
+    return lines[:start] + lines[end:], "".join(lines[start:end])
+
+
+def compare_demo(name: str, want: str, got: str) -> list[str]:
+    """Every difference between two stdouts of demo ``name``, one line each;
+    empty when they agree. Text is compared exactly, except in
+    ``CIRCUIT_DEMOS``: the QASM block as :func:`compare` compares circuits,
+    and the max-entry error line's value, which must stay below
+    ``ERROR_BOUND``; the rest of that line is exact."""
+    out = []
+    want_lines, got_lines = want.splitlines(keepends=True), got.splitlines(keepends=True)
+    if name in CIRCUIT_DEMOS:
+        (want_lines, want_qasm), (got_lines, got_qasm) = _split_qasm(want), _split_qasm(got)
+        if not (want_qasm and got_qasm):
+            out.append(f"{name}: no QASM block")
+        else:
+            _compare_circuits(want_qasm, got_qasm, f"{name} QASM", out)
+    if len(want_lines) != len(got_lines):
+        out.append(f"{name}: {len(want_lines)} lines -> {len(got_lines)}")
+        return out
+    for n, (w, g) in enumerate(zip(want_lines, got_lines), 1):
+        if w == g:
+            continue
+        if name in CIRCUIT_DEMOS:
+            mw, mg = _ERROR_LINE.fullmatch(w), _ERROR_LINE.fullmatch(g)
+            if mw and mg and mw.group(1, 3) == mg.group(1, 3):
+                try:
+                    if float(mg.group(2)) < ERROR_BOUND:
+                        continue
+                except ValueError:
+                    pass
+        out.append(f"{name}:{n}: {w!r} -> {g!r}")
     return out

@@ -1,17 +1,13 @@
-"""Every narrative demo runs to completion against the installed package, and
-README's library quickstart prints the values its comments quote."""
+"""Every narrative demo runs to completion and prints its recorded output
+(tests/golden/demos/), and README's library quickstart prints the values its
+comments quote."""
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from golden.corpus import DEMOS, ERROR_BOUND, ROOT, compare_demo, run_demo, stored_demo
 
 
 def test_demos_found():
@@ -20,16 +16,50 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    result = subprocess.run(
-        # the same warning filter pyproject.toml sets for in-process tests
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
+    result = run_demo(demo, tmp_path)
     assert result.returncode == 0, result.stderr
+    want = stored_demo(demo.stem)
+    assert want, f"no committed record for {demo.name}; run tests/golden/regen.py"
+    assert compare_demo(demo.stem, want, result.stdout) == []
+
+
+_GATES = stored_demo("transpile_to_gates")
+_ERROR = re.search(r"max-entry error  : (\S+)", _GATES).group(1)
+_ANGLE = re.search(r"^rx\(([^)]+)\)", _GATES, re.M).group(1)  # the first rx angle
+
+
+def _edit(old: str, new: str):
+    def edit(text: str) -> str:
+        assert text.count(old) == 1 and new != old
+        return text.replace(old, new)
+    return edit
+
+
+# (mutation, demo, edit, whether compare_demo must report it)
+MUTATIONS = [
+    ("one digit", "noise_effects", _edit("0.03990", "0.03991"), True),
+    ("a sign", "two_neutron_spins", _edit("[-5.  1.  1.  3.]", "[ 5.  1.  1.  3.]"), True),
+    ("a line dropped", "repetition_convergence", _edit(" 12     -4.995016", " 12\n     -4.995016"), True),
+    ("gate count", "transpile_to_gates", _edit("12 gates", "13 gates"), True),
+    ("fidelity digit", "transpile_to_gates", _edit("1.000000000000000", "0.999999999999999"), True),
+    ("occupation digit", "transpile_to_gates", _edit("gates 0.535614", "gates 0.535615"), True),
+    ("error below the bound", "transpile_to_gates", _edit(_ERROR, "9.99e-13"), False),
+    ("error at the bound", "transpile_to_gates", _edit(_ERROR, f"{ERROR_BOUND:.2e}"), True),
+    ("error line's text", "transpile_to_gates", _edit("(phase included)", "(phase dropped)"), True),
+    ("angle +1e-15", "transpile_to_gates", _edit(_ANGLE, repr(float(_ANGLE) + 1e-15)), False),
+    ("angle +1e-9", "transpile_to_gates", _edit(_ANGLE, repr(float(_ANGLE) + 1e-9)), True),
+    # two more CZs leave the circuit unitary as it was
+    ("two more CZs", "transpile_to_gates",
+     _edit("qreg q[2];\n", "qreg q[2];\ncz q[0],q[1];\ncz q[0],q[1];\n"), True),
+    ("QASM block dropped", "transpile_to_gates", _edit("OPENQASM 2.0;\n", ""), True),
+]
+
+
+@pytest.mark.parametrize("demo, edit, reported", [m[1:] for m in MUTATIONS],
+                         ids=[m[0] for m in MUTATIONS])
+def test_demo_comparator_on_a_mutated_record(demo, edit, reported):
+    want = stored_demo(demo)
+    assert bool(compare_demo(demo, want, edit(want))) == reported
 
 
 def _quickstart_block() -> str:

@@ -278,9 +278,9 @@ def cmd_transpile(args) -> int:
         )
         return EXIT_TRANSPILE_SCOPE
     et = _trial_energy(args.et, op)
-    u = build_dilation(op, ItpParams(args.tau, trial_energy=et))
-    circuit = kak_decompose(u.matrix)
-    fidelity = process_fidelity(u.matrix, circuit_unitary(circuit))
+    u = build_dilation(op, ItpParams(args.tau, trial_energy=et)).matrix
+    circuit = kak_decompose(u)
+    fidelity = process_fidelity(u, circuit_unitary(circuit))
     out = Path(args.out)
     out.write_text(emit_circuit_text(circuit))
     report = {

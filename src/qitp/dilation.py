@@ -93,21 +93,28 @@ def itp_filter(op: HermitianOperator, params: ItpParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DilationUnitary:
-    """The 2N x 2N unitary embedding of the imaginary-time filter.
+    """The 2N x 2N unitary embedding of the imaginary-time filter, kept as
+    its two N x N blocks.
 
-    ``matrix`` has block layout [[Q, R], [R, -Q]]; ``q_block`` and
-    ``r_block`` are commuting Hermitian functions of the same Hamiltonian
-    with Q^2 + R^2 = I.
+    ``q_block`` and ``r_block`` are commuting Hermitian functions of the same
+    Hamiltonian with Q^2 + R^2 = I. ``matrix``, the block layout
+    [[Q, R], [R, -Q]], is formed on each read as a new read-only array.
     """
 
     system_dim: int
-    matrix: np.ndarray
     q_block: np.ndarray
     r_block: np.ndarray
 
     @property
     def dim(self) -> int:
         return 2 * self.system_dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        q, r = self.q_block, self.r_block
+        u = np.block([[q, r], [r, -q]])
+        u.setflags(write=False)
+        return u
 
 
 def build_dilation(op: HermitianOperator, params: ItpParams) -> DilationUnitary:
@@ -120,14 +127,11 @@ def build_dilation(op: HermitianOperator, params: ItpParams) -> DilationUnitary:
     et = params.resolve_trial_energy(op)
     q = itp_filter(op, params)
     r = matrix_function(op, lambda e: filter_profile(-e, params.tau, -et))
-    n = op.dim
-    u = np.empty((2 * n, 2 * n), dtype=complex)
-    u[:n, :n], u[:n, n:], u[n:, :n], u[n:, n:] = q, r, r, -q
     qh, rh = q.conj().T, r.conj().T
     qh_r = qh @ r  # the off-diagonal blocks' Q^dag R - R^dag Q is qh_r - qh_r^dag
-    defect = float(np.maximum(max_abs(qh @ q + rh @ r - np.eye(n)), max_abs(qh_r - qh_r.conj().T)))
+    defect = float(np.maximum(max_abs(qh @ q + rh @ r - np.eye(op.dim)), max_abs(qh_r - qh_r.conj().T)))
     if not defect < 1e-10:
         raise UnitarityCheckFailed(f"||U^dag U - I||_max = {defect:.3e}")
-    for a in (u, q, r):
-        a.setflags(write=False)
-    return DilationUnitary(system_dim=op.dim, matrix=u, q_block=q, r_block=r)
+    q.setflags(write=False)
+    r.setflags(write=False)
+    return DilationUnitary(system_dim=op.dim, q_block=q, r_block=r)

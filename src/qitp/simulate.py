@@ -15,10 +15,11 @@ distribution. The register is the reservoir qubit, leading, (x) the system
 padded to 2**m >= N levels: index a * 2**m + beta. Channels on distinct
 qubits commute and only the reservoir-0 block is kept, so each repetition is
 one N x N update ``rho <- E_sys(Q rho Q + g R rho R) / p0`` (g the damping),
-never the 2N x 2N register. Neither noise map forms a Kronecker product
-with identities: the channel is per-qubit transfers, then one weight built
-per run (multiplied entrywise), and the flips apply a 2x2 map to one bit of
-the register index (``_apply_1q``). For N not a power of two this layout
+never the 2N x 2N register: the loop reads the dilation's two blocks only.
+Neither noise map forms a Kronecker product with identities: the channel
+is one map built per run, per-qubit transfers then one weight (multiplied
+entrywise), and the flips apply a 2x2 map to one bit of the register index
+(``_apply_1q``). For N not a power of two this layout
 differs from padding the extended index a * N + beta itself, where no bit
 is the reservoir. This is a qualitative stand-in for hardware relaxation.
 The density matrix is all the loop carries, so once its bytes recur the
@@ -248,21 +249,18 @@ def apply_channel(rho, noise: NoiseParams) -> np.ndarray:
         raise DimensionError(f"density matrix must be square, got {r.shape}")
     if not np.isfinite(r).all():
         raise InvalidDistribution("density matrix has non-finite entries")
-    return _channel(noise, r.shape[0])[0](r)
+    return _channel(noise, r.shape[0])(r)
 
 
 def _channel(noise: NoiseParams, dim: int):
-    """The unchecked map of :func:`apply_channel` on dim x dim input, and its
-    diagonal form, with the weight, the padded buffer and the transfer views
-    built once.
+    """The unchecked map of :func:`apply_channel` on dim x dim input, with the
+    weight, the padded buffer and the transfer views built once.
 
     ``channel(rho, out=None)`` copies rho into the buffer, runs the transfers
     and writes ``buffer * weight`` into ``out`` (a new array if None), which
     may be rho itself but never aliases the buffer. The padding stays zero:
     a transfer's source lies above its target, so a padded target only ever
-    receives zeros. ``diagonal(d)`` is ``np.diag(channel(D))`` for D with
-    diagonal d, bit for bit: each diagonal entry takes the same additions, in
-    the same order, from diagonal entries alone.
+    receives zeros.
     """
     k = (dim - 1).bit_length()
     g = noise.amplitude_damping
@@ -271,33 +269,22 @@ def _channel(noise: NoiseParams, dim: int):
     for _ in range(k):  # weight <- weight (x) m, by broadcasting
         weight = (weight[:, None, :, None] * m[:, None]).reshape(2 * len(weight), -1)
     weight = weight[:dim, :dim]
-    weight_diag = np.diag(weight).copy()
     buffer = np.zeros((2**k, 2**k), dtype=complex)
-    vector = np.zeros(2**k, dtype=complex)
-    transfers, diagonal_transfers = [], []
+    transfers = []
     for q in range(k):
         # View axes: (row hi, row q, row lo + column hi, column q, column lo).
         t = buffer.reshape(2**q, 2, 2 ** (k - 1), 2, 2 ** (k - q - 1))
         src = t[:, 1, :, 1]
         transfers.append((t[:, 0, :, 0], src, np.empty(src.shape, dtype=complex)))
-        t = vector.reshape(2**q, 2, 2 ** (k - q - 1))
-        diagonal_transfers.append((t[:, 0], t[:, 1], np.empty(t[:, 1].shape, dtype=complex)))
-
-    head, vector_head = buffer[:dim, :dim], vector[:dim]
-
-    def transferred(target, data, steps):
-        target[...] = data
-        for dst, src, scratch in steps:
-            dst += np.multiply(g, src, out=scratch)
-        return target
+    head = buffer[:dim, :dim]
 
     def channel(rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.multiply(transferred(head, rho, transfers), weight, out=out)
+        head[...] = rho
+        for dst, src, scratch in transfers:
+            dst += np.multiply(g, src, out=scratch)
+        return np.multiply(head, weight, out=out)
 
-    def diagonal(d: np.ndarray) -> np.ndarray:
-        return transferred(vector_head, d, diagonal_transfers) * weight_diag
-
-    return channel, diagonal
+    return channel
 
 
 def readout_confusion(probs, flip: float) -> np.ndarray:
@@ -451,8 +438,10 @@ def _run_density(op, params, psi0, repetitions, noise):
     On the register of the module docstring the reservoir's damping is
     ``rho00 += g * rho11`` and its dephasing touches only the discarded
     off-diagonal blocks, so a repetition is ``rho <- E_sys(Q rho Q + g R rho R) / p0``
-    and the final reservoir-1 populations are ``(1 - g) diag(E_sys(R rho R))``.
-    Returns the final ancilla-major extended probabilities and the energy.
+    and the final reservoir-1 populations are ``(1 - g) diag(E_sys(R rho R))``,
+    from one more pass of the same map. Only Q and R are read, never the
+    dilation's 2N x 2N matrix. Returns the final ancilla-major extended
+    probabilities and the energy.
 
     The state entering a repetition is all the loop carries, so once its
     bytes recur every later repetition repeats with that period. Brent's
@@ -469,7 +458,7 @@ def _run_density(op, params, psi0, repetitions, noise):
     if state.size != op.dim:
         raise DimensionMismatch(f"state dim {state.size} != operator dim {op.dim}")
     rho = np.outer(state, state.conj())
-    channel, channel_diagonal = _channel(noise, op.dim)
+    channel = _channel(noise, op.dim)
     work, lost, kept = np.empty((3,) + rho.shape, dtype=complex)
     saved, saved_p0, saved_rep, span = None, None, 0, 1
     rep = 1
@@ -490,7 +479,7 @@ def _run_density(op, params, psi0, repetitions, noise):
         # a signed zero that can flip only the sign of a zero part
         rho = (kept.view(float) * (1.0 / p0)).view(complex)
         rep += 1
-    dropped = (1 - g) * channel_diagonal(np.diag(lost))
+    dropped = (1 - g) * np.diag(channel(lost, out=lost))
     extended_probs = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
     h, e = _power_of_two_scaled(op.matrix)  # as in spectral_run: no term underflows
     energy = float(np.ldexp(np.real(np.sum(rho * h.T)), e))

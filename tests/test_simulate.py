@@ -1149,7 +1149,7 @@ def density_loop_cases(draw):
 
 
 class TestNoisyLoopBytes:
-    """The loop's work buffers, one-pass channel, diagonal populations and
+    """The loop's work buffers, one-pass channel, final populations and
     reciprocal renormalization reproduce the plain loop bit for bit."""
 
     @settings(max_examples=200, deadline=None)
@@ -1158,37 +1158,44 @@ class TestNoisyLoopBytes:
         want = outcome(loop_without_detection, *case)
         assert outcome(simulate._run_density, *case) == want
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        dim=st.one_of(st.integers(1, 16), st.sampled_from([48, 64])),
-        seed=st.integers(0, 2**32 - 1),
-        g=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-        lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    )
-    def test_diagonal_form_is_the_map_diagonal(self, dim, seed, g, lam):
-        rng = np.random.default_rng(seed)
-        rho = random_hermitian(dim, rng) + 1j * random_hermitian(dim, rng)
-        channel, diagonal = simulate._channel(NoiseParams(g, lam), dim)
-        want = np.diag(channel(rho)).copy()
-        assert diagonal(np.diag(rho)).tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("dim", [1, 3, 4, 48])
     def test_map_output_never_aliases_its_buffer(self, dim):
         rng = np.random.default_rng(dim)
         a, b = random_hermitian(dim, rng), random_hermitian(dim, rng)
         noise = NoiseParams(0.3, 0.1)
-        channel, diagonal = simulate._channel(noise, dim)
+        channel = simulate._channel(noise, dim)
         first = channel(a)
         kept = first.copy()
         second = channel(b)
         assert np.array_equal(first, kept) and not np.shares_memory(first, second)
-        d = diagonal(np.diag(a))
-        assert not np.shares_memory(d, diagonal(np.diag(b)))
         # out= may be the input itself, with the same bytes as a new array
         inplace = b.astype(complex)
         assert channel(inplace, out=inplace) is inplace
         assert inplace.tobytes() == second.tobytes()
         assert channel(a).tobytes() == apply_channel(a, noise).tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3, 4, 64])
+    def test_dilation_matrix_is_formed_read_only_and_unread_by_the_loop(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        op = HermitianOperator.from_matrix(random_hermitian(dim, rng))
+        params = ItpParams(1.0, trial_mode="ground_state_exact")
+        u = build_dilation(op, params)
+        q, r = u.q_block, u.r_block
+        want = np.empty((2 * dim, 2 * dim), dtype=complex)  # the eager assembly
+        want[:dim, :dim], want[:dim, dim:], want[dim:, :dim], want[dim:, dim:] = q, r, r, -q
+        got = u.matrix
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and u.matrix is not got
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+        def unread(self):
+            raise AssertionError("the noisy loop read the 2N x 2N dilation")
+
+        monkeypatch.setattr(qitp.DilationUnitary, "matrix", property(unread))
+        psi, noise = random_state(dim, rng), NoiseParams(0.1, 0.05)
+        want = outcome(loop_without_detection, op, params, psi, 3, noise)
+        assert outcome(simulate._run_density, op, params, psi, 3, noise) == want
 
     @pytest.mark.parametrize("dim", [1, 3, 4, 48])
     def test_apply_channel_never_writes_its_input(self, dim):
@@ -1261,13 +1268,13 @@ class TestCycleJump:
         real, calls = simulate._channel, []
 
         def counting(noise, dim):
-            channel, diagonal = real(noise, dim)
+            channel = real(noise, dim)
 
             def counted(*args, **kwargs):
                 calls.append(None)
                 return channel(*args, **kwargs)
 
-            return counted, diagonal
+            return counted
 
         monkeypatch.setattr(simulate, "_channel", counting)
         for repetitions in (10**6, 10**9, 10**9 + 1):
@@ -1381,7 +1388,7 @@ ERROR_CASES = [
     ("apply_step, NaN amplitude", InvalidDistribution,
      lambda op: apply_step([np.nan, 0.0, 0.0, 0.0], build_dilation(op, ItpParams(1.0)))),
     ("apply_step, DilationUnitary of another dim", DimensionMismatch,
-     lambda op: apply_step(np.ones(3), qitp.DilationUnitary(2, np.eye(4), None, None))),
+     lambda op: apply_step(np.ones(3), qitp.DilationUnitary(2, np.eye(2), np.zeros((2, 2))))),
     ("postselect_ancilla0, NaN amplitude", InvalidDistribution,
      lambda op: postselect_ancilla0([np.nan, 0.0, 0.0, 0.0])),
     ("postselect_ancilla0, odd size", DimensionMismatch, lambda op: postselect_ancilla0([1, 0, 0])),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnitarityCheckFailed
-from .linalg import HermitianOperator, _is_finite_real, matrix_function, max_abs
+from .linalg import HermitianOperator, _is_finite_real, _real_array, matrix_function, max_abs
 
 TRIAL_MODES = ("absolute", "ground_state_exact")
 
@@ -60,8 +60,8 @@ class ItpParams:
 def log_filter_squared(energies, tau, trial_energy) -> np.ndarray:
     """log h(E)^2 = -logaddexp(0, 2 (E - E_T) tau); see :func:`filter_profile`."""
     with np.errstate(over="ignore", invalid="ignore"):
-        half = np.asarray(energies, dtype=float) / 2 - np.asarray(trial_energy, dtype=float) / 2
-        x = half * tau * 4.0
+        half = _real_array(energies, what="E") / 2 - _real_array(trial_energy, what="E_T") / 2
+        x = half * _real_array(tau, what="tau") * 4.0
     if np.isnan(x).any():
         raise ValueError("(E - E_T) * tau is undefined: a NaN, inf - inf or 0 * inf")
     return -np.logaddexp(0.0, x)
@@ -76,7 +76,8 @@ def filter_profile(energies, tau: float, trial_energy: float) -> np.ndarray:
     E_T and tau >= 0 are accepted: the halves E/2 - E_T/2 never overflow,
     and an exponent 2 (E - E_T) tau beyond the float range is an infinity
     whose limit logaddexp takes. Infinite input goes to its limit; a NaN
-    (E - E_T) tau (NaN input, inf - inf, 0 * inf) raises ValueError.
+    (E - E_T) tau (NaN input, inf - inf, 0 * inf) raises ValueError, as does
+    complex or boolean input.
     """
     return np.exp(log_filter_squared(energies, tau, trial_energy) / 2)
 

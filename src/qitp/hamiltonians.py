@@ -47,6 +47,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     _is_finite_real,
+    _real_array,
     eigh,
     max_abs,
 )
@@ -166,14 +167,15 @@ class SpinCouplings:
     """Vector and tensor couplings of the two-neutron spin interaction (MeV).
 
     ``a2`` must be real symmetric; it is accepted as a full matrix because
-    the radial functional forms behind it are external inputs.
+    the radial functional forms behind it are external inputs. Complex or
+    boolean ``a2``, like a boolean ``a1``, raises ValueError.
     """
 
     a1: float
     a2: np.ndarray
 
     def __post_init__(self):
-        a2 = np.asarray(self.a2, dtype=float)
+        a2 = _real_array(self.a2, what="a2")
         if a2.shape != (3, 3):
             raise ValueError(f"a2 must be 3x3, got {a2.shape}")
         if not _is_finite_real(self.a1) or not np.all(np.isfinite(a2)):

@@ -65,6 +65,16 @@ def _is_finite_real(x) -> bool:
         return False
 
 
+def _real_array(x, error: type[Exception] = ValueError, what: str = "entries") -> np.ndarray:
+    """x as a float array. Raises ``error`` when numpy reads it as complex or
+    boolean, which a float conversion would cut to the real part or to 0
+    and 1 (and a complex list would fail with a bare TypeError)."""
+    a = np.asarray(x)
+    if a.dtype.kind in "bc":
+        raise error(f"{what} must be real numbers, got {a.dtype} input")
+    return a.astype(float, copy=False)
+
+
 def _power_of_two_scaled(a) -> tuple[np.ndarray, int]:
     """A complex array times ``2**-e`` and e, the frexp exponent of its largest
     real or imaginary part, so that part lands in [0.5, 1); e is 0 for an

@@ -61,6 +61,7 @@ from .linalg import (
     _ground_cluster_end,
     _is_finite_real,
     _power_of_two_scaled,
+    _real_array,
     max_abs,
 )
 
@@ -176,8 +177,12 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
     (so a denormals-are-zero mode leaves it alone), and positive finite doubles
     order exactly as their bit patterns do (IEEE 754). Every comparison is
     the integer one, a threshold at or past 2**53 included.
+
+    Raises InvalidDistribution for complex, boolean, non-finite or negative
+    probabilities, for a sum off 1 by more than 1e-9, and for a shot count
+    or seed that is not an integer or shots below 0.
     """
-    p = np.asarray(probs, dtype=float).ravel()
+    p = _real_array(probs, InvalidDistribution, "probabilities").ravel()
     for name, value in (("shots", shots), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise InvalidDistribution(f"{name} must be an integer, got {value!r}")
@@ -297,11 +302,12 @@ def readout_confusion(probs, flip: float) -> np.ndarray:
     the reservoir bit and the m system bits, cropped, and renormalized (flips
     can leak into the padding levels), so the reservoir bit is never mixed
     with system padding. Raises ValueError for a flip outside [0, 0.5],
-    DimensionMismatch for an odd length, and InvalidDistribution for a NaN,
-    infinite or negative probability, or for no weight left to renormalize.
+    DimensionMismatch for an odd length, and InvalidDistribution for complex
+    or boolean input, a NaN, infinite or negative probability, or no weight
+    left to renormalize.
     """
     NoiseParams(readout_flip=flip)  # checks the flip
-    p = np.asarray(probs, dtype=float).ravel()
+    p = _real_array(probs, InvalidDistribution, "probabilities").ravel()
     if not (np.isfinite(p).all() and (p >= 0.0).all()):
         raise InvalidDistribution("probabilities must be finite and non-negative")
     if p.size % 2:
@@ -380,13 +386,14 @@ def spectral_run(
     so the basis within it does not matter); and, only when asked for,
     ``extended``, shape (G, 2N), the final repetition's ancilla-major
     ``[|V h c'|^2, |V r c'|^2]`` (c' the coefficients entering it). Failed
-    rows read NaN in all but p0. A repetition count beyond the float range
-    raises ValueError.
+    rows read NaN in all but p0. A repetition count beyond the float range,
+    and a tau or E_T that is complex, boolean, non-finite or (tau) negative,
+    raise ValueError.
     """
     _check_count("repetitions", repetitions)
     if repetitions > sys.float_info.max:  # (K - 1) log h^2 is taken in floats
         raise ValueError(f"repetitions must be at most {sys.float_info.max:g}")
-    taus, ets = np.broadcast_arrays(np.asarray(taus, float), np.asarray(trial_energies, float))
+    taus, ets = np.broadcast_arrays(_real_array(taus, what="tau"), _real_array(trial_energies, what="E_T"))
     taus, ets = taus.reshape(-1, 1), ets.reshape(-1, 1)
     bad = ~(np.isfinite(taus) & (taus >= 0))
     if bad.any():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qitp
 from qitp import simulate
-from qitp.dilation import TRIAL_MODES, ItpParams, build_dilation, filter_profile
+from qitp.dilation import TRIAL_MODES, ItpParams, build_dilation, filter_profile, log_filter_squared
 from qitp.errors import (
     DimensionError,
     DimensionMismatch,
@@ -1381,6 +1381,32 @@ ERROR_CASES = [
     ("sample_shots, negative shots", InvalidDistribution, lambda op: sample_shots([1.0], -1, 0)),
     ("sample_shots, NaN probability", InvalidDistribution,
      lambda op: sample_shots([np.nan, 1.0], 1, 0)),
+    ("sample_shots, complex probabilities", InvalidDistribution,
+     lambda op: sample_shots(np.array([0.5 + 0.3j, 0.5]), 10, 1)),
+    ("sample_shots, complex probability list", InvalidDistribution,
+     lambda op: sample_shots([0.5 + 0.3j, 0.5], 10, 1)),
+    ("sample_shots, bool probabilities", InvalidDistribution,
+     lambda op: sample_shots(np.array([True, False]), 10, 1)),
+    ("readout_confusion, complex probabilities", InvalidDistribution,
+     lambda op: readout_confusion(np.array([0.5 + 0.3j, 0.5]), 0.1)),
+    ("readout_confusion, bool probabilities", InvalidDistribution,
+     lambda op: readout_confusion([True, False], 0.1)),
+    ("spectral_run, complex tau", ValueError,
+     lambda op: spectral_run(op, np.array([1.0 + 1j]), 0.0, np.ones(2), 1)),
+    ("spectral_run, bool tau", ValueError,
+     lambda op: spectral_run(op, np.array([True]), 0.0, np.ones(2), 1)),
+    ("spectral_run, complex E_T", ValueError,
+     lambda op: spectral_run(op, 1.0, [0.1j], np.ones(2), 1)),
+    ("spectral_run, bool E_T", ValueError, lambda op: spectral_run(op, 1.0, True, np.ones(2), 1)),
+    ("filter_profile, complex energies", ValueError,
+     lambda op: filter_profile(np.array([1.0 + 1j]), 1.0, 0.0)),
+    ("filter_profile, bool energies", ValueError, lambda op: filter_profile(np.array([True]), 1.0, 0.0)),
+    ("filter_profile, complex tau", ValueError, lambda op: filter_profile([1.0], 1j, 0.0)),
+    ("filter_profile, bool tau", ValueError, lambda op: filter_profile([1.0], True, 0.0)),
+    ("filter_profile, complex E_T", ValueError, lambda op: filter_profile([1.0], 1.0, 1j)),
+    ("filter_profile, bool E_T", ValueError, lambda op: filter_profile([1.0], 1.0, False)),
+    ("log_filter_squared, complex energy list", ValueError,
+     lambda op: log_filter_squared([1j], 1.0, 0.0)),
     ("extend_with_ancilla, NaN amplitude", InvalidDistribution,
      lambda op: extend_with_ancilla([np.nan, 0.0])),
     ("extend_with_ancilla, inf amplitude", InvalidDistribution,
@@ -1439,6 +1465,10 @@ ERROR_CASES = [
      lambda op: qitp.orthonormalize(np.eye(2), np.ones((2, 2)))),
     ("SpinCouplings, NaN a1", ValueError, lambda op: qitp.SpinCouplings(np.nan, np.zeros((3, 3)))),
     ("SpinCouplings, text a1", ValueError, lambda op: qitp.SpinCouplings("1", np.zeros((3, 3)))),
+    ("SpinCouplings, complex a2", ValueError, lambda op: qitp.SpinCouplings(1.0, np.eye(3) * (1 + 1j))),
+    ("SpinCouplings, complex a2 list", ValueError,
+     lambda op: qitp.SpinCouplings(1.0, [[1j, 0, 0], [0, 0, 0], [0, 0, 0]])),
+    ("SpinCouplings, bool a2", ValueError, lambda op: qitp.SpinCouplings(1.0, np.eye(3, dtype=bool))),
     ("two_neutron_sd, asymmetric a2", ValueError,
      lambda op: qitp.two_neutron_sd(qitp.SpinCouplings(1.0, np.triu(np.ones((3, 3)))))),
     ("load_hamiltonian, empty file", ParseError, lambda op: qitp.load_hamiltonian(os.devnull)),

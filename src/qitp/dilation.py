@@ -60,8 +60,8 @@ class ItpParams:
 def log_filter_squared(energies, tau, trial_energy) -> np.ndarray:
     """log h(E)^2 = -logaddexp(0, 2 (E - E_T) tau); see :func:`filter_profile`."""
     with np.errstate(over="ignore", invalid="ignore"):
-        half = _real_array(energies, what="E") / 2 - _real_array(trial_energy, what="E_T") / 2
-        x = half * _real_array(tau, what="tau") * 4.0
+        half = _real_array(energies, "E") / 2 - _real_array(trial_energy, "E_T") / 2
+        x = half * _real_array(tau, "tau") * 4.0
     if np.isnan(x).any():
         raise ValueError("(E - E_T) * tau is undefined: a NaN, inf - inf or 0 * inf")
     return -np.logaddexp(0.0, x)

@@ -175,7 +175,7 @@ class SpinCouplings:
     a2: np.ndarray
 
     def __post_init__(self):
-        a2 = _real_array(self.a2, what="a2")
+        a2 = _real_array(self.a2, "a2")
         if a2.shape != (3, 3):
             raise ValueError(f"a2 must be 3x3, got {a2.shape}")
         if not _is_finite_real(self.a1) or not np.all(np.isfinite(a2)):

@@ -65,10 +65,10 @@ def _is_finite_real(x) -> bool:
         return False
 
 
-def _real_array(x, error: type[Exception] = ValueError, what: str = "entries") -> np.ndarray:
-    """x as a float array. Raises ``error`` when numpy reads it as complex or
-    boolean, which a float conversion would cut to the real part or to 0
-    and 1 (and a complex list would fail with a bare TypeError)."""
+def _real_array(x, what: str, error: type[Exception] = ValueError) -> np.ndarray:
+    """x as a float array. Raises ``error``, naming ``what``, when numpy reads
+    x as complex or boolean, which a float conversion would cut to the real
+    part or to 0 and 1 (and a complex list would fail with a bare TypeError)."""
     a = np.asarray(x)
     if a.dtype.kind in "bc":
         raise error(f"{what} must be real numbers, got {a.dtype} input")

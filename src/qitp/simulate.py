@@ -19,10 +19,10 @@ never the 2N x 2N register: the loop reads the dilation's two blocks only.
 Neither noise map forms a Kronecker product with identities: the channel
 is one map built per run, per-qubit transfers then one weight (multiplied
 entrywise), and the flips apply a 2x2 map to one bit of the register index
-(``_apply_1q``). For N not a power of two this layout
-differs from padding the extended index a * N + beta itself, where no bit
-is the reservoir. This is a qualitative stand-in for hardware relaxation.
-The density matrix is all the loop carries, so once its bytes recur the
+(``_apply_1q``). For N not a power of two this layout differs from padding
+the extended index a * N + beta itself, where no bit is the reservoir.
+This is a qualitative stand-in for hardware relaxation. The density
+matrix is all the loop carries, so once its bytes recur the
 loop skips whole periods: K noisy repetitions cost O(min(K, repeat point)).
 A slowly converging H may never repeat (a random dim-64 H did not in 20,000
 repetitions); then all K are computed.
@@ -182,7 +182,7 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
     probabilities, for a sum off 1 by more than 1e-9, and for a shot count
     or seed that is not an integer or shots below 0.
     """
-    p = _real_array(probs, InvalidDistribution, "probabilities").ravel()
+    p = _real_array(probs, "probabilities", InvalidDistribution).ravel()
     for name, value in (("shots", shots), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise InvalidDistribution(f"{name} must be an integer, got {value!r}")
@@ -307,7 +307,7 @@ def readout_confusion(probs, flip: float) -> np.ndarray:
     left to renormalize.
     """
     NoiseParams(readout_flip=flip)  # checks the flip
-    p = _real_array(probs, InvalidDistribution, "probabilities").ravel()
+    p = _real_array(probs, "probabilities", InvalidDistribution).ravel()
     if not (np.isfinite(p).all() and (p >= 0.0).all()):
         raise InvalidDistribution("probabilities must be finite and non-negative")
     if p.size % 2:
@@ -393,7 +393,7 @@ def spectral_run(
     _check_count("repetitions", repetitions)
     if repetitions > sys.float_info.max:  # (K - 1) log h^2 is taken in floats
         raise ValueError(f"repetitions must be at most {sys.float_info.max:g}")
-    taus, ets = np.broadcast_arrays(_real_array(taus, what="tau"), _real_array(trial_energies, what="E_T"))
+    taus, ets = np.broadcast_arrays(_real_array(taus, "tau"), _real_array(trial_energies, "E_T"))
     taus, ets = taus.reshape(-1, 1), ets.reshape(-1, 1)
     bad = ~(np.isfinite(taus) & (taus >= 0))
     if bad.any():

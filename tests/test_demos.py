@@ -39,7 +39,7 @@ def _edit(old: str, new: str):
 MUTATIONS = [
     ("one digit", "noise_effects", _edit("0.03990", "0.03991"), True),
     ("a sign", "two_neutron_spins", _edit("[-5.  1.  1.  3.]", "[ 5.  1.  1.  3.]"), True),
-    ("a line dropped", "repetition_convergence", _edit(" 12     -4.995016", " 12\n     -4.995016"), True),
+    ("a line split", "repetition_convergence", _edit(" 12     -4.995016", " 12\n     -4.995016"), True),
     ("gate count", "transpile_to_gates", _edit("12 gates", "13 gates"), True),
     ("fidelity digit", "transpile_to_gates", _edit("1.000000000000000", "0.999999999999999"), True),
     ("occupation digit", "transpile_to_gates", _edit("gates 0.535614", "gates 0.535615"), True),

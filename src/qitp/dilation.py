@@ -77,7 +77,7 @@ def filter_profile(energies, tau: float, trial_energy: float) -> np.ndarray:
     and an exponent 2 (E - E_T) tau beyond the float range is an infinity
     whose limit logaddexp takes. Infinite input goes to its limit; a NaN
     (E - E_T) tau (NaN input, inf - inf, 0 * inf) raises ValueError, as does
-    complex or boolean input.
+    input that is not real numbers (text, complex, boolean).
     """
     return np.exp(log_filter_squared(energies, tau, trial_energy) / 2)
 

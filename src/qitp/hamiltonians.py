@@ -46,6 +46,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _integer,
     _is_finite_real,
     _real_array,
     eigh,
@@ -167,8 +168,8 @@ class SpinCouplings:
     """Vector and tensor couplings of the two-neutron spin interaction (MeV).
 
     ``a2`` must be real symmetric; it is accepted as a full matrix because
-    the radial functional forms behind it are external inputs. Complex or
-    boolean ``a2``, like a boolean ``a1``, raises ValueError.
+    the radial functional forms behind it are external inputs. An ``a1`` or
+    ``a2`` entry that is not a real number (text, complex, a bool) raises ValueError.
     """
 
     a1: float
@@ -261,8 +262,8 @@ def _decode(text: str) -> tuple[str, np.ndarray]:
     for key in ("dim", "units", "matrix"):
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
-    dim = doc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+    dim = _integer(doc["dim"], "dim", 1, DimensionError)
+    if dim > MAX_DIM:
         raise DimensionError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
     units = doc["units"]
     if units not in HermitianOperator.VALID_UNITS:

@@ -51,28 +51,44 @@ def max_abs(m) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-_BOOLS = (bool, np.bool_)
+def _integer(x, what: str, low: int | None = None, error: type[Exception] = ValueError) -> int:
+    """x as an int: a Python or numpy integer other than a bool, at least
+    ``low`` when one is given. Raises ``error``, naming ``what``, otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or low is not None and x < low:
+        bound = "" if low is None else f" >= {low}"
+        raise error(f"{what} must be an integer{bound}, got {x!r}")
+    return int(x)
+
+
+def _is_real(x) -> bool:
+    """Whether x is a real number: a value ``math.isfinite`` takes that is not
+    a bool, so not text, None, complex or an int beyond the float range."""
+    if isinstance(x, (bool, np.bool_)):
+        return False
+    try:
+        math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+    return True
 
 
 def _is_finite_real(x) -> bool:
-    """Whether x is a finite real number; a bool, None, text or an int
-    beyond the float range is not."""
-    if isinstance(x, _BOOLS):
-        return False
-    try:
-        return math.isfinite(x)
-    except (TypeError, OverflowError):
-        return False
+    """Whether x is a finite real number (:func:`_is_real`)."""
+    return _is_real(x) and math.isfinite(x)
 
 
 def _real_array(x, what: str, error: type[Exception] = ValueError) -> np.ndarray:
-    """x as a float array. Raises ``error``, naming ``what``, when numpy reads
-    x as complex or boolean, which a float conversion would cut to the real
-    part or to 0 and 1 (and a complex list would fail with a bare TypeError)."""
-    a = np.asarray(x)
-    if a.dtype.kind in "bc":
-        raise error(f"{what} must be real numbers, got {a.dtype} input")
-    return a.astype(float, copy=False)
+    """x as a float array. Raises ``error``, naming ``what``, unless every
+    entry is a real number (:func:`_is_real`). An integer or float ndarray
+    passes unscanned; other input is scanned entry by entry, since numpy
+    reads ``[0.5, True]`` as float64 and text as numbers."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
+        return x.astype(float, copy=False)
+    a = np.asarray(x, dtype=object)
+    for entry in a.flat:
+        if not _is_real(entry):
+            raise error(f"{what} must be real numbers, got {entry!r}")
+    return a.astype(float)
 
 
 def _power_of_two_scaled(a) -> tuple[np.ndarray, int]:

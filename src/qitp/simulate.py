@@ -59,6 +59,7 @@ from .linalg import (
     HermitianOperator,
     _apply_1q,
     _ground_cluster_end,
+    _integer,
     _is_finite_real,
     _power_of_two_scaled,
     _real_array,
@@ -178,17 +179,13 @@ def sample_shots(probs, shots: int, seed: int) -> np.ndarray:
     order exactly as their bit patterns do (IEEE 754). Every comparison is
     the integer one, a threshold at or past 2**53 included.
 
-    Raises InvalidDistribution for complex, boolean, non-finite or negative
-    probabilities, for a sum off 1 by more than 1e-9, and for a shot count
-    or seed that is not an integer or shots below 0.
+    Raises InvalidDistribution for probabilities that are not real numbers
+    (text, complex, boolean), non-finite or negative, for a sum off 1 by more
+    than 1e-9, and for a non-integer shot count or seed, or shots below 0.
     """
     p = _real_array(probs, "probabilities", InvalidDistribution).ravel()
-    for name, value in (("shots", shots), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidDistribution(f"{name} must be an integer, got {value!r}")
-    shots, seed = int(shots), int(seed)
-    if shots < 0:
-        raise InvalidDistribution("shots must be >= 0")
+    shots = _integer(shots, "shots", 0, InvalidDistribution)
+    seed = _integer(seed, "seed", error=InvalidDistribution)
     if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < -1e-12):
         raise InvalidDistribution("probabilities must be finite and non-negative")
     total = p.sum()
@@ -302,9 +299,9 @@ def readout_confusion(probs, flip: float) -> np.ndarray:
     the reservoir bit and the m system bits, cropped, and renormalized (flips
     can leak into the padding levels), so the reservoir bit is never mixed
     with system padding. Raises ValueError for a flip outside [0, 0.5],
-    DimensionMismatch for an odd length, and InvalidDistribution for complex
-    or boolean input, a NaN, infinite or negative probability, or no weight
-    left to renormalize.
+    DimensionMismatch for an odd length, and InvalidDistribution for input
+    that is not real numbers (text, complex, boolean), a NaN, infinite or
+    negative probability, or no weight left to renormalize.
     """
     NoiseParams(readout_flip=flip)  # checks the flip
     p = _real_array(probs, "probabilities", InvalidDistribution).ravel()
@@ -352,16 +349,9 @@ def basis_labels(system_dim: int) -> list[str]:
     """Labels for the extended basis: bitstrings "ab" for a single system
     qubit (reservoir digit first), Fock indices "0".."2N-1" otherwise.
     Raises ValueError unless ``system_dim`` is an integer >= 1."""
-    _check_count("system_dim", system_dim)
-    if system_dim == 2:
+    if _integer(system_dim, "system_dim", 1) == 2:
         return [f"{a}{b}" for a in (0, 1) for b in (0, 1)]
     return [str(i) for i in range(2 * system_dim)]
-
-
-def _check_count(name: str, value) -> None:
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integral or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 SpectralRows = namedtuple("SpectralRows", "p0 energy ground_weight failed extended")
@@ -387,10 +377,10 @@ def spectral_run(
     ``extended``, shape (G, 2N), the final repetition's ancilla-major
     ``[|V h c'|^2, |V r c'|^2]`` (c' the coefficients entering it). Failed
     rows read NaN in all but p0. A repetition count beyond the float range,
-    and a tau or E_T that is complex, boolean, non-finite or (tau) negative,
-    raise ValueError.
+    and a tau or E_T that is not a real number (text, complex, boolean),
+    non-finite or (tau) negative, raise ValueError.
     """
-    _check_count("repetitions", repetitions)
+    repetitions = _integer(repetitions, "repetitions", 1)
     if repetitions > sys.float_info.max:  # (K - 1) log h^2 is taken in floats
         raise ValueError(f"repetitions must be at most {sys.float_info.max:g}")
     taus, ets = np.broadcast_arrays(_real_array(taus, "tau"), _real_array(trial_energies, "E_T"))
@@ -513,7 +503,7 @@ def run_itp(
 
     Pure given (inputs, seed): repeated calls reproduce identical records.
     """
-    _check_count("repetitions", repetitions)
+    repetitions = _integer(repetitions, "repetitions", 1)
     if noise is None:
         et = params.resolve_trial_energy(op)
         rows = spectral_run(op, params.tau, et, psi0, repetitions, extended=True)

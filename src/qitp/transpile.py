@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DimensionMismatch, FidelityShortfall, NotUnitary, ParseError
-from .linalg import _apply_1q, _is_finite_real, max_abs
+from .linalg import _apply_1q, _integer, _is_finite_real, max_abs
 
 GATE_KINDS = ("rx", "rz", "cz")
 
@@ -148,9 +147,9 @@ def _normalize_angle(theta: float) -> float:
 class Gate:
     """One gate: "rx"/"rz" with an angle on one qubit, or "cz" on a pair.
 
-    Qubits are stored as a tuple of ints and an angle is folded into
-    (-2*pi, 2*pi]; a bool qubit or angle is rejected like any other
-    malformed value, with ValueError.
+    Qubits (Python or numpy integers) are stored as a tuple of ints and an
+    angle is folded into (-2*pi, 2*pi]; a bool qubit or angle is rejected
+    like any other malformed value, with ValueError.
     """
 
     kind: str
@@ -169,12 +168,7 @@ class Gate:
                              else f"{kind} acts on exactly one qubit")
         # one or two entries, so the first and the last are all of them
         if type(raw[0]) is not int or type(raw[-1]) is not int:
-            if bool in map(type, raw):
-                raise ValueError(f"qubits must be a sequence of ints, got {raw!r}")
-            try:
-                raw = tuple(map(operator.index, raw))
-            except TypeError as exc:
-                raise ValueError(f"qubits must be a sequence of ints, got {raw!r}") from exc
+            raw = tuple(_integer(q, "qubit") for q in raw)
         if kind == "cz":
             if raw[0] == raw[1]:
                 raise ValueError("cz needs two distinct qubits")
@@ -203,12 +197,7 @@ class Circuit:
     global_phase: float = 0.0
 
     def __post_init__(self):
-        n = self.qubit_count
-        if isinstance(n, bool) or not hasattr(n, "__index__"):
-            raise ValueError(f"qubit_count must be an int, got {n!r}")
-        n = operator.index(n)
-        if n < 1:
-            raise ValueError("qubit_count must be >= 1")
+        n = _integer(self.qubit_count, "qubit_count", 1)
         try:
             gates = tuple(self.gates)
         except TypeError as exc:

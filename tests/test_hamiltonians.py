@@ -400,6 +400,8 @@ class TestSerialization:
             load_hamiltonian(
                 saved(tmp_path, {"dim": 3, "units": "mev", "matrix": [[[1.0, 0.0]]]})
             )
+        with pytest.raises(DimensionError):
+            load_hamiltonian(saved(tmp_path, {"dim": 65, "units": "mev", "matrix": []}))
 
     def test_path_starting_with_brace_is_a_file(self, tmp_path, monkeypatch):
         # a relative str path whose first character is "{" names a file, not

@@ -1,3 +1,7 @@
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +13,10 @@ from qitp.linalg import (
     PAULI_Z,
     _fix_eigenvector_phases,
     _ground_cluster_end,
+    _integer,
+    _is_finite_real,
+    _is_real,
+    _real_array,
     eigh,
     matrix_function,
     max_abs,
@@ -250,3 +258,50 @@ class TestMatrixFunction:
         # a scalar broadcasts to every eigenvalue
         assert max_abs(matrix_function(op, lambda e: 2.0) - 2.0 * np.eye(2)) < 1e-15
 
+
+
+# Scalars on both sides of the input rules: bools, text, None, complex,
+# integers past 2**64 and past the float range, a Fraction, NaN and the
+# infinities, and Python and numpy ints and floats.
+RULE_SCALARS = st.one_of(
+    st.sampled_from([True, False, np.True_, np.False_, "1", "0.5", "nan", None, 1j, 1 + 0j,
+                     2**64, 10**400, -(10**400), Fraction(1, 2), math.nan, math.inf, -math.inf]),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+def is_real_by_type(x) -> bool:
+    """The real-scalar rule written out by type: a Python or numpy int or
+    float, or a Fraction, that is not a bool; an int within the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating, Fraction)):
+        return False
+    return not isinstance(x, int) or abs(x) <= sys.float_info.max
+
+
+def accepts(f, *args) -> bool:
+    try:
+        f(*args)
+    except ValueError:
+        return False
+    return True
+
+
+class TestInputRules:
+    @settings(max_examples=300, deadline=None)
+    @given(RULE_SCALARS)
+    def test_one_rule_for_integers_scalars_and_arrays(self, x):
+        real = is_real_by_type(x)
+        assert _is_real(x) == real
+        assert accepts(_real_array, [x], "x") == real
+        if real:
+            assert _real_array([x], "x").tobytes() == np.float64(float(x)).tobytes()
+        assert _is_finite_real(x) == (real and math.isfinite(x))
+        integral = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+        assert accepts(_integer, x, "x") == integral
+        if integral:
+            assert type(_integer(x, "x")) is int and _integer(x, "x") == x

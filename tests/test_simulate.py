@@ -1312,6 +1312,15 @@ def _ham_file(text: str) -> str:
 
 
 _BIG_ENTRY = '{"dim": 1, "units": "dimensionless", "matrix": [[[1%s, 0]]]}'
+_ONE_BOOL_A2 = [[True, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+class _Index:
+    """Not an integer, though operator.index takes it."""
+
+    def __index__(self):
+        return 1
+
 _PURE = dict(params=ItpParams(tau=1.0), psi0=np.array([1.0, 1.0]))
 _NOISY = dict(_PURE, noise=NoiseParams())
 
@@ -1387,6 +1396,14 @@ ERROR_CASES = [
      lambda op: sample_shots([0.5 + 0.3j, 0.5], 10, 1)),
     ("sample_shots, bool probabilities", InvalidDistribution,
      lambda op: sample_shots(np.array([True, False]), 10, 1)),
+    ("sample_shots, text probabilities", InvalidDistribution,
+     lambda op: sample_shots(["0.5", "0.5"], 10, 1)),
+    ("sample_shots, a bool among the probabilities", InvalidDistribution,
+     lambda op: sample_shots([0.0, True], 5, 0)),
+    ("sample_shots, integer probability beyond the float range", InvalidDistribution,
+     lambda op: sample_shots([10**400], 1, 0)),
+    ("readout_confusion, text probabilities", InvalidDistribution,
+     lambda op: readout_confusion(["0.5", "0.5"], 0.1)),
     ("readout_confusion, complex probabilities", InvalidDistribution,
      lambda op: readout_confusion(np.array([0.5 + 0.3j, 0.5]), 0.1)),
     ("readout_confusion, bool probabilities", InvalidDistribution,
@@ -1398,6 +1415,8 @@ ERROR_CASES = [
     ("spectral_run, complex E_T", ValueError,
      lambda op: spectral_run(op, 1.0, [0.1j], np.ones(2), 1)),
     ("spectral_run, bool E_T", ValueError, lambda op: spectral_run(op, 1.0, True, np.ones(2), 1)),
+    ("spectral_run, text tau", ValueError, lambda op: spectral_run(op, "1", 0.0, np.ones(2), 1)),
+    ("spectral_run, text E_T", ValueError, lambda op: spectral_run(op, 1.0, ["0"], np.ones(2), 1)),
     ("filter_profile, complex energies", ValueError,
      lambda op: filter_profile(np.array([1.0 + 1j]), 1.0, 0.0)),
     ("filter_profile, bool energies", ValueError, lambda op: filter_profile(np.array([True]), 1.0, 0.0)),
@@ -1405,6 +1424,9 @@ ERROR_CASES = [
     ("filter_profile, bool tau", ValueError, lambda op: filter_profile([1.0], True, 0.0)),
     ("filter_profile, complex E_T", ValueError, lambda op: filter_profile([1.0], 1.0, 1j)),
     ("filter_profile, bool E_T", ValueError, lambda op: filter_profile([1.0], 1.0, False)),
+    ("filter_profile, text energies", ValueError, lambda op: filter_profile(["1", "2"], 1.0, 0.0)),
+    ("filter_profile, text tau", ValueError, lambda op: filter_profile([1.0], "1", 0.0)),
+    ("filter_profile, text E_T", ValueError, lambda op: filter_profile([1.0], 1.0, "0")),
     ("log_filter_squared, complex energy list", ValueError,
      lambda op: log_filter_squared([1j], 1.0, 0.0)),
     ("extend_with_ancilla, NaN amplitude", InvalidDistribution,
@@ -1469,6 +1491,7 @@ ERROR_CASES = [
     ("SpinCouplings, complex a2 list", ValueError,
      lambda op: qitp.SpinCouplings(1.0, [[1j, 0, 0], [0, 0, 0], [0, 0, 0]])),
     ("SpinCouplings, bool a2", ValueError, lambda op: qitp.SpinCouplings(1.0, np.eye(3, dtype=bool))),
+    ("SpinCouplings, one bool a2 entry", ValueError, lambda op: qitp.SpinCouplings(1.0, _ONE_BOOL_A2)),
     ("two_neutron_sd, asymmetric a2", ValueError,
      lambda op: qitp.two_neutron_sd(qitp.SpinCouplings(1.0, np.triu(np.ones((3, 3)))))),
     ("load_hamiltonian, empty file", ParseError, lambda op: qitp.load_hamiltonian(os.devnull)),
@@ -1478,6 +1501,7 @@ ERROR_CASES = [
      lambda op: qitp.load_hamiltonian(_ham_file(_BIG_ENTRY % ("0" * 4999)))),
     ("save_hamiltonian, path is a directory", OSError, lambda op: qitp.save_hamiltonian(op, os.curdir)),
     ("Circuit, float qubit count", ValueError, lambda op: qitp.Circuit(1.5)),
+    ("Circuit, __index__ qubit count", ValueError, lambda op: qitp.Circuit(_Index())),
     ("Circuit, text global phase", ValueError, lambda op: qitp.Circuit(2, [], "0.1")),
     ("Circuit, bool global phase", ValueError, lambda op: qitp.Circuit(2, [], True)),
     ("Circuit, gates not iterable", ValueError, lambda op: qitp.Circuit(2, 5)),
@@ -1487,6 +1511,7 @@ ERROR_CASES = [
     ("Gate, angle beyond the float range", ValueError, lambda op: qitp.Gate("rz", (0,), 10**400)),
     ("Gate, bool qubit", ValueError, lambda op: qitp.Gate("rx", (True,), 0.1)),
     ("Gate, bool cz qubit", ValueError, lambda op: qitp.Gate("cz", (0, True))),
+    ("Gate, __index__ qubit", ValueError, lambda op: qitp.Gate("rx", (_Index(),), 0.1)),
     ("circuit_unitary, 11 qubits", DimensionError, lambda op: qitp.circuit_unitary(qitp.Circuit(11))),
     ("emit_circuit_text, gate off the register", ValueError,
      lambda op: qitp.emit_circuit_text(qitp.Circuit(1, [qitp.Gate("rz", (1,), 0.5)]))),

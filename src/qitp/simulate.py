@@ -412,9 +412,9 @@ def spectral_run(
         p0 = np.where(failed, p0_1, kept.sum(axis=1))
         weights = np.where(failed[:, None], np.nan, kept / p0[:, None])
     ground_end = _ground_cluster_end(w, max_abs(op.matrix))
-    # <H> over the spectrum as eigh scaled it, so no term underflows at any scale of H
-    e = _power_of_two_scaled(op.matrix)[1]
-    energy = np.ldexp(weights @ np.ldexp(w, -e), e)
+    # <H> over the power-of-two scaled spectrum, so no term underflows at any scale of H
+    ws, e = _power_of_two_scaled(w)
+    energy = np.ldexp(weights @ ws.real, e)
     ext = None
     if extended:
         a = np.sqrt(entering) * np.exp(1j * np.angle(c))
@@ -478,7 +478,7 @@ def _run_density(op, params, psi0, repetitions, noise):
         rep += 1
     dropped = (1 - g) * np.diag(channel(lost, out=lost))
     extended_probs = np.real(np.concatenate([np.diag(kept), dropped])).clip(min=0.0)
-    h, e = _power_of_two_scaled(op.matrix)  # as in spectral_run: no term underflows
+    h, e = _power_of_two_scaled(op.matrix)  # as in energy_expectation: no term underflows
     energy = float(np.ldexp(np.real(np.sum(rho * h.T)), e))
     return extended_probs, energy
 

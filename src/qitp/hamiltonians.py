@@ -133,18 +133,14 @@ def hydrogen_sto2g(
     with ``h_orth`` in Hartree and ``transform^dag overlap transform = I``.
     The default "canonical" orthogonalization is the convention of the
     reference tables; "lowdin" gives the symmetric transform (same spectrum,
-    rotated basis). Raises ValueError unless there are exactly two exponents
-    and they and the zeta are positive and finite, when ``slater_zeta**2``
+    rotated basis). Raises ValueError unless the exponents are a sequence of
+    two and they and the zeta are positive and finite, when ``slater_zeta**2``
     or an integral of the scaled exponents exceeds the float range, and when
     the product of two scaled exponents is not a normal float (zeta below
     about 3.1e-77 at the default exponents).
     """
-    try:
-        pair = len(exponents) == 2
-    except TypeError:  # None or a bare number
-        pair = False
-    if not pair:
-        raise ValueError("basis needs exactly two primitives")
+    if np.shape(exponents) != (2,):  # also None, a bare number, a set or a dict
+        raise ValueError("basis needs a sequence of exactly two primitives")
     if not all(_is_finite_real(e) and e > 0 for e in exponents):
         raise ValueError("exponents must be positive and finite")
     if not (_is_finite_real(slater_zeta) and slater_zeta > 0):

@@ -215,6 +215,14 @@ class TestHydrogen:
         with pytest.raises(ValueError, match="smallest normal float"):
             hydrogen_sto2g(exponents, zeta)
 
+    @pytest.mark.parametrize("exponents", [
+        {0.151623: 0, 0.851819: 0},  # a dict, whose keys iterate as two exponents
+        {0.851819, 0.151623},  # a set, read in hash order, not an order the caller chose
+    ], ids=["dict", "set"])
+    def test_exponents_must_be_a_sequence_of_two(self, exponents):
+        with pytest.raises(ValueError):
+            hydrogen_sto2g(exponents)
+
     def test_energy_per_zeta_holds_down_to_the_edge(self):
         # the nuclear term dominates at small zeta, so E0 / zeta stays put
         for zeta in (1e-60, 3.14e-77):

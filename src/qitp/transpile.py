@@ -587,8 +587,6 @@ def parse_circuit_text(text: str) -> Circuit:
             phase = float(m.group(1))
         except ValueError as exc:
             raise ParseError(f"bad global phase: {lines[pos]!r}") from exc
-        if not math.isfinite(phase):
-            raise ParseError(f"non-finite global phase: {lines[pos]!r}")
         pos += 1
     if pos >= len(lines):
         raise ParseError("missing qreg declaration")

@@ -18,6 +18,13 @@ scales states, and scales the eigenvalues back. Power-of-two scaling is
 exact, so the solver never sees a matrix outside its safe range, and
 ``2**k * H`` gives the same eigenvectors and ``2**k`` times the same
 eigenvalues, bit for bit, while every entry and eigenvalue stays normal.
+
+Every module checks its input by three rules, kept here. An integer
+(:func:`_integer`) is a Python or numpy integer, not a bool. A real scalar
+(:func:`_is_real`) is a value ``math.isfinite`` takes that is not a bool:
+not text, None, complex or an int beyond the float range, while a
+``Fraction`` or an int above 2**64 is one. A real array (:func:`_real_array`)
+is an integer or float ndarray, or input whose every entry is a real scalar.
 """
 
 from __future__ import annotations

@@ -60,10 +60,11 @@ def max_abs(m) -> float:
 
 def _integer(x, what: str, low: int | None = None, error: type[Exception] = ValueError) -> int:
     """x as an int: a Python or numpy integer other than a bool, at least
-    ``low`` when one is given. Raises ``error``, naming ``what``, otherwise."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or low is not None and x < low:
-        bound = "" if low is None else f" >= {low}"
-        raise error(f"{what} must be an integer{bound}, got {x!r}")
+    ``low`` when given. Raises ``error``, naming ``what`` but no value, otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {type(x).__name__}")
+    if low is not None and x < low:
+        raise error(f"{what} must be >= {low}")
     return int(x)
 
 
@@ -94,7 +95,8 @@ def _real_array(x, what: str, error: type[Exception] = ValueError) -> np.ndarray
     a = np.asarray(x, dtype=object)
     for entry in a.flat:
         if not _is_real(entry):
-            raise error(f"{what} must be real numbers, got {entry!r}")
+            kind = type(entry).__name__  # not its repr: an int past 4300 digits has none
+            raise error(f"{what} must be real numbers in the float range, got {kind}")
     return a.astype(float)
 
 

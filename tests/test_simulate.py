@@ -1402,6 +1402,10 @@ ERROR_CASES = [
      lambda op: sample_shots([0.0, True], 5, 0)),
     ("sample_shots, integer probability beyond the float range", InvalidDistribution,
      lambda op: sample_shots([10**400], 1, 0)),
+    ("sample_shots, integer probability past the int-to-text digit limit", InvalidDistribution,
+     lambda op: sample_shots([10**5000], 1, 0)),
+    ("sample_shots, shots below 0 past the int-to-text digit limit", InvalidDistribution,
+     lambda op: sample_shots([1.0], -(10**5000), 0)),
     ("readout_confusion, text probabilities", InvalidDistribution,
      lambda op: readout_confusion(["0.5", "0.5"], 0.1)),
     ("readout_confusion, complex probabilities", InvalidDistribution,

@@ -21,9 +21,9 @@ eigenvalues, bit for bit, while every entry and eigenvalue stays normal.
 
 Every module checks its input by three rules, kept here. An integer
 (:func:`_integer`) is a Python or numpy integer, not a bool. A real scalar
-(:func:`_is_real`) is a value ``math.isfinite`` takes that is not a bool:
-not text, None, complex or an int beyond the float range, while a
-``Fraction`` or an int above 2**64 is one. A real array (:func:`_real_array`)
+(:func:`_is_real`) is a value ``math.isfinite`` takes that is not a bool or
+complex (numpy's too): not text, None or an int beyond the float range, while
+a ``Fraction`` or an int above 2**64 is one. A real array (:func:`_real_array`)
 is an integer or float ndarray, or input whose every entry is a real scalar.
 """
 
@@ -69,9 +69,9 @@ def _integer(x, what: str, low: int | None = None, error: type[Exception] = Valu
 
 
 def _is_real(x) -> bool:
-    """Whether x is a real number: a value ``math.isfinite`` takes that is not
-    a bool, so not text, None, complex or an int beyond the float range."""
-    if isinstance(x, (bool, np.bool_)):
+    """Whether x is a real number: a value ``math.isfinite`` takes that is not a
+    bool or complex (``math.isfinite`` cuts numpy complex to its real part)."""
+    if isinstance(x, (bool, np.bool_, complex, np.complexfloating)):
         return False
     try:
         math.isfinite(x)

@@ -260,11 +260,13 @@ class TestMatrixFunction:
 
 
 
-# Scalars on both sides of the input rules: bools, text, None, complex,
-# integers past 2**64 and past the float range, a Fraction, NaN and the
-# infinities, and Python and numpy ints and floats.
+# Scalars on both sides of the input rules: bools, text, None, Python and
+# numpy complex (which math.isfinite would cut to the real part), integers past
+# 2**64 and past the float range, a Fraction, NaN and the infinities, and
+# Python and numpy ints and floats.
 RULE_SCALARS = st.one_of(
     st.sampled_from([True, False, np.True_, np.False_, "1", "0.5", "nan", None, 1j, 1 + 0j,
+                     np.complex128(1j), np.complex64(1), np.clongdouble(1),
                      2**64, 10**400, -(10**400), Fraction(1, 2), math.nan, math.inf, -math.inf]),
     st.integers(-(2**80), 2**80),
     st.floats(),

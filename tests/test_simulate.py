@@ -1396,6 +1396,8 @@ ERROR_CASES = [
      lambda op: sample_shots([0.5 + 0.3j, 0.5], 10, 1)),
     ("sample_shots, bool probabilities", InvalidDistribution,
      lambda op: sample_shots(np.array([True, False]), 10, 1)),
+    ("sample_shots, numpy complex probabilities", InvalidDistribution,
+     lambda op: sample_shots([np.complex128(0.5 + 0.3j), np.complex128(0.5)], 10, 1)),
     ("sample_shots, text probabilities", InvalidDistribution,
      lambda op: sample_shots(["0.5", "0.5"], 10, 1)),
     ("sample_shots, a bool among the probabilities", InvalidDistribution,
@@ -1419,6 +1421,8 @@ ERROR_CASES = [
     ("spectral_run, complex E_T", ValueError,
      lambda op: spectral_run(op, 1.0, [0.1j], np.ones(2), 1)),
     ("spectral_run, bool E_T", ValueError, lambda op: spectral_run(op, 1.0, True, np.ones(2), 1)),
+    ("spectral_run, numpy complex E_T list", ValueError,
+     lambda op: spectral_run(op, 1.0, list(np.array([0.1j])), np.ones(2), 1)),
     ("spectral_run, text tau", ValueError, lambda op: spectral_run(op, "1", 0.0, np.ones(2), 1)),
     ("spectral_run, text E_T", ValueError, lambda op: spectral_run(op, 1.0, ["0"], np.ones(2), 1)),
     ("filter_profile, complex energies", ValueError,
@@ -1428,6 +1432,8 @@ ERROR_CASES = [
     ("filter_profile, bool tau", ValueError, lambda op: filter_profile([1.0], True, 0.0)),
     ("filter_profile, complex E_T", ValueError, lambda op: filter_profile([1.0], 1.0, 1j)),
     ("filter_profile, bool E_T", ValueError, lambda op: filter_profile([1.0], 1.0, False)),
+    ("filter_profile, numpy complex tau", ValueError,
+     lambda op: filter_profile([1.0], np.complex128(1 + 1j), 0.0)),
     ("filter_profile, text energies", ValueError, lambda op: filter_profile(["1", "2"], 1.0, 0.0)),
     ("filter_profile, text tau", ValueError, lambda op: filter_profile([1.0], "1", 0.0)),
     ("filter_profile, text E_T", ValueError, lambda op: filter_profile([1.0], 1.0, "0")),
